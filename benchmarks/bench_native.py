@@ -9,8 +9,10 @@ for serving.  Scenarios:
   native serving planner measures).
 * ``forest_sweep`` — samples/sec vs forest size (tree-count slices of
   the letter bench forest).
-* ``kernels`` — numpy vs numba (vs the pure-Python scalar reference in
-  full mode); numba availability is recorded either way.
+* ``kernels`` — the engine's kernel (numba when importable, numpy
+  otherwise), plus the pure-Python scalar reference in full mode, each
+  checked bit for bit against the numpy kernel; numba availability is
+  recorded either way.
 * ``coldstart`` — cold engine build (conversion + flatten) vs adopting a
   packed ``.tahoe`` artifact, plus first-predict latency for each.
 * ``serving`` — identical open-loop workloads through ``TahoeServer``
@@ -44,9 +46,15 @@ import numpy as np
 
 import common
 from repro.core import LayoutCache, TahoeEngine
-from repro.core.native import HAVE_NUMBA, NativeEngine, available_kernels
+from repro.core.native import (
+    HAVE_NUMBA,
+    NativeEngine,
+    _traverse_numpy,
+    _traverse_scalar,
+)
 from repro.modelstore import load_packed, pack_layout
 from repro.serving import SchedulerConfig, TahoeServer, poisson_workload
+from repro.strategies.base import finalize_predictions
 
 DATASET = "letter"
 GPU = "P100"
@@ -96,26 +104,50 @@ def bench_forest_sweep(forest, spec, X, tree_counts, batch, repeats) -> dict:
     return out
 
 
+def _numpy_reference(engine, X: np.ndarray) -> np.ndarray:
+    """Predictions of the vectorised numpy kernel, whatever the engine runs."""
+    flat = engine.flat
+    shape = (X.shape[0], flat.n_groups) if flat.n_groups > 1 else X.shape[0]
+    sums = _traverse_numpy(X, flat, np.empty(shape, dtype=np.float64))
+    return finalize_predictions(engine.forest, sums)
+
+
 def bench_kernels(forest, spec, X, batch, repeats, quick) -> dict:
-    kernels = ["numpy"]
-    if HAVE_NUMBA:
-        kernels.append("numba")
-    if not quick:
-        kernels.append("scalar")
+    """The engine's own kernel (numba when importable, numpy otherwise),
+    plus the pure-Python scalar reference in full mode, each checked bit
+    for bit against the numpy kernel."""
     batch_X = _pool(X, batch)
-    ref = None
-    out = {"numba_available": HAVE_NUMBA, "kernels_present": list(available_kernels())}
-    for kernel in kernels:
-        engine = NativeEngine(forest, spec, kernel=kernel)
-        engine.predict(batch_X[:64])  # warm (numba JIT compiles here)
-        wall = _best_of(lambda: engine.predict(batch_X), repeats)
-        preds = engine.predict(batch_X).predictions
-        if ref is None:
-            ref = preds
-        out[kernel] = {
+    engine = NativeEngine(forest, spec)
+    ref = _numpy_reference(engine, batch_X)
+    engine.predict(batch_X[:64])  # warm (numba JIT compiles here)
+    wall = _best_of(lambda: engine.predict(batch_X), repeats)
+    out = {
+        "numba_available": HAVE_NUMBA,
+        "kernels_present": [engine.kernel, "scalar"],
+        engine.kernel: {
             "wall_s": wall,
             "samples_per_s": batch / wall,
-            "bit_identical_to_numpy": bool(np.array_equal(preds, ref)),
+            "bit_identical_to_numpy": bool(
+                np.array_equal(engine.predict(batch_X).predictions, ref)
+            ),
+        },
+    }
+    if not quick:
+        flat = engine.flat
+
+        def run_scalar():
+            sums = np.zeros((batch, flat.n_groups), dtype=np.float64)
+            _traverse_scalar(batch_X, *flat.scalar_args(), sums)
+            return finalize_predictions(
+                forest, sums if flat.n_groups > 1 else sums[:, 0]
+            )
+
+        # One repeat: the pure-Python loop is slow by design.
+        wall = _best_of(run_scalar, 1)
+        out["scalar"] = {
+            "wall_s": wall,
+            "samples_per_s": batch / wall,
+            "bit_identical_to_numpy": bool(np.array_equal(run_scalar(), ref)),
         }
     return out
 

@@ -20,18 +20,18 @@ Execution scheme (Py-Boost's ``EnsembleInference`` trick, adapted):
   the loop ends.
 * **Traversal** — all ``(sample, tree)`` cursors advance one level per
   step with fancy-indexed gathers over the flat arrays
-  (level-synchronous), or sample-by-sample in the scalar kernel that
-  numba JIT-compiles when available.
+  (level-synchronous), or sample-by-sample in the scalar kernel when
+  numba is available to JIT-compile it.
 * **Reduction** — per-tree leaf values accumulate into a float64
   per-sample sum and run through the exact same
   :func:`~repro.strategies.base.finalize_predictions` the simulated
   strategies use, which is what makes native predictions bit-identical
   to :class:`~repro.core.engine.TahoeEngine`'s.
 
-numba is detected at import (:data:`HAVE_NUMBA`); without it the
-vectorised numpy kernel serves, and the scalar kernel remains callable
-in pure Python (``kernel="scalar"``) so its logic is testable on
-numba-less machines.
+numba is detected at import (:data:`HAVE_NUMBA`) and decides the
+kernel: the jitted scalar kernel with numba, the vectorised numpy
+kernel without it.  The scalar kernel stays callable in pure Python as
+the reference the tests compare the numpy kernel against.
 
 The engine conforms to the shared :class:`~repro.core.base.Engine`
 surface and shares the :class:`~repro.core.cache.LayoutCache` with
@@ -62,7 +62,6 @@ from repro.obs.recorder import RunRecorder
 from repro.obs.trace import span
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.native import (
-    HardwareTarget,
     NativeCostModel,
     calibrate_native_model,
     rank_hardware_targets,
@@ -77,7 +76,6 @@ __all__ = [
     "HAVE_NUMBA",
     "NativeEngine",
     "NativeForest",
-    "available_kernels",
     "flatten_native",
 ]
 
@@ -96,50 +94,42 @@ except ImportError:  # the container default: clean numpy fallback
 _TARGET_LANES = 1 << 20
 
 
-def available_kernels() -> tuple[str, ...]:
-    """Kernels this process can run (``numba`` only when importable)."""
-    return ("numpy", "numba", "scalar") if HAVE_NUMBA else ("numpy", "scalar")
-
-
 @dataclass
 class NativeForest:
     """A forest flattened for native traversal (all trees concatenated).
 
     Node ids are *global* across trees (tree ``t``'s nodes occupy
     ``[offsets[t], offsets[t+1])``).  The conversion-time ``flip`` bit
-    is already resolved: ``child_true`` is the node taken when
-    ``x[feature] < threshold`` holds, ``child_false`` otherwise, and
-    ``default_true`` says whether a missing (NaN) attribute takes the
-    ``child_true`` branch (original ``default_left ^ flip``).  Leaves
-    keep ``feature == -1`` (the scalar kernel's termination test) but
-    carry a safe ``feature_ix == 0`` for masked-free vectorised gathers,
-    and self-loop through both child pointers.
+    is already resolved: ``child_pair[2*node + 1]`` is the node taken
+    when ``x[feature] < threshold`` holds, ``child_pair[2*node]``
+    otherwise, and ``default_true`` says whether a missing (NaN)
+    attribute takes the true branch (original ``default_left ^ flip``).
+    Leaves keep ``feature == -1`` (the scalar kernel's termination test)
+    but carry a safe ``feature_ix == 0`` for masked-free vectorised
+    gathers, and self-loop through both child pointers.
     """
 
     feature: np.ndarray  # int32, -1 at leaves
     feature_ix: np.ndarray  # int32, gather-safe (0 at leaves)
     threshold: np.ndarray  # float32
-    child_true: np.ndarray  # int32, global ids; leaf self-loops
-    child_false: np.ndarray  # int32, global ids; leaf self-loops
-    child_pair: np.ndarray  # int32, interleaved [false, true] per node
+    child_pair: np.ndarray  # int32, interleaved [false, true]; leaf self-loops
     default_true: np.ndarray  # bool
     value: np.ndarray  # float32 leaf values (0 at decision nodes)
-    is_leaf: np.ndarray  # bool
     roots: np.ndarray  # int32, per-tree root global id
     offsets: np.ndarray  # int64, per-tree start (n_trees + 1)
     max_depth: int
     mean_depth: float
     n_attributes: int
-    #: Per-tree output group and group count (1 → single-margin path).
-    tree_group: np.ndarray | None = None  # int64 (n_trees,)
-    n_groups: int = 1
-    #: Categorical bitsets (global node ids); allocated only when the
-    #: forest needs the extended kernel, ``None`` keeps the historical
-    #: hot paths untouched.
-    has_cat: bool = False
-    cat_offset: np.ndarray | None = None  # int64, -1 at numeric nodes
-    cat_count: np.ndarray | None = None  # int32 words per bitset
-    cat_bits: np.ndarray | None = None  # uint32 pool
+    #: Per-tree output group (all 0 for single-output forests).
+    tree_group: np.ndarray  # int64 (n_trees,)
+    n_groups: int
+    #: Categorical bitsets (global node ids).  Numeric forests carry
+    #: all-(-1) offsets and a one-word pool, so the scalar kernel has a
+    #: single signature; ``has_cat`` lets the numpy kernel skip them.
+    has_cat: bool
+    cat_offset: np.ndarray  # int64, -1 at numeric nodes
+    cat_count: np.ndarray  # int32 words per bitset
+    cat_bits: np.ndarray  # uint32 pool
 
     @property
     def n_trees(self) -> int:
@@ -148,6 +138,21 @@ class NativeForest:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
+
+    def scalar_args(self) -> tuple:
+        """The array arguments of :func:`_traverse_scalar`, in order."""
+        return (
+            self.feature,
+            self.threshold,
+            self.child_pair,
+            self.default_true,
+            self.value,
+            self.roots,
+            self.tree_group,
+            self.cat_offset,
+            self.cat_count,
+            self.cat_bits,
+        )
 
 
 def flatten_native(layout: ForestLayout) -> NativeForest:
@@ -169,8 +174,10 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
     total = int(offsets[-1])
     feature = np.empty(total, dtype=np.int32)
     threshold = np.empty(total, dtype=np.float32)
-    child_true = np.empty(total, dtype=np.int32)
-    child_false = np.empty(total, dtype=np.int32)
+    # Interleaved children: every kernel resolves a step with ONE gather,
+    # next = child_pair[2*cur + go] (go ∈ {0, 1}), instead of two
+    # gathers plus a where.
+    child_pair = np.empty(2 * total, dtype=np.int32)
     default_true = np.empty(total, dtype=bool)
     value = np.empty(total, dtype=np.float32)
     for t, tree in enumerate(trees):
@@ -185,53 +192,42 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
         right = np.where(flip, tree.left, tree.right).astype(np.int64)
         leaf = tree.feature == LEAF
         self_id = np.arange(tree.n_nodes, dtype=np.int64)
-        child_true[sl] = np.where(leaf, self_id, left) + base
-        child_false[sl] = np.where(leaf, self_id, right) + base
+        pair = child_pair[2 * base : 2 * (base + tree.n_nodes)]
+        pair[0::2] = np.where(leaf, self_id, right) + base
+        pair[1::2] = np.where(leaf, self_id, left) + base
         default_true[sl] = np.where(leaf, False, tree.default_left ^ flip)
         value[sl] = np.where(leaf, tree.value, np.float32(0.0))
     forest = layout.forest
-    tree_group = None
     if forest.n_classes > 1:
         tree_group = forest.tree_class.astype(np.int64)
-    has_cat = forest.has_categorical
-    cat_offset = cat_count = cat_bits = None
-    if has_cat or tree_group is not None:
-        # The extended kernel always takes the categorical columns, so a
-        # multiclass-but-numeric forest gets all-(-1) dummies.
-        cat_offset = np.full(total, -1, dtype=np.int64)
-        cat_count = np.zeros(total, dtype=np.int32)
-        pools = []
-        pool_base = 0
-        for t, tree in enumerate(trees):
-            if tree.cat_offset is None:
-                continue
-            base = int(offsets[t])
-            sl = slice(base, base + tree.n_nodes)
-            shifted = tree.cat_offset.copy()
-            shifted[shifted >= 0] += pool_base
-            cat_offset[sl] = shifted
-            cat_count[sl] = tree.cat_count
-            pools.append(tree.cat_bits)
-            pool_base += tree.cat_bits.shape[0]
-        cat_bits = np.concatenate(pools) if pools else np.zeros(1, dtype=np.uint32)
-    is_leaf = feature == LEAF
-    feature_ix = np.where(is_leaf, np.int32(0), feature).astype(np.int32)
-    # Interleave the children so the vectorised kernel resolves a step
-    # with ONE gather: next = child_pair[2*cur + go] (go ∈ {0, 1})
-    # instead of two gathers plus a where.
-    child_pair = np.empty(2 * total, dtype=np.int32)
-    child_pair[0::2] = child_false
-    child_pair[1::2] = child_true
+    else:
+        tree_group = np.zeros(len(trees), dtype=np.int64)
+    # Numeric nodes keep offset -1, so a forest without categorical
+    # splits gets all-(-1) dummies and a one-word pool.
+    cat_offset = np.full(total, -1, dtype=np.int64)
+    cat_count = np.zeros(total, dtype=np.int32)
+    pools = []
+    pool_base = 0
+    for t, tree in enumerate(trees):
+        if tree.cat_offset is None:
+            continue
+        base = int(offsets[t])
+        sl = slice(base, base + tree.n_nodes)
+        shifted = tree.cat_offset.copy()
+        shifted[shifted >= 0] += pool_base
+        cat_offset[sl] = shifted
+        cat_count[sl] = tree.cat_count
+        pools.append(tree.cat_bits)
+        pool_base += tree.cat_bits.shape[0]
+    cat_bits = np.concatenate(pools) if pools else np.zeros(1, dtype=np.uint32)
+    feature_ix = np.where(feature == LEAF, np.int32(0), feature).astype(np.int32)
     flat = NativeForest(
         feature=feature,
         feature_ix=feature_ix,
         threshold=threshold,
-        child_true=child_true,
-        child_false=child_false,
         child_pair=child_pair,
         default_true=default_true,
         value=value,
-        is_leaf=is_leaf,
         roots=offsets[:-1].astype(np.int32),
         offsets=offsets,
         max_depth=int(layout.forest.max_depth()),
@@ -239,7 +235,7 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
         n_attributes=int(layout.forest.n_attributes),
         tree_group=tree_group,
         n_groups=int(forest.n_classes),
-        has_cat=has_cat,
+        has_cat=forest.has_categorical,
         cat_offset=cat_offset,
         cat_count=cat_count,
         cat_bits=cat_bits,
@@ -252,47 +248,10 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
 # Kernels
 # ----------------------------------------------------------------------
 def _traverse_scalar(
-    X, feature, threshold, child_true, child_false, default_true, value, roots, out
-):
-    """Reference scalar kernel — the exact code numba JIT-compiles.
-
-    Plain nested loops, one (sample, tree) walk at a time, float64 leaf
-    accumulation.  Kept free of Python-only constructs so the same
-    function object works under ``@njit`` and as the pure-Python
-    ``kernel="scalar"`` fallback.
-    """
-    n_samples = X.shape[0]
-    n_trees = roots.shape[0]
-    for i in range(n_samples):
-        acc = 0.0
-        for t in range(n_trees):
-            node = roots[t]
-            f = feature[node]
-            while f >= 0:
-                v = X[i, f]
-                if v != v:  # NaN: follow the (flip-resolved) default path
-                    go = default_true[node]
-                else:
-                    go = v < threshold[node]
-                if go:
-                    node = child_true[node]
-                else:
-                    node = child_false[node]
-                f = feature[node]
-            # Explicit float64 cast: numba promotes f64 += f32 itself,
-            # but NEP 50 numpy-scalar arithmetic would demote the pure-
-            # Python accumulator to float32 without it.
-            acc += float(value[node])
-        out[i] = acc
-    return out
-
-
-def _traverse_scalar_ext(
     X,
     feature,
     threshold,
-    child_true,
-    child_false,
+    child_pair,
     default_true,
     value,
     roots,
@@ -302,12 +261,14 @@ def _traverse_scalar_ext(
     cat_bits,
     out,
 ):
-    """Extended scalar kernel: per-class accumulation + categorical splits.
+    """Scalar kernel — the exact code numba JIT-compiles.
 
-    Kept separate from :func:`_traverse_scalar` so the historical
-    single-margin numeric signature (and its on-disk numba cache) stays
-    frozen.  ``out`` is ``(n_samples, n_groups)``; single-output forests
-    with categorical nodes pass a 1-column ``out``.
+    Plain nested loops, one (sample, tree) walk at a time, with
+    categorical bitset membership and per-group float64 accumulation
+    into the zeroed ``(n_samples, n_groups)`` ``out``.  Kept free of
+    Python-only constructs so the same function object works under
+    ``@njit`` and as the pure-Python reference the tests compare the
+    numpy kernel against.
     """
     n_samples = X.shape[0]
     n_trees = roots.shape[0]
@@ -331,10 +292,7 @@ def _traverse_scalar_ext(
                             go = ((bits >> (code & 31)) & 1) == 1
                 else:
                     go = v < threshold[node]
-                if go:
-                    node = child_true[node]
-                else:
-                    node = child_false[node]
+                node = child_pair[2 * node + (1 if go else 0)]
                 f = feature[node]
             out[i, group[t]] += float(value[node])
     return out
@@ -342,12 +300,8 @@ def _traverse_scalar_ext(
 
 if HAVE_NUMBA:  # pragma: no cover - numba-equipped environments only
     _traverse_scalar_jit = _numba.njit(cache=True, nogil=True)(_traverse_scalar)
-    _traverse_scalar_ext_jit = _numba.njit(cache=True, nogil=True)(
-        _traverse_scalar_ext
-    )
 else:
     _traverse_scalar_jit = None
-    _traverse_scalar_ext_jit = None
 
 
 def _traverse_numpy(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.ndarray:
@@ -512,8 +466,6 @@ class NativeEngine:
         recorder: telemetry sink (built from ``config.obs`` otherwise).
         layout_cache: converted-layout cache shared across engines and
             backends.
-        kernel: ``"numba"`` / ``"numpy"`` / ``"scalar"``; auto-detected
-            (numba when importable, numpy otherwise) when omitted.
     """
 
     time_domain = TIME_DOMAIN_WALL
@@ -527,9 +479,8 @@ class NativeEngine:
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
         layout_cache: LayoutCache | None = None,
-        kernel: str | None = None,
     ) -> None:
-        self._init_common(spec, config, hardware, recorder, layout_cache, kernel)
+        self._init_common(spec, config, hardware, recorder, layout_cache)
         self._convert(forest)
 
     def _init_common(
@@ -539,7 +490,6 @@ class NativeEngine:
         hardware: HardwareParams | None,
         recorder: RunRecorder | None,
         layout_cache: LayoutCache | None,
-        kernel: str | None = None,
     ) -> None:
         self.spec = spec
         self.config = config if config is not None else TahoeConfig()
@@ -552,24 +502,12 @@ class NativeEngine:
         self.layout: ForestLayout | None = None
         self.flat: NativeForest | None = None
         self.conversion_stats = ConversionStats()
-        self.kernel = self._resolve_kernel(kernel)
         self._cost_model: NativeCostModel | None = None
-        self._ranked_cache: dict[int, list] = {}
 
-    @staticmethod
-    def _resolve_kernel(kernel: str | None) -> str:
-        if kernel is None:
-            return "numba" if HAVE_NUMBA else "numpy"
-        if kernel not in ("numpy", "numba", "scalar"):
-            raise ValueError(
-                f"unknown native kernel {kernel!r} (need numpy, numba, or scalar)"
-            )
-        if kernel == "numba" and not HAVE_NUMBA:
-            raise ValueError(
-                "kernel='numba' requested but numba is not installed; "
-                "install numba or use kernel='numpy'"
-            )
-        return kernel
+    @property
+    def kernel(self) -> str:
+        """The traversal kernel this process runs: ``numba`` or ``numpy``."""
+        return "numba" if HAVE_NUMBA else "numpy"
 
     @classmethod
     def from_layout(
@@ -582,7 +520,6 @@ class NativeEngine:
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
         layout_cache: LayoutCache | None = None,
-        kernel: str | None = None,
     ) -> "NativeEngine":
         """Adopt an already-converted layout (tahoe *or* fil format).
 
@@ -593,7 +530,7 @@ class NativeEngine:
         engines of *any* backend built from the source forest hit it.
         """
         engine = cls.__new__(cls)
-        engine._init_common(spec, config, hardware, recorder, layout_cache, kernel)
+        engine._init_common(spec, config, hardware, recorder, layout_cache)
         engine._adopt_layout(layout, ConversionStats(source="artifact"), cache_key)
         return engine
 
@@ -609,7 +546,6 @@ class NativeEngine:
         stats.node_encoding = layout.record.encoding_label
         self.flat = flatten_native(layout)
         self._cost_model = None  # re-calibrate for the new forest shape
-        self._ranked_cache = {}
         self.conversion_stats = stats
         self.recorder.record_conversion(stats)
         if self.layout_cache is not None and cache_key is not None:
@@ -657,60 +593,19 @@ class NativeEngine:
     # Execution
     # ------------------------------------------------------------------
     def _leaf_sums(self, X: np.ndarray) -> np.ndarray:
-        """Per-sample float64 leaf-value sums via the selected kernel.
+        """Per-sample float64 leaf-value sums via this process's kernel.
 
         Returns ``(n,)`` for single-output forests and ``(n, n_classes)``
         for multiclass ones (what :func:`finalize_predictions` expects).
         """
         flat = self.flat
         multi = flat.n_groups > 1
-        if self.kernel == "numpy":
-            if multi:
-                out = np.empty((X.shape[0], flat.n_groups), dtype=np.float64)
-            else:
-                out = np.empty(X.shape[0], dtype=np.float64)
-            return _traverse_numpy(X, flat, out)
-        if multi or flat.has_cat:
-            # Scalar/numba path with classes or categorical nodes → the
-            # extended kernel (2-D accumulator, bitset membership).
-            group = flat.tree_group
-            if group is None:
-                group = np.zeros(flat.n_trees, dtype=np.int64)
-            out = np.zeros((X.shape[0], flat.n_groups), dtype=np.float64)
-            fn = (
-                _traverse_scalar_ext_jit
-                if self.kernel == "numba"
-                else _traverse_scalar_ext
-            )
-            res = fn(
-                X,
-                flat.feature,
-                flat.threshold,
-                flat.child_true,
-                flat.child_false,
-                flat.default_true,
-                flat.value,
-                flat.roots,
-                group,
-                flat.cat_offset,
-                flat.cat_count,
-                flat.cat_bits,
-                out,
-            )
-            return res if multi else res[:, 0]
-        out = np.empty(X.shape[0], dtype=np.float64)
-        fn = _traverse_scalar_jit if self.kernel == "numba" else _traverse_scalar
-        return fn(
-            X,
-            flat.feature,
-            flat.threshold,
-            flat.child_true,
-            flat.child_false,
-            flat.default_true,
-            flat.value,
-            flat.roots,
-            out,
-        )
+        if _traverse_scalar_jit is None:
+            shape = (X.shape[0], flat.n_groups) if multi else X.shape[0]
+            return _traverse_numpy(X, flat, np.empty(shape, dtype=np.float64))
+        out = np.zeros((X.shape[0], flat.n_groups), dtype=np.float64)
+        _traverse_scalar_jit(X, *flat.scalar_args(), out)
+        return out if multi else out[:, 0]
 
     def _run_flat(self, X: np.ndarray) -> tuple[np.ndarray, NativeBreakdown]:
         """Traverse + reduce one batch, wall-clock timed per phase."""
@@ -726,66 +621,18 @@ class NativeEngine:
     @property
     def cost_model(self) -> NativeCostModel:
         """The calibrated wall-clock cost model (probed lazily, once)."""
-        if self._cost_model is None or self._cost_model.kernel != self.kernel:
-            # The vectorised kernels amortise dispatch over large
-            # batches, so probe well into that regime; the pure-Python
-            # scalar kernel is too slow for a 1024-row probe.
-            probes = (16, 256) if self.kernel == "scalar" else (64, 1024)
+        if self._cost_model is None:
+            # The kernels amortise dispatch over large batches, so probe
+            # well into that regime.
             self._cost_model = calibrate_native_model(
                 self._leaf_sums,
                 n_trees=self.forest.n_trees,
                 depth=self.flat.mean_depth,
                 n_attributes=self.forest.n_attributes,
                 kernel=self.kernel,
-                probe_sizes=probes,
+                probe_sizes=(64, 1024),
             )
-            self._ranked_cache.clear()
         return self._cost_model
-
-    def _ranked_targets(self, nb: int) -> list:
-        """The two-target hardware ranking for a batch size, memoized.
-
-        The §6 GPU-side prediction walks the per-tree imbalance model
-        (milliseconds per call), so it is evaluated once per
-        power-of-two batch-size bucket and linearly rescaled — serving
-        loops coalesce ragged micro-batches, and a per-exact-size memo
-        would miss on nearly every dispatch.  The native prediction is
-        a two-coefficient evaluation, so it is always computed exactly
-        for the actual batch size: the chosen target's predicted time
-        is what feeds the calibration residuals.
-        """
-        bucket = max(1, 1 << (int(nb) - 1).bit_length())
-        ranked = self._ranked_cache.get(bucket)
-        if ranked is None:
-            ranked = rank_hardware_targets(
-                self.cost_model,
-                self.layout,
-                bucket,
-                self.spec,
-                self.hardware,
-                depth=self.flat.mean_depth,
-            )
-            self._ranked_cache[bucket] = ranked
-        if nb == bucket:
-            return ranked
-        scale = nb / bucket
-        targets = []
-        for target in ranked:
-            if target.name == "native_cpu":
-                predicted = self.cost_model.predict_time(
-                    nb, self.flat.n_trees, self.flat.mean_depth
-                )
-                note = target.note
-            else:
-                predicted = target.predicted_time * scale
-                note = f"{target.note}; rescaled from batch {bucket}"
-            targets.append(
-                HardwareTarget(
-                    name=target.name, predicted_time=predicted, note=note
-                )
-            )
-        targets.sort(key=lambda t: t.predicted_time)
-        return targets
 
     def predict(
         self,
@@ -803,6 +650,12 @@ class NativeEngine:
         ``collect_level_stats`` is accepted for engine-surface
         uniformity and ignored (there is no simulated memory system to
         collect from).
+
+        The host CPU is the only target this engine executes on, so no
+        per-batch target is chosen.  With ``report=True`` the hardware
+        ranking (native CPU vs the best simulated-GPU strategy, at
+        ``batch_size``) is evaluated once and recorded as one decision,
+        closed by the first batch's measured time.
         """
         del collect_level_stats
         X = check_batch(X)
@@ -819,14 +672,25 @@ class NativeEngine:
         with self.recorder.activate(), span(
             "engine.predict", category="engine", samples=n, batch_size=batch_size
         ):
+            decision = None
+            if report:
+                # Outside the timed region, like strategy selection is
+                # for the simulated engines.
+                ranked = rank_hardware_targets(
+                    self.cost_model,
+                    self.layout,
+                    batch_size,
+                    self.spec,
+                    self.hardware,
+                    depth=self.flat.mean_depth,
+                )
+                chosen = next(t for t in ranked if t.name == "native_cpu")
+                decision = self.recorder.record_decision(
+                    0, batch_size, ranked, chosen
+                )
             for index, start in enumerate(range(0, n, batch_size)):
                 stop = min(start + batch_size, n)
                 nb = stop - start
-                # Hardware-target ranking (native CPU vs best simulated-
-                # GPU strategy) happens outside the timed region, like
-                # strategy selection does for the simulated engines.
-                ranked = self._ranked_targets(nb)
-                chosen = next(t for t in ranked if t.name == "native_cpu")
                 preds, breakdown = self._run_flat(X[start:stop])
                 predictions[start:stop] = preds
                 result = StrategyResult(
@@ -839,8 +703,9 @@ class NativeEngine:
                     threads_per_block=0,
                     batch_size=nb,
                 )
-                decision = self.recorder.record_decision(index, nb, ranked, chosen)
-                self.recorder.record_batch(index, result, decision)
+                self.recorder.record_batch(
+                    index, result, decision if index == 0 else None
+                )
                 batches.append(result)
                 used.append("native")
                 total_time += breakdown.total
@@ -934,12 +799,12 @@ class NativeEngine:
         curve, the native backend times its own dispatch path on
         synthetic probe batches (best of ``repeats``) — the knee of a
         measured curve, not a modelled one.  Probes run the full
-        ``predict`` path, not just the kernel: per-dispatch costs
-        (target ranking, decision/batch recording, result assembly) are
-        exactly what makes small flush points a bad deal, so a curve
-        without them would understate the knee.  Probes record into a
-        throwaway recorder so they never pollute batch/decision
-        telemetry.
+        ``predict`` path a serving dispatch runs (no report), not just
+        the kernel: per-dispatch costs (input checks, finalisation,
+        batch recording, result assembly) are exactly what makes small
+        flush points a bad deal, so a curve without them would
+        understate the knee.  Probes record into a throwaway recorder so
+        they never pollute batch telemetry.
         """
         if not batch_sizes:
             raise ValueError("need at least one candidate batch size")

@@ -25,7 +25,6 @@ from repro.formats.encoding import (
     resolve_width_bits,
     unpack_node_words,
 )
-from repro.formats.io import load_layout, save_layout
 from repro.formats.layout import ForestLayout, NodeRecordLayout, attr_index_bytes
 from repro.formats.node_rearrange import rearrange_forest_nodes, rearrange_nodes_by_probability
 from repro.formats.partition import PartitionError, cached_partition, partition_trees
@@ -44,8 +43,6 @@ __all__ = [
     "resolve_width_bits",
     "unpack_node_words",
     "build_reorg_layout",
-    "load_layout",
-    "save_layout",
     "PartitionError",
     "cached_partition",
     "partition_trees",

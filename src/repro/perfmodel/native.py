@@ -15,8 +15,9 @@ target to rank: the best simulated-GPU strategy (predicted GPU seconds)
 next to the native CPU (predicted wall seconds).  Each prediction is in
 its *own* target's execution-time domain — the ranking answers "which
 target would finish this batch first", exactly as the §6 ranking answers
-it across strategies.  The chosen target's residual (predicted vs
-measured wall time for native runs) feeds the same
+it across strategies.  The native engine evaluates it only when a run
+report is requested; the chosen target's residual (predicted vs
+measured wall time for native runs) then feeds the same
 :class:`~repro.obs.drift.CalibrationTracker` the GPU models use, so
 drift in the native calibration is caught by the existing machinery.
 """
@@ -68,8 +69,8 @@ class NativeCostModel:
     Attributes:
         t_lane_step: seconds per (sample, tree, level) lane step.
         t_fixed: per-call overhead (dispatch + reduction), seconds.
-        kernel: which kernel was calibrated (``numpy`` / ``numba`` /
-            ``scalar``) — predictions only transfer within one kernel.
+        kernel: which kernel was calibrated (``numpy`` or ``numba``) —
+            predictions only transfer within one kernel.
     """
 
     t_lane_step: float

@@ -56,7 +56,7 @@ from repro.serving.request import (
     InferenceResponse,
     ServingError,
 )
-from repro.serving.server import ServerConfig, ServingResult, TahoeServer
+from repro.serving.server import ServingResult, TahoeServer
 from repro.serving.slo import SLOConfig, SLOMonitor, window_quantile
 from repro.serving.tracing import RequestTrace, StageSpan
 from repro.serving.workload import (
@@ -85,7 +85,6 @@ __all__ = [
     "SLOMonitor",
     "SchedulerConfig",
     "Server",
-    "ServerConfig",
     "ServingError",
     "ServingResult",
     "StageSpan",

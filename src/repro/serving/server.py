@@ -44,7 +44,6 @@ the §6 predicted one — real throughput, same scheduler.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass
@@ -78,32 +77,11 @@ from repro.serving.slo import SLOConfig, SLOMonitor
 from repro.serving.tracing import RequestTrace, StageSpan
 from repro.trees.forest import Forest
 
-__all__ = ["SchedulerConfig", "ServerConfig", "ServingResult", "TahoeServer"]
+__all__ = ["SchedulerConfig", "ServingResult", "TahoeServer"]
 
 #: Cap on per-request traces carried into a RunReport (the responses
 #: themselves always carry their own trace regardless).
 MAX_REPORT_TRACES = 2000
-
-
-class ServerConfig(SchedulerConfig):
-    """Deprecated alias of :class:`~repro.serving.api.SchedulerConfig`.
-
-    The grab-bag ``ServerConfig`` was split into
-    :class:`~repro.serving.api.SchedulerConfig` (flush/queue/deadline
-    mechanism) and :class:`~repro.serving.api.PolicyConfig`
-    (SLO/admission/autoscale policy).  This shim keeps one release of
-    compatibility — same fields, same semantics — and will be removed.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "ServerConfig is deprecated; use SchedulerConfig for scheduler "
-            "knobs and PolicyConfig for SLO/admission/autoscale policy "
-            "(from repro.serving)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        super().__post_init__()
 
 
 @dataclass
@@ -142,7 +120,6 @@ class TahoeServer:
             its ``slo`` member replaces the deprecated ``slo=`` kwarg
             (admission/autoscale members are consumed by the fleet
             router, not here).
-        server_config: deprecated spelling of ``scheduler``.
         config: engine configuration shared by every replica.
         hardware: pre-measured hardware parameters (measured once here
             otherwise and shared across the pool).
@@ -170,7 +147,6 @@ class TahoeServer:
         *,
         scheduler: SchedulerConfig | None = None,
         policy: PolicyConfig | None = None,
-        server_config: SchedulerConfig | None = None,
         config: TahoeConfig | None = None,
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
@@ -184,10 +160,7 @@ class TahoeServer:
             raise TypeError("TahoeServer requires a GPU spec")
         if (forest is None) == (packed is None):
             raise TypeError("TahoeServer takes exactly one of forest= or packed=")
-        if scheduler is not None and server_config is not None:
-            raise TypeError("pass scheduler= or the deprecated server_config=, not both")
-        cfg = scheduler if scheduler is not None else server_config
-        self.config = cfg if cfg is not None else SchedulerConfig()
+        self.config = scheduler if scheduler is not None else SchedulerConfig()
         self.policy = policy if policy is not None else PolicyConfig()
         if policy is not None and policy.slo is not None:
             if slo is not None:

@@ -86,10 +86,6 @@ def window_quantile(values: list[float], q: float) -> float:
     return ordered[rank]
 
 
-#: Backwards-compatible private alias (pre-fleet name).
-_window_quantile = window_quantile
-
-
 class SLOMonitor:
     """Evaluates :class:`SLOConfig` objectives over the response stream.
 
@@ -159,9 +155,9 @@ class SLOMonitor:
         failed = sum(1 for row in rows if not row[3])
         return {
             "requests": n,
-            "latency_p95": _window_quantile(ok_latencies, 0.95),
-            "latency_p99": _window_quantile(ok_latencies, 0.99),
-            "queue_wait_p95": _window_quantile(ok_waits, 0.95),
+            "latency_p95": window_quantile(ok_latencies, 0.95),
+            "latency_p99": window_quantile(ok_latencies, 0.99),
+            "queue_wait_p95": window_quantile(ok_waits, 0.95),
             "error_rate": (failed / n) if n else 0.0,
         }
 

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.core.native import (
     HAVE_NUMBA,
     NativeEngine,
-    available_kernels,
+    _traverse_scalar,
     flatten_native,
 )
 from repro.formats import build_reorg_layout
@@ -58,11 +58,11 @@ class TestBitIdentity:
         )
 
     def test_scalar_kernel_matches_numpy(self, small_forest, p100, test_X):
-        fast = NativeEngine(small_forest, p100, kernel="numpy")
-        slow = NativeEngine(small_forest, p100, kernel="scalar")
-        assert np.array_equal(
-            fast.predict(test_X).predictions, slow.predict(test_X).predictions
-        )
+        engine = NativeEngine(small_forest, p100)
+        flat = engine.flat
+        sums = np.zeros((test_X.shape[0], flat.n_groups), dtype=np.float64)
+        _traverse_scalar(test_X, *flat.scalar_args(), sums)
+        assert np.array_equal(engine._leaf_sums(test_X), sums[:, 0])
 
     def test_batch_size_does_not_change_predictions(
         self, small_forest, p100, test_X
@@ -108,19 +108,11 @@ class TestEngineContract:
             after, TahoeEngine(small_gbdt, p100).predict(test_X).predictions
         )
 
-    def test_unknown_kernel_rejected(self, small_forest, p100):
-        with pytest.raises(ValueError, match="unknown native kernel"):
-            NativeEngine(small_forest, p100, kernel="cuda")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_kernel_rejected_without_numba(self, small_forest, p100):
-        with pytest.raises(ValueError, match="numba is not installed"):
-            NativeEngine(small_forest, p100, kernel="numba")
-
-    def test_available_kernels_reflect_environment(self):
-        kernels = available_kernels()
-        assert "numpy" in kernels and "scalar" in kernels
-        assert ("numba" in kernels) == HAVE_NUMBA
+    def test_kernel_follows_numba_availability(self, small_forest, p100):
+        engine = NativeEngine(small_forest, p100)
+        assert engine.kernel == ("numba" if HAVE_NUMBA else "numpy")
+        with pytest.raises(AttributeError):
+            engine.kernel = "numpy"
 
     def test_report_carries_native_identity(self, small_forest, p100, test_X):
         engine = NativeEngine(small_forest, p100)
@@ -174,9 +166,9 @@ class TestLayoutInterop:
         assert flat is engine.flat  # second call returns the cached object
         assert flat.n_trees == small_forest.n_trees
         # Leaves self-loop: both children point at the leaf itself.
-        leaves = np.flatnonzero(flat.is_leaf)
-        assert np.array_equal(flat.child_true[leaves], leaves)
-        assert np.array_equal(flat.child_false[leaves], leaves)
+        leaves = np.flatnonzero(flat.feature < 0)
+        assert np.array_equal(flat.child_pair[2 * leaves], leaves)
+        assert np.array_equal(flat.child_pair[2 * leaves + 1], leaves)
 
 
 class TestFlushCurve:
@@ -201,19 +193,21 @@ class TestFlushCurve:
 class TestHardwareRanking:
     def test_decisions_record_both_targets(self, small_forest, p100, test_X):
         engine = NativeEngine(small_forest, p100)
-        engine.predict(test_X)
-        decision = engine.recorder.decisions[-1]
+        engine.predict(test_X, batch_size=17, report=True)
+        # One decision per reported call, not one per batch.
+        assert len(engine.recorder.decisions) == 1
+        decision = engine.recorder.decisions[0]
         names = {c.strategy for c in decision.candidates}
         assert decision.chosen == "native_cpu"
+        assert decision.batch_size == 17
         assert any(name.startswith("gpusim_") for name in names)
+        # Closed by the first batch's measured wall time.
+        assert decision.simulated_time == engine.recorder.batches[0].simulated_time
 
-    def test_ragged_batch_sizes_reuse_bucketed_ranking(
+    def test_unreported_predict_records_no_decision(
         self, small_forest, p100, test_X
     ):
         engine = NativeEngine(small_forest, p100)
-        engine.predict(test_X[:65])
-        engine.predict(test_X[:100])  # same power-of-two bucket (128)
-        assert len(engine._ranked_cache) == 1
-        # Native predicted time still tracks the exact batch size.
-        d65, d100 = engine.recorder.decisions[-2:]
-        assert d65.predicted_time < d100.predicted_time
+        engine.predict(test_X, batch_size=17)
+        assert engine.recorder.decisions == []
+        assert len(engine.recorder.batches) > 1

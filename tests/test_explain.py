@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FILEngine, TahoeEngine
-from repro.core.native import HAVE_NUMBA, NativeEngine
+from repro.core.native import NativeEngine
 from repro.explain import (
     brute_force_shapley,
     build_path_set,
@@ -138,20 +138,8 @@ class TestEfficiencyAxiom:
     @settings(max_examples=15, deadline=None)
     def test_native_engine_numpy(self, forest_X):
         forest, X = forest_X
-        result = NativeEngine(forest, SPEC, kernel="numpy").explain(X)
+        result = NativeEngine(forest, SPEC).explain(X)
         assert result.time_domain == "wall"
-        _check_efficiency(
-            forest, X, result.attributions, result.base_values, result.predictions
-        )
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_native_engine_numba(self):
-        rng = np.random.default_rng(3)
-        trees = [_grow_tree(rng, 5, 4) for _ in range(6)]
-        forest = Forest(trees=trees, n_attributes=5, aggregation="mean")
-        X = rng.normal(size=(20, 5)).astype(np.float32)
-        X[2, 1] = np.nan
-        result = NativeEngine(forest, SPEC, kernel="numba").explain(X)
         _check_efficiency(
             forest, X, result.attributions, result.base_values, result.predictions
         )

@@ -373,15 +373,22 @@ def test_artifact_round_trip_packed(small_forest, test_X, p100, tmp_path):
     assert path.stat().st_size < wide.stat().st_size
 
 
-def test_layout_io_round_trip_packed(small_gbdt, tmp_path):
-    from repro.formats.io import load_layout, save_layout
+def test_layout_io_round_trip_packed(small_gbdt, p100, tmp_path):
+    from repro.modelstore import load_packed, pack_layout
 
     forest = small_gbdt
     enc = make_encoding(forest, 16, "f32")
     layout = build_adaptive_layout(forest, node_encoding=enc)
-    path = tmp_path / "layout.npz"
-    save_layout(layout, path)
-    loaded = load_layout(path)
+    path = tmp_path / "layout.tahoe"
+    pack_layout(
+        layout,
+        path,
+        engine="tahoe",
+        spec_name=p100.name,
+        conversion_key=(),
+        source_fingerprint=forest.fingerprint(),
+    )
+    loaded = load_packed(path).layout
     assert loaded.record.packed
     assert loaded.record.threshold_mode == "f32"
     assert loaded.record.node_bytes == layout.record.node_bytes

@@ -1,10 +1,14 @@
-"""Tests for layout serialisation."""
+"""Tests for layout serialisation through the ``.tahoe`` artifact."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.formats import build_adaptive_layout, build_reorg_layout
-from repro.formats.io import load_layout, save_layout
+from repro.modelstore import load_packed
+from repro.modelstore.artifact import ARTIFACT_MAGIC, ArtifactError, pack_layout
 
 
 @pytest.fixture()
@@ -12,28 +16,34 @@ def layout(small_forest):
     return build_adaptive_layout(small_forest)
 
 
+def _round_trip(layout, path, engine="tahoe"):
+    pack_layout(
+        layout,
+        path,
+        engine=engine,
+        spec_name="P100",
+        conversion_key=(),
+        source_fingerprint=layout.forest.fingerprint(),
+    )
+    return load_packed(path).layout
+
+
 class TestLayoutRoundTrip:
     def test_predictions_preserved(self, layout, test_X, tmp_path):
-        path = tmp_path / "layout.npz"
-        save_layout(layout, path)
-        restored = load_layout(path)
-        np.testing.assert_allclose(
-            restored.forest.predict(test_X), layout.forest.predict(test_X), rtol=1e-6
+        restored = _round_trip(layout, tmp_path / "layout.tahoe")
+        np.testing.assert_array_equal(
+            restored.forest.predict(test_X), layout.forest.predict(test_X)
         )
 
     def test_addresses_identical(self, layout, tmp_path):
-        path = tmp_path / "layout.npz"
-        save_layout(layout, path)
-        restored = load_layout(path)
+        restored = _round_trip(layout, tmp_path / "layout.tahoe")
         for a, b in zip(restored.node_address, layout.node_address):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(restored.level_base, layout.level_base)
         assert restored.total_bytes == layout.total_bytes
 
     def test_record_and_order_preserved(self, layout, tmp_path):
-        path = tmp_path / "layout.npz"
-        save_layout(layout, path)
-        restored = load_layout(path)
+        restored = _round_trip(layout, tmp_path / "layout.tahoe")
         assert restored.record == layout.record
         assert restored.tree_order == layout.tree_order
         assert restored.format_name == "adaptive"
@@ -41,9 +51,7 @@ class TestLayoutRoundTrip:
     def test_restored_layout_runs_on_simulator(self, layout, test_X, p100, small_forest, tmp_path):
         from repro.strategies import SharedDataStrategy
 
-        path = tmp_path / "layout.npz"
-        save_layout(layout, path)
-        restored = load_layout(path)
+        restored = _round_trip(layout, tmp_path / "layout.tahoe")
         result = SharedDataStrategy().run(restored, test_X, p100)
         np.testing.assert_allclose(
             result.predictions, small_forest.predict(test_X), rtol=1e-5
@@ -53,35 +61,33 @@ class TestLayoutRoundTrip:
         from repro.gpusim.trace import flatten_layout
 
         flatten_layout(layout)  # populate a runtime cache
-        path = tmp_path / "layout.npz"
-        save_layout(layout, path)
-        restored = load_layout(path)
+        assert "_flat" in layout.metadata
+        restored = _round_trip(layout, tmp_path / "layout.tahoe")
         assert "_flat" not in restored.metadata
 
     def test_reorg_layout_round_trips(self, small_forest, test_X, tmp_path):
         layout = build_reorg_layout(small_forest)
-        path = tmp_path / "reorg.npz"
-        save_layout(layout, path)
-        restored = load_layout(path)
+        restored = _round_trip(layout, tmp_path / "reorg.tahoe", engine="fil")
         assert restored.format_name == "reorg"
         assert restored.record.attr_bytes == 4
-        np.testing.assert_allclose(
-            restored.forest.predict(test_X), small_forest.predict(test_X), rtol=1e-6
+        np.testing.assert_array_equal(
+            restored.forest.predict(test_X), small_forest.predict(test_X)
         )
 
     def test_version_check(self, layout, tmp_path):
-        import json
-
-        import numpy as np
-
-        path = tmp_path / "layout.npz"
-        save_layout(layout, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode())
-        header["format_version"] = 99
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        with pytest.raises(ValueError, match="version"):
-            load_layout(path)
+        path = tmp_path / "layout.tahoe"
+        _round_trip(layout, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, len(ARTIFACT_MAGIC))
+        start = len(ARTIFACT_MAGIC) + 4
+        header = json.loads(raw[start : start + header_len])
+        header["artifact_version"] = 99
+        encoded = json.dumps(header).encode()
+        path.write_bytes(
+            ARTIFACT_MAGIC
+            + struct.pack("<I", len(encoded))
+            + encoded
+            + raw[start + header_len :]
+        )
+        with pytest.raises(ArtifactError, match="version"):
+            load_packed(path)

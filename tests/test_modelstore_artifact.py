@@ -2,15 +2,19 @@
 zero-conversion engine construction."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import TahoeEngine
 from repro.core.cache import LayoutCache
+from repro.core.config import TahoeConfig
 from repro.core.fil import FILEngine
-from repro.modelstore import load_packed, pack_forest
+from repro.modelstore import import_model, load_packed, pack_forest
 from repro.modelstore.artifact import ARTIFACT_MAGIC, ArtifactError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 _STAGES = (
     "t_fetch_probabilities",
@@ -38,8 +42,11 @@ class TestRoundTrip:
         restored = packed.layout
         assert restored.format_name == cold.layout.format_name
         assert restored.total_bytes == cold.layout.total_bytes
+        assert restored.record == cold.layout.record
         assert restored.tree_order == cold.layout.tree_order
         np.testing.assert_array_equal(restored.level_base, cold.layout.level_base)
+        for a, b in zip(restored.node_address, cold.layout.node_address):
+            np.testing.assert_array_equal(a, b)
         for a, b in zip(restored.forest.trees, cold.layout.forest.trees):
             np.testing.assert_array_equal(a.feature, b.feature)
             np.testing.assert_array_equal(
@@ -83,6 +90,8 @@ class TestRoundTrip:
         engine = packed.make_engine(p100)
         assert isinstance(engine, FILEngine)
         cold = FILEngine(small_forest, p100)
+        assert packed.layout.format_name == "reorg"
+        assert packed.layout.record == cold.layout.record
         np.testing.assert_array_equal(
             engine.predict(test_X).predictions, cold.predict(test_X).predictions
         )
@@ -94,6 +103,37 @@ class TestRoundTrip:
     def test_runtime_metadata_not_packed(self, packed_path):
         header = load_packed(packed_path).header
         assert not any(k.startswith("_") for k in header["layout"]["metadata"])
+
+
+class TestFixtureRoundTrip:
+    """Multiclass and categorical framework dumps through ``.tahoe``."""
+
+    @pytest.mark.parametrize("node_width", [None, 8])
+    @pytest.mark.parametrize(
+        "fixture", ["xgboost_multiclass_model.json", "lightgbm_categorical_model.txt"]
+    )
+    def test_packed_fixture_predicts_identically(
+        self, p100, tmp_path, fixture, node_width
+    ):
+        forest = import_model(FIXTURES / fixture)
+        config = TahoeConfig(node_width=node_width)
+        path = tmp_path / "fixture.tahoe"
+        pack_forest(forest, p100, path, config=config)
+        packed = load_packed(path)
+        assert packed.layout.forest.n_classes == forest.n_classes
+        assert packed.layout.forest.has_categorical == forest.has_categorical
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((64, forest.n_attributes)).astype(np.float32)
+        # Whole category codes (some past every bitset) and NaNs.
+        X[::2, :4] = rng.integers(-1, 40, size=(32, 4))
+        X[::7, 1] = np.nan
+        cold = TahoeEngine(forest, p100, config=config).predict(X).predictions
+        tahoe = packed.make_engine(p100).predict(X).predictions
+        native = packed.make_engine(p100, backend="native").predict(X).predictions
+        expected_shape = (64, forest.n_classes) if forest.n_classes > 1 else (64,)
+        assert cold.shape == expected_shape
+        np.testing.assert_array_equal(tahoe, cold)
+        np.testing.assert_array_equal(native, cold)
 
 
 class TestCachePublication:

@@ -2,12 +2,14 @@
 
 The native backend's headline claim is *bit-identical* predictions, not
 approximately-equal ones, so the property sweep randomizes forest
-structure (ragged depths, duplicate thresholds, default-left flags),
-aggregation semantics (mean vs sum with shrinkage and base score), and
-batch contents (including NaN and values exactly on thresholds) and
-asserts ``array_equal`` throughout.  Leaf values are dyadic rationals
-(integer / 16) so every float32 sum is exact regardless of association —
-any mismatch is a traversal bug, never float noise.
+structure (ragged depths, duplicate thresholds, default-left flags,
+categorical bitset splits, per-class tree groups), aggregation
+semantics (mean vs sum with shrinkage and base score), and batch
+contents (including NaN, values exactly on thresholds, and category
+codes past the end of a bitset) and asserts ``array_equal``
+throughout.  Leaf values are dyadic rationals (integer / 16) so every
+float32 sum is exact regardless of association — any mismatch is a
+traversal bug, never float noise.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TahoeEngine
-from repro.core.native import NativeEngine
+from repro.core.native import NativeEngine, _traverse_numpy, _traverse_scalar
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
 
@@ -26,14 +28,18 @@ def random_forests(draw):
     """A small random forest plus a batch of inference rows."""
     seed = draw(st.integers(0, 2**31 - 1))
     n_features = draw(st.integers(1, 5))
-    n_trees = draw(st.integers(1, 6))
+    n_classes = draw(st.sampled_from([1, 3]))
+    # Every class needs at least one tree (the "mean" divisor).
+    n_trees = n_classes * draw(st.integers(1, 6 // n_classes))
     max_depth = draw(st.integers(1, 5))
     aggregation = draw(st.sampled_from(["mean", "sum"]))
+    with_cat = draw(st.booleans())
     rng = np.random.default_rng(seed)
 
-    def grow_tree():
+    def grow_tree(group):
         feature, threshold, left, right = [], [], [], []
         value, default_left, visits = [], [], []
+        cat_offset, cat_count, cat_bits = [], [], []
 
         def grow(depth):
             node = len(feature)
@@ -45,14 +51,29 @@ def random_forests(draw):
             value.append(float(rng.integers(-32, 32)) / 16.0)
             default_left.append(bool(rng.random() < 0.5))
             visits.append(1)
+            cat_offset.append(-1)
+            cat_count.append(0)
             if depth < max_depth and rng.random() < 0.7:
                 feature[node] = int(rng.integers(0, n_features))
                 threshold[node] = float(rng.integers(-4, 4)) / 2.0
+                if with_cat and rng.random() < 0.4:
+                    # A 1- or 2-word bitset over category codes 0..63.
+                    words = int(rng.integers(1, 3))
+                    cat_offset[node] = len(cat_bits)
+                    cat_count[node] = words
+                    cat_bits.extend(rng.integers(0, 2**32, size=words).tolist())
                 left[node] = grow(depth + 1)
                 right[node] = grow(depth + 1)
             return node
 
         grow(0)
+        cats = {}
+        if with_cat:
+            cats = dict(
+                cat_offset=np.array(cat_offset, dtype=np.int64),
+                cat_count=np.array(cat_count, dtype=np.int32),
+                cat_bits=np.array(cat_bits, dtype=np.uint32),
+            )
         return DecisionTree(
             feature=np.array(feature, dtype=np.int32),
             threshold=np.array(threshold, dtype=np.float32),
@@ -61,11 +82,14 @@ def random_forests(draw):
             value=np.array(value, dtype=np.float32),
             default_left=np.array(default_left),
             visit_count=np.array(visits, dtype=np.int64),
+            group=group,
+            **cats,
         )
 
     forest = Forest(
-        trees=[grow_tree() for _ in range(n_trees)],
+        trees=[grow_tree(t % n_classes) for t in range(n_trees)],
         n_attributes=n_features,
+        n_classes=n_classes,
         task="regression",
         aggregation=aggregation,
         base_score=float(rng.integers(-8, 8)) / 4.0 if aggregation == "sum" else 0.0,
@@ -77,6 +101,10 @@ def random_forests(draw):
     # Sample values from the same grid as the thresholds so equality
     # ties (strictly-less routing) are exercised constantly.
     X = (rng.integers(-6, 6, size=(n_rows, n_features)) / 2.0).astype(np.float32)
+    if with_cat:
+        # Whole category codes, some past the end of a 2-word bitset.
+        mask = rng.random(X.shape) < 0.4
+        X[mask] = rng.integers(0, 80, size=int(mask.sum()))
     if with_nan:
         mask = rng.random(X.shape) < 0.2
         X[mask] = np.nan
@@ -87,7 +115,7 @@ def random_forests(draw):
 @settings(max_examples=50, deadline=None)
 def test_native_is_bit_identical_to_tahoe(p100, case):
     forest, X = case
-    native = NativeEngine(forest, p100, kernel="numpy")
+    native = NativeEngine(forest, p100)
     tahoe = TahoeEngine(forest, p100)
     assert np.array_equal(
         native.predict(X).predictions,
@@ -97,16 +125,18 @@ def test_native_is_bit_identical_to_tahoe(p100, case):
 
 
 @given(random_forests())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_scalar_kernel_agrees_with_numpy(p100, case):
+    """The pure-Python scalar reference (the code numba compiles) and the
+    numpy kernel produce identical per-class leaf sums."""
     forest, X = case
-    fast = NativeEngine(forest, p100, kernel="numpy")
-    slow = NativeEngine(forest, p100, kernel="scalar")
-    assert np.array_equal(
-        fast.predict(X).predictions,
-        slow.predict(X).predictions,
-        equal_nan=True,
-    )
+    flat = NativeEngine(forest, p100).flat
+    scalar = np.zeros((X.shape[0], flat.n_groups), dtype=np.float64)
+    _traverse_scalar(X, *flat.scalar_args(), scalar)
+    # The numpy kernel fills a 1-D accumulator for single-output forests.
+    vector = np.empty(scalar.shape if flat.n_groups > 1 else X.shape[0])
+    _traverse_numpy(X, flat, vector)
+    assert np.array_equal(scalar.reshape(vector.shape), vector)
 
 
 @given(st.integers(1, 8))

@@ -1,6 +1,5 @@
 """The unified serving surface: Server/Workload protocols and the
-SchedulerConfig/PolicyConfig split (with the deprecated ServerConfig
-shim)."""
+SchedulerConfig/PolicyConfig split."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from repro.serving import (
     SLOConfig,
     SchedulerConfig,
     Server,
-    ServerConfig,
     TahoeServer,
     UserPopulationWorkload,
     Workload,
@@ -90,23 +88,9 @@ class TestWorkloadProtocol:
 
 
 class TestConfigSplit:
-    def test_server_config_warns_once_per_construction(self):
-        with pytest.warns(DeprecationWarning, match="SchedulerConfig"):
-            cfg = ServerConfig(max_batch=32)
-        assert isinstance(cfg, SchedulerConfig)
-        assert cfg.max_batch == 32
-
     def test_scheduler_config_does_not_warn(self, recwarn):
         SchedulerConfig(max_batch=32)
         assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_server_rejects_both_config_spellings(self, small_forest, p100):
-        with pytest.warns(DeprecationWarning):
-            old = ServerConfig()
-        with pytest.raises(TypeError, match="not both"):
-            TahoeServer(
-                small_forest, p100, scheduler=SchedulerConfig(), server_config=old
-            )
 
     def test_slo_moves_into_policy(self, small_forest, p100):
         slo = SLOConfig(latency_p95=1e-3)
