@@ -135,9 +135,20 @@ class Engine(Protocol):
     def build_report(self, **meta) -> "RunReport": ...
 
 
-def check_batch(X: np.ndarray) -> np.ndarray:
-    """Coerce an inference batch to float32 and reject empty input."""
+def check_batch(X: np.ndarray, *, n_attributes: int | None = None) -> np.ndarray:
+    """Coerce an inference batch to float32 and reject empty input.
+
+    With ``n_attributes`` the batch must also be 2-D with exactly that
+    many columns — the check engines whose kernels gather unchecked rely
+    on.
+    """
     X = np.asarray(X, dtype=np.float32)
     if X.shape[0] == 0:
         raise ValueError("empty inference batch")
+    if n_attributes is not None and (X.ndim != 2 or X.shape[1] != n_attributes):
+        got = f"{X.shape[1]} columns" if X.ndim == 2 else f"shape {X.shape}"
+        raise ValueError(
+            f"inference batch must be 2-D with {n_attributes} columns "
+            f"(the forest's n_attributes), got {got}"
+        )
     return X

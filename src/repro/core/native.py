@@ -87,11 +87,13 @@ except ImportError:  # the container default: clean numpy fallback
     _numba = None
     HAVE_NUMBA = False
 
-#: Target (sample, tree) lanes per vectorised traversal chunk — bounds
-#: the working set of the gather matrices (~4 MB of int32 per array at
-#: this size) so huge batches stay cache-friendly instead of allocating
-#: gigabyte cursor matrices.
-_TARGET_LANES = 1 << 20
+#: Target (sample, tree) lanes per block of the numpy kernel.  At 2^15
+#: lanes a block's scratch arrays total ~1.2 MB (128 KB per 4-byte
+#: array), so they and the node arrays stay in a 2 MB per-core L2.  The
+#: sweep over 2^14-2^18 on the Higgs, letter and covtype bench forests
+#: that picked it is in docs/performance.md: 2^14 and 2^15 tie, larger
+#: blocks fall out of L2 and lose up to 3x at 4096 rows.
+_TARGET_LANES = 1 << 15
 
 
 @dataclass
@@ -220,6 +222,7 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
         pools.append(tree.cat_bits)
         pool_base += tree.cat_bits.shape[0]
     cat_bits = np.concatenate(pools) if pools else np.zeros(1, dtype=np.uint32)
+    _check_indices(feature, child_pair, offsets, int(forest.n_attributes))
     feature_ix = np.where(feature == LEAF, np.int32(0), feature).astype(np.int32)
     flat = NativeForest(
         feature=feature,
@@ -242,6 +245,40 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
     )
     layout.metadata["_native"] = flat
     return flat
+
+
+def _check_indices(
+    feature: np.ndarray, child_pair: np.ndarray, offsets: np.ndarray, n_attributes: int
+) -> None:
+    """Prove every index the numpy kernel gathers with is in range.
+
+    The kernel's hot gathers run unchecked (``take(mode="clip")``), so
+    this is where a corrupt layout must fail: every child pointer stays
+    inside its own tree (hence inside ``[0, n_nodes)``) and every
+    decision node's feature lies in ``[0, n_attributes)``.  Together with
+    the batch-width check in :meth:`NativeEngine.predict`, no clipped
+    index can ever change an answer.
+    """
+    sizes2 = 2 * np.diff(offsets)
+    low = np.repeat(offsets[:-1], sizes2)
+    high = np.repeat(offsets[1:], sizes2)
+    bad = np.flatnonzero((child_pair < low) | (child_pair >= high))
+    if bad.size:
+        node = int(bad[0]) // 2
+        tree = int(np.searchsorted(offsets, node, side="right")) - 1
+        raise ValueError(
+            f"tree {tree} node {node - int(offsets[tree])} has child "
+            f"{int(child_pair[bad[0]] - offsets[tree])} outside the tree's "
+            f"{int(offsets[tree + 1] - offsets[tree])} nodes"
+        )
+    bad = np.flatnonzero((feature != LEAF) & ((feature < 0) | (feature >= n_attributes)))
+    if bad.size:
+        node = int(bad[0])
+        tree = int(np.searchsorted(offsets, node, side="right")) - 1
+        raise ValueError(
+            f"tree {tree} node {node - int(offsets[tree])} splits on feature "
+            f"{int(feature[node])}, outside [0, {n_attributes})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +341,14 @@ else:
     _traverse_scalar_jit = None
 
 
+def _live(m: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The first ``m`` entries of each scratch array (the arrays
+    themselves when they are exactly that long)."""
+    if arrays[0].shape[0] == m:
+        return arrays
+    return tuple(a[:m] for a in arrays)
+
+
 def _traverse_numpy(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.ndarray:
     """Level-synchronous vectorised traversal over flattened (sample, tree)
     lanes.
@@ -318,91 +363,127 @@ def _traverse_numpy(X: np.ndarray, flat: NativeForest, out: np.ndarray) -> np.nd
     matrix (``X.ravel().take(row*n_attr + feature)`` beats a 2-D fancy
     gather by ~5x).  The self-loop property doubles as a free
     termination test: a lane is finished exactly when its child equals
-    its cursor, so ``(nxt == cur).all()`` ends ragged forests early
-    without an ``is_leaf`` gather.  The NaN default-path handling is
-    hoisted out of the level loop — clean batches (the common case)
-    never pay for it.  Large batches are chunked to keep the cursor
-    vectors in cache.  Leaf values reduce in float64 (exact for
+    its cursor, so the kernel stops early once no lane moves, and
+    compacts the survivors away from the stranded ones once enough have
+    died.  The NaN default-path handling is hoisted out of the level
+    loop — clean batches (the common case) never pay for it.
+
+    Memory behaviour is the point (the host analogue of Tahoe's
+    coalescing argument): batches run in blocks of about
+    :data:`_TARGET_LANES` lanes, so one block's per-level arrays and the
+    node arrays stay resident in a core's L2.  The index, value,
+    threshold, branch, step and alive arrays are allocated once per call,
+    sized to one block, and every level writes into them with ``out=``.
+    The hot gathers run ``take(..., mode="clip")``, which writes ``out``
+    directly instead of buffering it and range-checking every index; the
+    ranges are proven once at the boundary instead —
+    :func:`flatten_native` checks every child and feature index, and
+    :meth:`NativeEngine.predict` checks the batch width — so the clip
+    never changes an index.  Leaf values reduce in float64 (exact for
     realistic leaf magnitudes, hence order-independent — see
     docs/performance.md).
     """
     n, n_attr = X.shape
     n_trees = flat.n_trees
-    chunk = max(1, _TARGET_LANES // max(1, n_trees))
+    rows = max(1, min(n, _TARGET_LANES // max(1, n_trees)))
+    size = rows * n_trees
     has_nan = bool(np.isnan(X).any())
     Xf = np.ascontiguousarray(X).reshape(-1)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    # Per-call scratch, one block's worth.  Sample-gather indices stay
+    # int32 (half the index traffic of intp) while they fit.
+    idx = np.int32 if rows * n_attr < 2**31 else np.intp
+    node = np.empty(size, dtype=np.int32)
+    nxt = np.empty(size, dtype=np.int32)
+    step = np.empty(size, dtype=np.int32)
+    feat = np.empty(size, dtype=np.int32)
+    base = np.empty(size, dtype=idx)
+    xidx = np.empty(size, dtype=idx)
+    vals = np.empty(size, dtype=np.float32)
+    thr = np.empty(size, dtype=np.float32)
+    go = np.empty(size, dtype=bool)
+    alive = np.empty(size, dtype=bool)
+    final = np.empty(size, dtype=np.int32)
+    row_base = np.arange(rows, dtype=idx) * n_attr
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         c = stop - start
-        lanes = c * n_trees
-        # Rebased chunk view keeps sample-gather indices small enough
-        # for int32 (half the index-arithmetic memory traffic of intp).
+        m = lanes = c * n_trees
+        # Rebased block view: sample-gather indices restart at 0.
         Xc = Xf[start * n_attr : stop * n_attr]
-        idx_dtype = np.int32 if c * n_attr < 2**31 else np.intp
-        cur = np.tile(flat.roots, c)
-        base = np.repeat(np.arange(c, dtype=idx_dtype) * n_attr, n_trees)
-        step = np.empty(lanes, dtype=np.int32)
-        xidx = np.empty(lanes, dtype=idx_dtype)
-        # Lane compaction: ragged tree depths strand an increasing
-        # share of lanes on self-looping leaves; once enough die, stop
+        node.reshape(rows, n_trees)[:c] = flat.roots
+        base.reshape(rows, n_trees)[:c] = row_base[:c, None]
+        # Views over the live lanes, re-sliced only when their count
+        # changes (a short last block, a compaction), never per level.
+        v_node, v_base, v_nxt, v_step, v_feat, v_xidx = _live(
+            m, node, base, nxt, step, feat, xidx
+        )
+        v_vals, v_thr, v_go, v_alive = _live(m, vals, thr, go, alive)
+        # Lane compaction: ragged tree depths strand an increasing share
+        # of lanes on self-looping leaves; once enough die, stop
         # gathering for them.  ``origin`` maps the compacted lanes back
-        # to their grid slot (None while no compaction has happened);
+        # to their block slot (None while no compaction has happened);
         # ``final`` holds every lane's resting node.
         origin = None
-        final = cur
         for depth in range(flat.max_depth):
-            m = cur.shape[0]
-            np.add(
-                base, flat.feature_ix.take(cur), out=xidx[:m], casting="unsafe"
-            )
-            vals = Xc.take(xidx[:m])
-            go = vals < flat.threshold.take(cur)
+            flat.feature_ix.take(v_node, out=v_feat, mode="clip")
+            np.add(v_base, v_feat, out=v_xidx)
+            Xc.take(v_xidx, out=v_vals, mode="clip")
+            flat.threshold.take(v_node, out=v_thr, mode="clip")
+            np.less(v_vals, v_thr, out=v_go)
             if flat.has_cat:
-                co = flat.cat_offset.take(cur)
+                co = flat.cat_offset.take(v_node)
                 cat = co >= 0
                 if cat.any():
-                    v = vals[cat].astype(np.float64)
+                    v = v_vals[cat].astype(np.float64)
                     code = np.where(
                         np.isfinite(v) & (v >= 0), v, -1.0
                     ).astype(np.int64)
                     word = code >> 5
                     valid = (code >= 0) & (
-                        word < flat.cat_count.take(cur[cat]).astype(np.int64)
+                        word < flat.cat_count.take(v_node[cat]).astype(np.int64)
                     )
                     slot = co[cat] + np.where(valid, word, 0)
                     bits = flat.cat_bits.take(slot).astype(np.int64)
-                    go[cat] = valid & (((bits >> (code & 31)) & 1) == 1)
+                    v_go[cat] = valid & (((bits >> (code & 31)) & 1) == 1)
             if has_nan:
-                missing = np.isnan(vals)
+                missing = np.isnan(v_vals)
                 if missing.any():
-                    go = np.where(missing, flat.default_true.take(cur), go)
-            # step = 2*cur + go, elementwise in int32 without temporaries
-            np.add(cur, cur, out=step[:m])
-            np.add(step[:m], go, out=step[:m], casting="unsafe")
-            nxt = flat.child_pair.take(step[:m])
+                    v_go[missing] = flat.default_true.take(v_node[missing])
+            # step = 2*node + go, elementwise in int32 without temporaries
+            np.add(v_node, v_node, out=v_step)
+            np.add(v_step, v_go, out=v_step, casting="unsafe")
+            flat.child_pair.take(v_step, out=v_nxt, mode="clip")
             if depth >= 2 and depth + 1 < flat.max_depth:
-                alive = nxt != cur
-                n_alive = int(np.count_nonzero(alive))
+                np.not_equal(v_nxt, v_node, out=v_alive)
+                n_alive = int(np.count_nonzero(v_alive))
                 if n_alive == 0:
-                    cur = nxt
                     break
                 if n_alive < 0.7 * m:
-                    keep = np.flatnonzero(alive)
+                    keep = np.flatnonzero(v_alive)
                     if origin is None:
-                        final = nxt
+                        final[:m] = v_nxt
                         origin = keep
                     else:
-                        final[origin] = nxt
+                        final[origin] = v_nxt
                         origin = origin.take(keep)
-                    cur = nxt.take(keep)
-                    base = base.take(keep)
+                    m = n_alive
+                    # The survivors move into fresh arrays, so no view
+                    # below can alias them.
+                    v_node = v_nxt.take(keep)
+                    v_base = v_base.take(keep)
+                    v_nxt, v_step, v_feat, v_xidx = _live(m, nxt, step, feat, xidx)
+                    v_vals, v_thr, v_go, v_alive = _live(m, vals, thr, go, alive)
                     continue
-            cur = nxt
+            # The two cursor buffers trade roles instead of copying.
+            v_node, v_nxt = v_nxt, v_node
         if origin is None:
-            final = cur
+            resting = v_node
         else:
-            final[origin] = cur
-        leaf = flat.value.take(final).reshape(c, n_trees)
+            final[origin] = v_node
+            resting = final[:lanes]
+        leaf = flat.value.take(resting, out=vals[:lanes], mode="clip").reshape(
+            c, n_trees
+        )
         if flat.n_groups > 1:
             # Grouped segment-sum via bincount on a composite
             # (sample, class) index — deterministic addition order, so
@@ -658,7 +739,7 @@ class NativeEngine:
         closed by the first batch's measured time.
         """
         del collect_level_stats
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.flat.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n
@@ -741,7 +822,7 @@ class NativeEngine:
         from repro.explain.kernel import compute_shap
         from repro.explain.paths import path_set_for_layout
 
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.flat.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n

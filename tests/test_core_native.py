@@ -124,6 +124,57 @@ class TestEngineContract:
         assert result.report.decisions
 
 
+class TestBoundaryChecks:
+    """The kernel gathers unchecked; wrong input must fail before it."""
+
+    @pytest.fixture()
+    def guarded(self, small_forest, p100, monkeypatch):
+        """A letter engine whose kernels fail the test if they ever run."""
+
+        def kernel_ran(*args, **kwargs):
+            raise AssertionError("a kernel ran on a rejected batch")
+
+        engine = NativeEngine(small_forest, p100)
+        monkeypatch.setattr(engine, "_leaf_sums", kernel_ran)
+        monkeypatch.setattr("repro.explain.kernel.compute_shap", kernel_ran)
+        return engine
+
+    @pytest.mark.parametrize("width", [13, 17])
+    @pytest.mark.parametrize("method", ["predict", "explain"])
+    def test_wrong_width_rejected_before_kernel(
+        self, guarded, small_forest, test_X, width, method
+    ):
+        assert small_forest.n_attributes == 16
+        X = np.zeros((test_X.shape[0], width), dtype=np.float32)
+        X[:, : min(width, 16)] = test_X[:, : min(width, 16)]
+        with pytest.raises(ValueError, match=f"16 columns.*got {width} columns"):
+            getattr(guarded, method)(X)
+
+    @pytest.mark.parametrize("method", ["predict", "explain"])
+    def test_non_2d_batch_rejected(self, guarded, test_X, method):
+        with pytest.raises(ValueError, match="2-D"):
+            getattr(guarded, method)(test_X[0])
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("left", lambda tree, forest: tree.n_nodes + 5),
+            ("right", lambda tree, forest: -1),
+            ("feature", lambda tree, forest: forest.n_attributes),
+            ("feature", lambda tree, forest: -2),
+        ],
+    )
+    def test_corrupt_layout_rejected_by_flatten(self, small_forest, field, bad):
+        layout = build_reorg_layout(small_forest.copy())
+        # Tree 1, so a child of -1 would land inside tree 0 globally.
+        tree = layout.forest.trees[1]
+        node = int(np.flatnonzero(tree.feature >= 0)[0])
+        getattr(tree, field)[node] = bad(tree, layout.forest)
+        with pytest.raises(ValueError, match=f"tree 1 node {node}"):
+            flatten_native(layout)
+        assert "_native" not in layout.metadata
+
+
 class TestLayoutInterop:
     def test_packed_artifact_round_trip(self, small_forest, p100, test_X, tmp_path):
         direct = NativeEngine(small_forest, p100)
