@@ -13,6 +13,9 @@ for serving.  Scenarios:
   otherwise), plus the pure-Python scalar reference in full mode, each
   checked bit for bit against the numpy kernel; numba availability is
   recorded either way.
+* ``explain_sweep`` — native SHAP explain wall time per row at 1, 4
+  and 64 rows (the serving micro-batch sizes), median and IQR over
+  repeats.
 * ``coldstart`` — cold engine build (conversion + flatten) vs adopting a
   packed ``.tahoe`` artifact, plus first-predict latency for each.
 * ``serving`` — identical open-loop workloads through ``TahoeServer``
@@ -100,6 +103,27 @@ def bench_forest_sweep(forest, spec, X, tree_counts, batch, repeats) -> dict:
             "n_trees": k,
             "wall_s": wall,
             "samples_per_s": batch / wall,
+        }
+    return out
+
+
+def bench_explain_sweep(engine, X, rows, repeats) -> dict:
+    """Native explain wall time per row: median and IQR over repeats."""
+    engine.explain(X[:1])  # builds the path set and its tables once
+    out = {}
+    for n in rows:
+        batch = _pool(X, n)
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            engine.explain(batch)
+            times.append(time.perf_counter() - t0)
+        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        out[str(n)] = {
+            "rows": n,
+            "us_per_row": median / n * 1e6,
+            "us_per_row_iqr": (q3 - q1) / n * 1e6,
+            "samples_per_s": n / median,
         }
     return out
 
@@ -269,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
             forest, spec, X, tree_counts, kernel_batch, repeats
         ),
         "kernels": bench_kernels(forest, spec, X, kernel_batch, repeats, args.quick),
+        "explain_sweep": bench_explain_sweep(
+            engine, X, [1, 4, 64], 30 if args.quick else 100
+        ),
         "coldstart": bench_coldstart(forest, spec, X),
         "serving": bench_serving(forest, spec, X, args.quick),
     }
@@ -286,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep = payload["batch_sweep"]
     for b, row in sweep.items():
         print(f"  batch {b:>6}: {row['samples_per_s']:14,.0f} samples/s")
+    for n, row in payload["explain_sweep"].items():
+        print(f"  explain {n:>4} rows: {row['us_per_row']:10,.0f} us/row")
     serving = payload["serving"]
     print(
         f"  serving wall speedup (native vs simulator pool): "

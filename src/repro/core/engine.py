@@ -270,7 +270,7 @@ class TahoeEngine:
                 (conversions, per-batch decisions with predicted vs.
                 simulated times, traffic metrics).
         """
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.forest.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n
@@ -333,7 +333,7 @@ class TahoeEngine:
         """
         from repro.explain import ExplainResult, squeeze_single_class
 
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.forest.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n

@@ -190,7 +190,7 @@ class FILEngine:
         report: bool = False,
     ) -> EngineResult:
         """Run inference over ``X`` batch by batch (shared data only)."""
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.forest.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n
@@ -247,7 +247,7 @@ class FILEngine:
         from repro.explain import ExplainResult, squeeze_single_class
         from repro.strategies import ExplainDirectStrategy
 
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.forest.n_attributes)
         n = X.shape[0]
         if batch_size is None or batch_size >= n:
             batch_size = n

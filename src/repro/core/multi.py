@@ -120,7 +120,7 @@ class MultiGPUTahoeEngine:
         ``[g * ceil(n / n_gpus), ...)``.  Completion time is the slowest
         shard's simulated time.
         """
-        X = check_batch(X)
+        X = check_batch(X, n_attributes=self.engines[0].forest.n_attributes)
         n = X.shape[0]
         shard = -(-n // self.n_gpus)
         predictions = np.zeros(n, dtype=np.float64)

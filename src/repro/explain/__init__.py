@@ -5,7 +5,8 @@ becomes a bandwidth/compute problem a GPU eats once it is decomposed
 over root→leaf paths.  This package brings that workload into the Tahoe
 reproduction: :mod:`~repro.explain.paths` enumerates a converted
 layout's paths into flat arrays, :mod:`~repro.explain.kernel` runs the
-vectorised EXTEND/UNWIND recurrences, and the strategy layer
+EXTEND/UNWIND recurrences (tabulated per path and one-fraction pattern
+for shallow paths, over sample lanes for deep ones), and the strategy layer
 (:mod:`repro.strategies.explain`) prices the same kernel under two
 device placements so the §6 selector can rank them per batch.  Every
 engine (:class:`~repro.core.engine.TahoeEngine`,

@@ -27,17 +27,22 @@ packs them into the flat arrays the explain kernel vectorises over:
   learning rate for boosted sums, per-class tree counts for averaged
   forests), output class group, and the slot range.
 
-The pack is cached on the layout under ``metadata["_paths"]`` (like the
-simulator's ``"_flat"`` image), so replicas and repeated explain calls
-share one enumeration.
+Building a PathSet also builds its :class:`~repro.explain.kernel.ShapTables`
+(each shallow path's contributions per one-fraction pattern), which the
+kernel gathers from; they are host-side scratch and not part of the
+simulated path image (``image_bytes``).  The pack is cached on the
+layout under ``metadata["_paths"]`` (like the simulator's ``"_flat"``
+image), so replicas and repeated explain calls share one enumeration
+and one set of tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.explain.kernel import ShapTables, build_shap_tables
 from repro.formats.layout import ForestLayout
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF
@@ -74,6 +79,11 @@ class PathSet:
     n_features: int
     n_classes: int
     base_values: np.ndarray  # float64 (K,) expected margin per class
+    # -- derived: the SHAP kernel's per-pattern contribution tables ----
+    tables: ShapTables = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tables = build_shap_tables(self)
 
     @property
     def n_edges(self) -> int:

@@ -743,6 +743,8 @@ class TahoeServer:
                 r.arrival_time for r in responses
             )
         n_samples = int(sum(r.predictions.shape[0] for r in completed))
+        lat_p50, lat_p95, lat_p99 = latency.quantiles((0.5, 0.95, 0.99))
+        wait_p50, wait_p95, wait_p99 = queue_wait.quantiles((0.5, 0.95, 0.99))
         return {
             "requests": len(responses),
             "completed": len(completed),
@@ -766,16 +768,16 @@ class TahoeServer:
             if makespan > 0
             else float("inf"),
             "latency_s": {
-                "p50": latency.quantile(0.5),
-                "p95": latency.quantile(0.95),
-                "p99": latency.quantile(0.99),
+                "p50": lat_p50,
+                "p95": lat_p95,
+                "p99": lat_p99,
                 "mean": latency.mean,
                 "max": latency.max,
             },
             "queue_wait_s": {
-                "p50": queue_wait.quantile(0.5),
-                "p95": queue_wait.quantile(0.95),
-                "p99": queue_wait.quantile(0.99),
+                "p50": wait_p50,
+                "p95": wait_p95,
+                "p99": wait_p99,
                 "mean": queue_wait.mean,
                 "max": queue_wait.max,
             },

@@ -91,6 +91,46 @@ class TestEngineProtocol:
         )
 
 
+class TestBatchWidth:
+    """A batch of the wrong width fails at the engine boundary.
+
+    Strategies are stubbed to fail if reached: the width check must run
+    before any of them sees the batch.
+    """
+
+    @pytest.fixture()
+    def strategies_unreachable(self, monkeypatch):
+        import repro.strategies as strategies
+
+        def reached(*args, **kwargs):
+            raise AssertionError("a strategy ran on a malformed batch")
+
+        for cls in (
+            *strategies.ALL_STRATEGIES,
+            strategies.ExplainDirectStrategy,
+            strategies.ExplainSharedPathsStrategy,
+        ):
+            monkeypatch.setattr(cls, "run", reached)
+
+    @pytest.mark.parametrize("width", [13, 17])
+    def test_predict_rejects_wrong_width(
+        self, any_engine, small_forest, strategies_unreachable, width
+    ):
+        assert small_forest.n_attributes == 16
+        _, engine = any_engine
+        with pytest.raises(ValueError, match="16 columns"):
+            engine.predict(np.zeros((4, width), np.float32))
+
+    @pytest.mark.parametrize("width", [13, 17])
+    @pytest.mark.parametrize("name", ["tahoe", "fil"])
+    def test_explain_rejects_wrong_width(
+        self, small_forest, p100, strategies_unreachable, name, width
+    ):
+        engine = ENGINE_FACTORIES[name](small_forest, p100)
+        with pytest.raises(ValueError, match="16 columns"):
+            engine.explain(np.zeros((4, width), np.float32))
+
+
 class TestKeywordOnlySurface:
     """The deprecation grace period is over: positionals are TypeErrors."""
 
