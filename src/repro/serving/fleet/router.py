@@ -651,6 +651,7 @@ class TahoeRouter:
             responses = list(self._responses)
         metrics = self.recorder.metrics
         latency = metrics.histogram("fleet.request_latency_seconds")
+        p50, p95, p99 = latency.quantiles((0.5, 0.95, 0.99))
         completed = [r for r in responses if r.ok]
         makespan = 0.0
         if completed:
@@ -673,9 +674,9 @@ class TahoeRouter:
             if makespan > 0
             else float("inf"),
             "latency_s": {
-                "p50": latency.quantile(0.5),
-                "p95": latency.quantile(0.95),
-                "p99": latency.quantile(0.99),
+                "p50": p50,
+                "p95": p95,
+                "p99": p99,
                 "mean": latency.mean,
                 "max": latency.max,
             },
