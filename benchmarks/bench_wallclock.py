@@ -16,7 +16,11 @@ Scenarios:
 
 Each scenario key embeds its workload size, so quick-mode (CI) and
 full-mode (local) numbers coexist in ``BENCH_wallclock.json`` and are
-only ever compared like-for-like.  The artifact is written through
+only ever compared like-for-like.  Every scenario is timed ``repeats``
+times and recorded as the median (``wall_s``) with its quartiles
+(``wall_s_q1`` / ``wall_s_q3``), so the artifact carries its own noise;
+``samples_per_s`` (samples over the median) is the rate ``repro bench
+diff`` tracks.  The artifact is written through
 :func:`common.write_bench_report` (schema-versioned envelope); existing
 scenario entries from the committed baseline are preserved on merge.
 
@@ -80,19 +84,21 @@ def profiled_workload():
     return forest, np.ascontiguousarray(X[:3000])
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
+def _quartiles(fn, repeats: int) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``repeats`` wall times of ``fn()``."""
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return float(q1), float(median), float(q3)
 
 
 def run_scenarios(quick: bool) -> dict:
     """Time every scenario; returns {scenario_key: entry}."""
     n = 600 if quick else 3000
-    repeats = 1 if quick else 3
+    repeats = 5 if quick else 7
     forest, X_full = profiled_workload()
     X = X_full[:n]
     spec = GPU_SPECS["P100"]
@@ -113,17 +119,24 @@ def run_scenarios(quick: bool) -> dict:
     }
     out = {}
     for key, fn in scenarios.items():
-        wall = _best_of(fn, repeats)
+        q1, wall, q3 = _quartiles(fn, repeats)
         out[key] = {
             "wall_s": wall,
+            "wall_s_q1": q1,
+            "wall_s_q3": q3,
+            "samples_per_s": n / wall,
             "samples": n,
             "trees": int(forest.n_trees),
             "max_depth": MAX_DEPTH,
             "repeats": repeats,
             "mode": "quick" if quick else "full",
         }
-        print(f"{key:45} {wall * 1e3:9.1f} ms")
+        print(f"{key:45} {wall * 1e3:9.1f} ms  (IQR {q1 * 1e3:.1f}-{q3 * 1e3:.1f})")
     return out
+
+
+def _payload(scenarios: dict) -> dict:
+    return {"time_domain": "wall", "wallclock_schema": 2, "scenarios": scenarios}
 
 
 def load_baseline() -> dict:
@@ -173,9 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"PERF WARNING: {warning}", file=sys.stderr)
     merged = dict(baseline)
     merged.update(fresh)
-    path = common.write_bench_report(
-        "wallclock", {"wallclock_schema": 1, "scenarios": merged}
-    )
+    path = common.write_bench_report("wallclock", _payload(merged))
     print(f"wrote {path}")
     return 0
 
@@ -185,7 +196,7 @@ def test_wallclock_smoke(benchmark):
     fresh = benchmark.pedantic(lambda: run_scenarios(quick=True), rounds=1, iterations=1)
     merged = dict(load_baseline())
     merged.update(fresh)
-    common.write_bench_report("wallclock", {"wallclock_schema": 1, "scenarios": merged})
+    common.write_bench_report("wallclock", _payload(merged))
     assert all(entry["wall_s"] > 0 for entry in fresh.values())
 
 

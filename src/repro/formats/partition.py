@@ -158,9 +158,21 @@ def partition_trees(
 def cached_partition(
     layout: ForestLayout, capacity: int, max_parts: int | None = None
 ) -> list[list[int]]:
-    """Partition with memoisation on the layout (keyed by arguments)."""
+    """Partition with memoisation on the layout (keyed by arguments).
+
+    A :class:`PartitionError` is memoised too and re-raised on every
+    later call with the same key, so a forest whose trees never fit is
+    not re-profiled on each call.
+    """
     cache = layout.metadata.setdefault("_partitions", {})
     key = (capacity, max_parts)
     if key not in cache:
-        cache[key] = partition_trees(layout, capacity, max_parts)
-    return cache[key]
+        try:
+            cache[key] = partition_trees(layout, capacity, max_parts)
+        except PartitionError as exc:
+            cache[key] = exc
+    cached = cache[key]
+    if isinstance(cached, PartitionError):
+        # Drop the previous raise's frames so they never pile up.
+        raise cached.with_traceback(None)
+    return cached

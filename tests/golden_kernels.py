@@ -18,6 +18,7 @@ decoded structures is a bit-identity check.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,24 @@ from repro.core import TahoeEngine
 from repro.datasets import load_dataset, train_test_split
 from repro.formats import build_adaptive_layout, build_reorg_layout
 from repro.formats.tree_rearrange import round_robin_assignment
+from repro.gpusim import trace
 from repro.gpusim.specs import GPU_SPECS
 from repro.gpusim.trace import trace_sample_parallel, trace_tree_parallel
 from repro.strategies import ALL_STRATEGIES, StrategyNotApplicable
 from repro.trees import GBDTTrainer, RandomForestTrainer
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "kernel_equivalence.json"
+
+
+@contextmanager
+def _tile_rows(rows: int):
+    """Cap traversal tiles at ``rows`` warp rows, forcing several tiles."""
+    saved = trace.TILE_SLOTS
+    trace.TILE_SLOTS = rows * 32
+    try:
+        yield
+    finally:
+        trace.TILE_SLOTS = saved
 
 
 def _arr(a) -> list:
@@ -118,22 +131,23 @@ def run_all() -> dict:
             ("global", "global"),
             ("shared", "shared"),
         ):
-            tr = trace_tree_parallel(
-                layout,
-                samples,
-                rows,
-                assign,
-                spec,
-                node_space=node_space,
-                sample_space=sample_space,
-                collect_level_stats=True,
-                chunk=40,
-            )
+            with _tile_rows(40):
+                tr = trace_tree_parallel(
+                    layout,
+                    samples,
+                    rows,
+                    assign,
+                    spec,
+                    node_space=node_space,
+                    sample_space=sample_space,
+                    collect_level_stats=True,
+                )
             out["kernels"][key][f"{node_space}/{sample_space}"] = _trace_result(tr)
-        # Reorg layout, default spaces, odd row set (non-multiple of chunk).
-        tr = trace_tree_parallel(
-            reorg, samples, np.arange(77, dtype=np.int64), assign, spec, chunk=33
-        )
+        # Reorg layout, default spaces, odd row set (non-multiple of a tile).
+        with _tile_rows(33):
+            tr = trace_tree_parallel(
+                reorg, samples, np.arange(77, dtype=np.int64), assign, spec
+            )
         out["kernels"][key]["reorg/default"] = _trace_result(tr)
 
         key = f"sample_parallel/{forest_name}"
@@ -144,27 +158,23 @@ def run_all() -> dict:
             ("shared", "global"),
             ("shared", "shared"),
         ):
-            tr = trace_sample_parallel(
-                layout,
-                samples,
-                np.arange(90, dtype=np.int64),
-                trees,
-                spec,
-                node_space=node_space,
-                sample_space=sample_space,
-                collect_level_stats=True,
-                chunk_warps=2,
-            )
+            with _tile_rows(2):
+                tr = trace_sample_parallel(
+                    layout,
+                    samples,
+                    np.arange(90, dtype=np.int64),
+                    trees,
+                    spec,
+                    node_space=node_space,
+                    sample_space=sample_space,
+                    collect_level_stats=True,
+                )
             out["kernels"][key][f"{node_space}/{sample_space}"] = _trace_result(tr)
         # Tree subset on the reorg layout (the splitting strategy's shape).
-        tr = trace_sample_parallel(
-            reorg,
-            samples,
-            np.arange(51, dtype=np.int64),
-            trees[1::2],
-            spec,
-            chunk_warps=1,
-        )
+        with _tile_rows(1):
+            tr = trace_sample_parallel(
+                reorg, samples, np.arange(51, dtype=np.int64), trees[1::2], spec
+            )
         out["kernels"][key]["reorg/subset"] = _trace_result(tr)
 
     # --- the four strategies --------------------------------------------

@@ -81,3 +81,21 @@ class TestPartitionTrees:
         assert a is b
         c = cached_partition(layout, 4096)
         assert c is not a
+
+    def test_cached_partition_memoises_failure(self, layout, monkeypatch):
+        import repro.formats.partition as partition
+
+        calls = []
+
+        def counting(layout, capacity, max_parts=None):
+            calls.append((capacity, max_parts))
+            return partition_trees(layout, capacity, max_parts)
+
+        monkeypatch.setattr(partition, "partition_trees", counting)
+        layout.metadata.pop("_partitions", None)
+        for _ in range(3):
+            with pytest.raises(PartitionError):
+                cached_partition(layout, 8)
+        with pytest.raises(PartitionError):
+            cached_partition(layout, 8, max_parts=4)
+        assert calls == [(8, None), (8, 4)]

@@ -4,17 +4,27 @@ The packed-key kernels (PR 2) are additionally checked against
 brute-force per-row Python references on randomized address/mask
 patterns — including all-inactive rows, same-word broadcasts and
 straddling accesses — so the single-sort implementations can never
-silently drift from the model they encode.
+silently drift from the model they encode.  The counts-only kernels
+are checked against the summed per-row kernels, including which of
+their two paths (int32 rows or the int64 fallback) each input takes.
 """
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.gpusim.memory import bank_conflict_factor, transactions_per_row
+from repro.gpusim import memory
+from repro.gpusim.memory import (
+    bank_conflict_factor,
+    bank_conflict_totals,
+    coalesced_totals,
+    transactions_per_row,
+)
+from repro.gpusim.trace import SAMPLE_BASE
 from repro.hashing.rabin_karp import rabin_karp
 from repro.hashing.simhash import token_bits
 
@@ -176,6 +186,73 @@ def test_bank_conflict_bounds(addr):
     factor = bank_conflict_factor(addr, active)
     assert np.all(factor >= 1)
     assert np.all(factor <= addr.shape[1])
+
+
+def summed_per_row(addr, active, transaction_bytes, access_bytes):
+    """``(requested, fetched, transactions, accesses)`` from the per-row
+    kernels: coalesced global reads, then shared reads."""
+    tx, sectors, req = transactions_per_row(addr, active, transaction_bytes, access_bytes)
+    coalesced = (int(req.sum()), int(sectors.sum()) * 32, int(tx.sum()), int(active.sum()))
+    factor = bank_conflict_factor(addr, active)
+    per_row = active.sum(axis=1).astype(np.int64) * access_bytes
+    shared = (
+        int(per_row.sum()),
+        int((per_row * np.maximum(factor, 1)).sum()),
+        int(factor.sum()),
+        int(active.sum()),
+    )
+    return coalesced, shared
+
+
+@given(
+    st.data(),
+    st.integers(1, 8),
+    st.integers(4, 16),
+    st.sampled_from([0, int(SAMPLE_BASE)]),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_counts_only_kernels_equal_summed_per_row(data, rows, access_bytes, base, wide):
+    # Offsets above the base: within int32 unless ``wide``, where one
+    # active lane lands beyond it and the int64 fallback must be taken.
+    offsets = data.draw(
+        arrays(np.int64, (rows, 32), elements=st.integers(0, (1 << 20) - 1))
+    )
+    active = data.draw(arrays(bool, (rows, 32), elements=st.booleans()))
+    dead_rows = data.draw(arrays(bool, (rows,), elements=st.booleans()))
+    active[dead_rows] = False
+    if wide:
+        r, lane = data.draw(st.tuples(st.integers(0, rows - 1), st.integers(0, 31)))
+        active[r, lane] = True
+        offsets[r, lane] = data.draw(st.integers(1 << 31, 1 << 42))
+    # Inactive lanes hold -1, as the traversal's node lanes may.
+    global_addr = np.where(active, base + offsets, -1)
+    shared_addr = np.where(active, offsets, -1)
+    want_coalesced, _ = summed_per_row(global_addr, active, 128, access_bytes)
+    _, want_shared = summed_per_row(shared_addr, active, 128, access_bytes)
+    with mock.patch.object(
+        memory, "transactions_per_row", wraps=memory.transactions_per_row
+    ) as tx_fallback, mock.patch.object(
+        memory, "bank_conflict_factor", wraps=memory.bank_conflict_factor
+    ) as bank_fallback:
+        got_coalesced = coalesced_totals(global_addr, active, 128, access_bytes, base=base)
+        got_shared = bank_conflict_totals(shared_addr, active, access_bytes)
+    assert got_coalesced == want_coalesced
+    assert got_shared == want_shared
+    # In-range inputs stay on the int32 path (so the -1 lanes were masked
+    # and the base subtracted); out-of-range ones take the fallback.
+    assert tx_fallback.called == wide
+    assert bank_fallback.called == wide
+
+
+def test_counts_only_kernels_all_inactive_and_empty():
+    addr = np.full((3, 32), -1, dtype=np.int64)
+    active = np.zeros((3, 32), dtype=bool)
+    assert coalesced_totals(addr, active, base=int(SAMPLE_BASE)) == (0, 0, 0, 0)
+    assert bank_conflict_totals(addr, active) == (0, 0, 0, 0)
+    empty = np.zeros((0, 32), dtype=np.int64)
+    assert coalesced_totals(empty, empty.astype(bool)) == (0, 0, 0, 0)
+    assert bank_conflict_totals(empty, empty.astype(bool)) == (0, 0, 0, 0)
 
 
 @given(st.lists(st.integers(0, 255), max_size=64))
