@@ -812,6 +812,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
 def _cmd_pack(args: argparse.Namespace) -> int:
     from repro.core import TahoeEngine
     from repro.core.fil import FILEngine, fil_conversion_key
+    from repro.formats.encoding import THRESHOLD_MODES
     from repro.modelstore import pack_layout
 
     spec = GPU_SPECS[args.gpu]
@@ -855,14 +856,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     print(
         f"node encoding: {record.encoding_label} "
         f"({record.node_bytes} B/node = {record.attr_bytes} attr"
-        f" + {record.threshold_bytes} float + {record.flags_bytes} flags)"
+        f" + {THRESHOLD_MODES[record.threshold_mode]} float + {record.flags_bytes} flags)"
     )
     enc_meta = result.layout.metadata.get("node_encoding")
     if enc_meta is not None and not enc_meta.get("lossless", True):
         print("  (lossy float field: predictions bounded, not bit-identical)")
     sizes = result.section_sizes()
-    node_kinds = ("words", "tfield", "vfield", "feature", "threshold", "value",
-                  "default_left", "flip")
+    node_kinds = ("words", "tfield", "vfield")
     node_total = sum(sizes.get(k, 0) for k in node_kinds)
     parts = "  ".join(f"{k}={sizes[k]}" for k in node_kinds if k in sizes)
     print(f"packed sections: node arrays {node_total} B ({parts})")
@@ -997,8 +997,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-width", choices=["auto", "8", "16", "32"], default=None,
         dest="node_width",
-        help="bit-pack fid+flags into 8/16/32-bit node words "
-        "(auto = narrowest width that fits; default keeps the legacy record)",
+        help="simulate bit-packed fid+flags node words of 8/16/32 bits "
+        "(auto = narrowest width that fits; default keeps the record with a "
+        "separate flags byte); the artifact always stores packed words",
     )
     p.add_argument(
         "--threshold-mode", choices=["f32", "f16", "q8", "q16"], default="f32",

@@ -26,7 +26,8 @@ from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.obs.recorder import RunRecorder
 from repro.obs.trace import span
-from repro.formats.layout import ForestLayout, NodeRecordLayout, build_interleaved_layout
+from repro.formats.encoding import make_encoding
+from repro.formats.layout import ForestLayout, build_interleaved_layout, select_node_record
 from repro.formats.node_rearrange import rearrange_forest_nodes
 from repro.formats.tree_rearrange import similarity_tree_order
 from repro.gpusim.specs import GPUSpec
@@ -86,16 +87,8 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
     stats.t_similarity_detection = t3 - t2
     # Stage 4: convert to the adaptive format.
     with span("format_conversion", category="conversion"):
-        encoding = None
-        if config.node_width is not None:
-            from repro.formats.encoding import make_encoding
-
-            encoding = make_encoding(structured, config.node_width, config.threshold_mode)
-            record = NodeRecordLayout.packed_record(encoding)
-        elif config.variable_width:
-            record = NodeRecordLayout.variable(structured)
-        else:
-            record = NodeRecordLayout.fixed()
+        encoding = make_encoding(structured, config.node_width, config.threshold_mode)
+        record = select_node_record(structured, config.variable_width, encoding)
         layout = build_interleaved_layout(
             structured, record, order, "adaptive", encoding=encoding
         )

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.base import ConversionStats, EngineResult, check_batch
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
+from repro.formats.encoding import make_encoding
 from repro.formats.reorg import build_reorg_layout
 from repro.gpusim.specs import GPUSpec
 from repro.obs.recorder import RunRecorder
@@ -157,13 +158,7 @@ class FILEngine:
                 return
         stats = ConversionStats()
         t0 = time.perf_counter()
-        encoding = None
-        if self.config.node_width is not None:
-            from repro.formats.encoding import make_encoding
-
-            encoding = make_encoding(
-                forest, self.config.node_width, self.config.threshold_mode
-            )
+        encoding = make_encoding(forest, self.config.node_width, self.config.threshold_mode)
         layout = build_reorg_layout(forest, node_encoding=encoding)
         t1 = time.perf_counter()
         stats.t_format_conversion = t1 - t0

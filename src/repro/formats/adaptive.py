@@ -12,7 +12,7 @@ breakdown benchmark applies them cumulatively).
 
 from __future__ import annotations
 
-from repro.formats.layout import ForestLayout, NodeRecordLayout, build_interleaved_layout
+from repro.formats.layout import ForestLayout, build_interleaved_layout, select_node_record
 from repro.formats.node_rearrange import rearrange_forest_nodes
 from repro.formats.tree_rearrange import similarity_tree_order
 from repro.trees.forest import Forest
@@ -61,15 +61,9 @@ def build_adaptive_layout(
         )
     else:
         order = None
-    if node_encoding is not None:
-        record = NodeRecordLayout.packed_record(node_encoding)
-    elif variable_width:
-        record = NodeRecordLayout.variable(structured)
-    else:
-        record = NodeRecordLayout.fixed()
     layout = build_interleaved_layout(
         structured,
-        record=record,
+        record=select_node_record(structured, variable_width, node_encoding),
         tree_order=order,
         format_name="adaptive",
         encoding=node_encoding,

@@ -42,7 +42,6 @@ __all__ = [
     "WIDTH_BITS",
     "apply_encoding",
     "decode_field",
-    "encoding_from_meta",
     "make_encoding",
     "max_attribute_index",
     "pack_node_words",
@@ -168,14 +167,14 @@ def resolve_width_bits(forest: Forest, requested: int | str = "auto") -> int:
     return bits
 
 
-def make_encoding(forest: Forest, node_width: int | str, threshold_mode: str = "f32") -> NodeEncoding:
-    """Resolve a config-level width request into a concrete encoding."""
+def make_encoding(
+    forest: Forest, node_width: int | str | None, threshold_mode: str = "f32"
+) -> NodeEncoding | None:
+    """Resolve a config-level width request into a concrete encoding
+    (``None``, the config default, asks for no packed record)."""
+    if node_width is None:
+        return None
     return NodeEncoding(resolve_width_bits(forest, node_width), threshold_mode)
-
-
-def encoding_from_meta(meta: dict) -> NodeEncoding:
-    """Rebuild an encoding from a layout's ``node_encoding`` metadata."""
-    return NodeEncoding(int(meta["width_bits"]), str(meta["threshold_mode"]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.formats.encoding import THRESHOLD_MODES, NodeEncoding, apply_encoding, resolve_width_bits
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
 
@@ -32,6 +33,7 @@ __all__ = [
     "attr_index_bytes",
     "heap_positions",
     "build_interleaved_layout",
+    "select_node_record",
 ]
 
 
@@ -52,34 +54,27 @@ def attr_index_bytes(n_distinct_attributes: int) -> int:
 
 @dataclass(frozen=True)
 class NodeRecordLayout:
-    """Byte layout of one stored tree node.
+    """Byte layout of one stored tree node: what the simulator charges.
 
-    Two families exist.  *Legacy* records (``packed=False``) store the
-    attribute index, the float field (split threshold or leaf value — a
-    node is either a split or a leaf), and a separate flags byte for the
-    leaf marker, default direction, and rearrangement flip bit.  *Packed*
-    records (``packed=True``, paper section 4.3 ``encode_node_adaptive``)
-    bit-pack the flags into the attribute word itself — an 8/16/32-bit
-    node word — so ``flags_bytes`` is 0, and may narrow the float field
-    (``threshold_mode``: ``f32``/``f16``/``q8``/``q16``).
+    A record is an attribute index (or node word), a float field (split
+    threshold or leaf value — a node is either a split or a leaf), and
+    the three structural flags (leaf marker, default direction,
+    rearrangement flip bit).  FIL-style records keep the flags in a
+    separate byte; packed records (paper section 4.3
+    ``encode_node_adaptive``) bit-pack them into the node word itself.
 
     Attributes:
         attr_bytes: width of the attribute index / node word (4 in FIL's
             fixed-length format; 1/2/4 in the adaptive and packed forms).
-        threshold_bytes: width of the stored float field — 4 for float32,
-            2 for float16/q16, 1 for q8.  Its meaning is governed by
-            ``threshold_mode``.
-        flags_bytes: separate flag byte(s); 0 when the flags live inside
-            a packed node word.
-        packed: True when fid + flags share one bit-packed node word.
-        threshold_mode: float-field storage codec (``f32`` default).
+        threshold_mode: float-field storage codec (``f32``/``f16``/``q8``/
+            ``q16``); its byte width comes from ``THRESHOLD_MODES``.
+        flags_bytes: 1 for a separate flags byte, 0 when the flags live
+            in the node word.
     """
 
     attr_bytes: int = 4
-    threshold_bytes: int = 4
-    flags_bytes: int = 1
-    packed: bool = False
     threshold_mode: str = "f32"
+    flags_bytes: int = 1
 
     @property
     def node_bytes(self) -> int:
@@ -90,41 +85,33 @@ class NodeRecordLayout:
         and the shared-memory capacity checks all read this (via the
         ``node_size`` alias on layouts).
         """
-        return self.attr_bytes + self.threshold_bytes + self.flags_bytes
-
-    @property
-    def node_size(self) -> int:
-        """Alias of :attr:`node_bytes` (historic name)."""
-        return self.node_bytes
+        return self.attr_bytes + THRESHOLD_MODES[self.threshold_mode] + self.flags_bytes
 
     @property
     def encoding_label(self) -> str:
         """Human/report label, e.g. ``w8/f32`` or ``legacy-a1``."""
-        if self.packed:
-            return f"w{8 * self.attr_bytes}/{self.threshold_mode}"
-        return f"legacy-a{self.attr_bytes}"
+        if self.flags_bytes:
+            return f"legacy-a{self.attr_bytes}"
+        return f"w{8 * self.attr_bytes}/{self.threshold_mode}"
 
-    @staticmethod
-    def fixed() -> "NodeRecordLayout":
-        """FIL's fixed-length record: 4-byte attribute index."""
-        return NodeRecordLayout(attr_bytes=4)
 
-    @staticmethod
-    def variable(forest: Forest) -> "NodeRecordLayout":
-        """Adaptive record sized to the forest's distinct attribute count."""
-        n_distinct = max(1, forest.distinct_attributes().size)
-        return NodeRecordLayout(attr_bytes=attr_index_bytes(n_distinct))
+def select_node_record(
+    forest: Forest, variable_width: bool, encoding: NodeEncoding | None
+) -> NodeRecordLayout:
+    """The one place a layout's node record is chosen.
 
-    @staticmethod
-    def packed_record(encoding) -> "NodeRecordLayout":
-        """Record for a :class:`~repro.formats.encoding.NodeEncoding`."""
-        return NodeRecordLayout(
-            attr_bytes=encoding.word_bytes,
-            threshold_bytes=encoding.threshold_bytes,
-            flags_bytes=0,
-            packed=True,
-            threshold_mode=encoding.threshold_mode,
-        )
+    ``encoding`` (a packed :class:`~repro.formats.encoding.NodeEncoding`)
+    wins: its word carries the flags and its mode sizes the float field.
+    Otherwise the record keeps FIL's separate flags byte and an f32 float,
+    with a 4-byte attribute index (``legacy-a4``, FIL's 9-byte record) or,
+    with ``variable_width``, one just wide enough to index the forest's
+    distinct attributes (section 4.3).
+    """
+    if encoding is not None:
+        return NodeRecordLayout(encoding.word_bytes, encoding.threshold_mode, flags_bytes=0)
+    if variable_width:
+        return NodeRecordLayout(attr_index_bytes(max(1, forest.distinct_attributes().size)))
+    return NodeRecordLayout()
 
 
 def heap_positions(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +174,7 @@ class ForestLayout:
 
     @property
     def node_size(self) -> int:
-        return self.record.node_size
+        return self.record.node_bytes
 
     @property
     def n_levels(self) -> int:
@@ -225,12 +212,10 @@ def build_interleaved_layout(
             decoded images (decode-at-build) so every consumer executes
             the stored codec, and the codec metadata is recorded under
             ``metadata["node_encoding"]``.  ``record`` should then be
-            ``NodeRecordLayout.packed_record(encoding)``.
+            ``select_node_record(forest, ..., encoding)``.
     """
     encoding_meta = None
     if encoding is not None:
-        from repro.formats.encoding import apply_encoding, resolve_width_bits
-
         resolve_width_bits(forest, encoding.width_bits)  # capacity check
         forest, encoding_meta = apply_encoding(forest, encoding)
     if tree_order is None:
@@ -243,7 +228,7 @@ def build_interleaved_layout(
     for level, slot in positions:
         np.maximum.at(level_slots, level, slot + 1)
     level_base = np.zeros(n_levels, dtype=np.int64)
-    size = record.node_size
+    size = record.node_bytes
     for lv in range(1, n_levels):
         level_base[lv] = level_base[lv - 1] + level_slots[lv - 1] * n_trees * size
     total_bytes = int(level_base[-1] + level_slots[-1] * n_trees * size)

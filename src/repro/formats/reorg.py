@@ -7,7 +7,7 @@ layout Tahoe's adaptive format is measured against.
 
 from __future__ import annotations
 
-from repro.formats.layout import ForestLayout, NodeRecordLayout, build_interleaved_layout
+from repro.formats.layout import ForestLayout, build_interleaved_layout, select_node_record
 from repro.trees.forest import Forest
 
 __all__ = ["build_reorg_layout"]
@@ -21,21 +21,12 @@ def build_reorg_layout(forest: Forest, node_encoding=None) -> ForestLayout:
     :class:`~repro.formats.encoding.NodeEncoding`) asks for bit-packed
     node words; the level-major interleaving is unchanged either way.
     """
-    record = (
-        NodeRecordLayout.packed_record(node_encoding)
-        if node_encoding is not None
-        else NodeRecordLayout.fixed()
-    )
     layout = build_interleaved_layout(
         forest,
-        record=record,
+        record=select_node_record(forest, False, node_encoding),
         tree_order=None,
         format_name="reorg",
         encoding=node_encoding,
     )
-    layout.metadata["description"] = (
-        f"FIL reorg format (packed {record.encoding_label} node words)"
-        if node_encoding is not None
-        else "FIL reorg format (fixed 4-byte attribute index)"
-    )
+    layout.metadata["description"] = f"FIL reorg format ({layout.record.encoding_label} records)"
     return layout

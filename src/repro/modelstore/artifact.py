@@ -12,16 +12,23 @@ width-sized) into one file, and loading it hands
 ``TahoeEngine.from_layout`` / ``FILEngine.from_layout`` a servable engine
 with zero conversion work.
 
+Whatever record a layout simulates, its nodes are stored packed (paper
+section 4.3, ``encode_node_adaptive``): per tree, ``words`` (fid + flags
+in the narrowest 8/16/32-bit word that holds the forest's fids) and
+``tfield``/``vfield`` (thresholds and leaf values in the record's
+threshold mode), then ``left``, ``right``, ``visit_count``, the bitset
+sections of categorical trees, and ``address``.
+
 File format (all integers little-endian)::
 
     8 bytes   magic  b"TAHOEPK\\0"
     4 bytes   u32 header length H
-    H bytes   JSON header: artifact/schema versions, engine kind, GPU
-              spec name, conversion key, the source forest's
-              fingerprint (the LayoutCache key), forest + layout
-              scalars, and a section table
-    ...       raw sections, each a contiguous little-endian ndarray,
-              crc32-checksummed individually
+    H bytes   JSON header: artifact version, engine kind, GPU spec name,
+              conversion key, the source forest's fingerprint (the
+              LayoutCache key), forest + layout scalars, and a section
+              table of ``[name, dtype, length, crc32]`` rows in file order
+    4 bytes   u32 crc32 of the H header bytes
+    ...       the sections, back to back, each a little-endian ndarray
 
 The header stores the **source** forest's fingerprint (the forest as it
 looked *before* conversion), so the packed layout can be published into a
@@ -39,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.formats import encoding as codec
 from repro.formats.layout import ForestLayout, NodeRecordLayout
 from repro.trees.forest import Forest
 from repro.trees.tree import DecisionTree
@@ -54,96 +62,154 @@ __all__ = [
 ]
 
 ARTIFACT_MAGIC = b"TAHOEPK\x00"
-#: Current writer version.  v2 added multiclass tree groups and optional
-#: per-tree categorical bitset sections; v3 adds packed node encodings —
-#: layouts with a packed record store ``tree{i}/words`` (the bit-packed
-#: fid+flags node word) plus ``tree{i}/tfield``/``tree{i}/vfield`` (the
-#: possibly-narrowed float fields) *instead of* the five legacy sections
-#: (feature/threshold/value/default_left/flip), so artifacts genuinely
-#: shrink on disk.  v1/v2 files still load; legacy-record layouts still
-#: write the legacy sections.
-ARTIFACT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+#: The one version this build writes and reads.  v4 stores every layout's
+#: nodes as packed words plus float fields and checksums the header;
+#: older files must be repacked.
+ARTIFACT_VERSION = 4
 
+_PREFIX = len(ARTIFACT_MAGIC) + 4
+
+#: Per-tree structural sections, after the node words and float fields.
+_STRUCT_FIELDS = (("left", "int32"), ("right", "int32"), ("visit_count", "int64"))
 #: Optional per-tree categorical sections (written only when present).
-_CAT_FIELDS = (
-    ("cat_offset", np.int64),
-    ("cat_count", np.int32),
-    ("cat_bits", np.uint32),
-)
+_CAT_FIELDS = (("cat_offset", "int64"), ("cat_count", "int32"), ("cat_bits", "uint32"))
+_WORD_DTYPES = ("uint8", "uint16", "uint32")
 
-#: Tree arrays serialised per tree, in section order.
-_TREE_FIELDS = (
-    ("feature", np.int32),
-    ("threshold", np.float32),
-    ("left", np.int32),
-    ("right", np.int32),
-    ("value", np.float32),
-    ("default_left", np.uint8),
-    ("visit_count", np.int64),
-    ("flip", np.uint8),
+#: Required header keys and their exact JSON types (``bool`` is no
+#: ``int`` and ``int`` no ``float`` here); nested dicts are sub-schemas.
+_HEADER_SCHEMA = {
+    "artifact_version": int, "engine": str, "spec_name": str, "conversion_key": list,
+    "source_fingerprint": str, "sections": list,
+    "forest": {
+        "n_trees": int, "tree_nodes": list, "tree_groups": list, "metadata": dict,
+        "n_classes": int, "n_attributes": int, "task": str, "aggregation": str,
+        "base_score": float, "learning_rate": float, "name": str,
+    },
+    "layout": {
+        "format_name": str, "total_bytes": int, "metadata": dict,
+        "record": {"attr_bytes": int, "threshold_mode": str, "flags_bytes": int},
+    },
+}
+#: Forest scalars carried as header keys of the same name.
+_FOREST_SCALARS = (
+    "n_classes", "n_attributes", "task", "aggregation", "base_score", "learning_rate", "name"
 )
-
-#: Tree arrays a *packed*-record layout serialises instead of the five
-#: node-level `_TREE_FIELDS` entries it supersedes (v3 artifacts).
-_PACKED_STRUCT_FIELDS = (
-    ("left", np.int32),
-    ("right", np.int32),
-    ("visit_count", np.int64),
-)
+_SECTION_TYPES = (str, str, int, int)
+#: (flags_bytes, threshold_mode) pairs a record can have.
+_RECORD_FORMS = {(0, mode) for mode in codec.THRESHOLD_MODES} | {(1, "f32")}
 
 
 class ArtifactError(ValueError):
-    """A ``.tahoe`` file is malformed, corrupt, or from the future."""
+    """A ``.tahoe`` file is malformed, corrupt, or from another version."""
+
+
+def _check_schema(value, schema, where: str) -> None:
+    if isinstance(schema, dict):
+        if not isinstance(value, dict) or set(value) != set(schema):
+            raise ArtifactError(f"{where} must have exactly the keys {sorted(schema)}")
+        for key, sub in schema.items():
+            _check_schema(value[key], sub, f"{where}.{key}")
+    elif type(value) is not schema:
+        raise ArtifactError(f"{where} must be a {schema.__name__}")
+
+
+def _check_header(header: dict) -> NodeRecordLayout:
+    """Hold the header to its schema; return the layout's node record."""
+    _check_schema(header, _HEADER_SCHEMA, "header")
+    fmeta, rmeta = header["forest"], header["layout"]["record"]
+    checks = (
+        (header["engine"] in ("tahoe", "fil"), "engine must be tahoe or fil"),
+        (
+            fmeta["n_trees"] == len(fmeta["tree_nodes"]) == len(fmeta["tree_groups"]),
+            "forest.n_trees disagrees with forest.tree_nodes / forest.tree_groups",
+        ),
+        (all(type(v) is int and v > 0 for v in fmeta["tree_nodes"]), "bad forest.tree_nodes"),
+        (all(type(v) is int and v >= 0 for v in fmeta["tree_groups"]), "bad forest.tree_groups"),
+        (
+            rmeta["attr_bytes"] in (1, 2, 4)
+            and (rmeta["flags_bytes"], rmeta["threshold_mode"]) in _RECORD_FORMS,
+            f"layout.record {rmeta} is not a node record",
+        ),
+        (
+            all(
+                type(row) is list and tuple(map(type, row)) == _SECTION_TYPES and row[2] >= 0
+                for row in header["sections"]
+            ),
+            "sections rows must be [name, dtype, length >= 0, crc32]",
+        ),
+    )
+    for ok, problem in checks:
+        if not ok:
+            raise ArtifactError(f"header {problem}")
+    return NodeRecordLayout(**rmeta)
+
+
+def _grids(metadata: dict, mode: str) -> tuple:
+    """``(tgrid, vgrid)`` of a quantised float field; ``(None, None)`` otherwise."""
+    if mode not in ("q8", "q16"):
+        return None, None
+    nmeta = metadata["node_encoding"]
+    (t_lo, t_step), (v_lo, v_step) = nmeta["tgrid"], nmeta["vgrid"]
+    return (float(t_lo), float(t_step)), (float(v_lo), float(v_step))
 
 
 class _SectionWriter:
-    """Accumulates named ndarray sections and their table entries."""
+    """Accumulates named ndarray sections and their table rows."""
 
     def __init__(self) -> None:
         self.blobs: list[bytes] = []
-        self.table: list[dict] = []
-        self._offset = 0
+        self.table: list[list] = []
 
-    def add(self, name: str, arr: np.ndarray, dtype: type) -> None:
-        data = np.ascontiguousarray(
-            arr, dtype=np.dtype(dtype).newbyteorder("<")
-        ).tobytes()
-        self.table.append(
-            {
-                "name": name,
-                "dtype": np.dtype(dtype).name,
-                "offset": self._offset,
-                "length": len(data),
-                "crc32": zlib.crc32(data),
-            }
-        )
+    def add(self, name: str, arr: np.ndarray, dtype) -> None:
+        dtype = np.dtype(dtype)
+        data = np.ascontiguousarray(arr, dtype=dtype.newbyteorder("<")).tobytes()
+        self.table.append([name, dtype.name, len(data), zlib.crc32(data)])
         self.blobs.append(data)
-        self._offset += len(data)
 
 
 class _SectionReader:
-    """Validates and decodes sections against the header table."""
+    """Checks and decodes sections against the header table, tracking
+    which were read so none goes unaccounted for."""
 
-    def __init__(self, body: bytes, table: list[dict]) -> None:
+    def __init__(self, body: bytes, table: list[list]) -> None:
         self._body = body
-        self._by_name = {entry["name"]: entry for entry in table}
+        self._sections = {}
+        offset = 0
+        for name, dtype, length, crc in table:
+            self._sections[name] = (dtype, offset, length, crc)
+            offset += length
+        if len(self._sections) != len(table):
+            raise ArtifactError("artifact section table repeats a name")
+        if offset != len(body):
+            raise ArtifactError(
+                f"artifact sections span {offset} bytes but {len(body)} follow the header "
+                "(truncated or padded)"
+            )
+        self._unread = set(self._sections)
 
     def has(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._sections
 
-    def get(self, name: str) -> np.ndarray:
-        entry = self._by_name.get(name)
-        if entry is None:
+    def get(self, name: str, *dtypes: str, n: int | None = None) -> np.ndarray:
+        """Section ``name``; its dtype must be one of ``dtypes`` and, when
+        ``n`` is given, it must hold ``n`` entries."""
+        if name not in self._sections:
             raise ArtifactError(f"artifact is missing section {name!r}")
-        chunk = self._body[entry["offset"] : entry["offset"] + entry["length"]]
-        if len(chunk) != entry["length"]:
-            raise ArtifactError(f"section {name!r} is truncated")
-        if zlib.crc32(chunk) != entry["crc32"]:
+        dtype, offset, length, crc = self._sections[name]
+        if dtype not in dtypes:
+            raise ArtifactError(f"section {name!r} has dtype {dtype!r}, expected one of {dtypes}")
+        dtype = np.dtype(dtype).newbyteorder("<")
+        if length % dtype.itemsize or (n is not None and length != n * dtype.itemsize):
+            raise ArtifactError(f"section {name!r} has the wrong length ({length} B)")
+        chunk = self._body[offset : offset + length]
+        if zlib.crc32(chunk) != crc:
             raise ArtifactError(f"section {name!r} failed its crc32 check")
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        arr = np.frombuffer(chunk, dtype=dtype)
-        return arr.astype(dtype.newbyteorder("="))  # native, writable
+        self._unread.discard(name)
+        return np.frombuffer(chunk, dtype=dtype).astype(dtype.newbyteorder("="))
+
+    def check_all_read(self) -> None:
+        if self._unread:
+            raise ArtifactError(f"artifact has unexpected sections {sorted(self._unread)[:5]}")
 
 
 def _json_safe_metadata(metadata: dict) -> dict:
@@ -189,46 +255,33 @@ def pack_layout(
         source_fingerprint: ``Forest.fingerprint()`` of the forest as it
             was *before* conversion — the content half of the cache key.
     """
-    forest = layout.forest
+    forest, record = layout.forest, layout.record
+    mode = record.threshold_mode
+    # The disk word holds the forest's largest fid, whatever the record
+    # width: a legacy-a1 record is sized by distinct-attribute count.
+    encoding = codec.NodeEncoding(codec.resolve_width_bits(forest), mode)
+    tgrid, vgrid = _grids(layout.metadata, mode)
     writer = _SectionWriter()
-    packed = layout.record.packed
-    if packed:
-        from repro.formats.encoding import NodeEncoding, encode_field, pack_node_words
-
-        encoding = NodeEncoding(8 * layout.record.attr_bytes, layout.record.threshold_mode)
-        nmeta = layout.metadata.get("node_encoding") or {}
-        tgrid = tuple(nmeta["tgrid"]) if nmeta.get("tgrid") else None
-        vgrid = tuple(nmeta["vgrid"]) if nmeta.get("vgrid") else None
-        mode = encoding.threshold_mode
     for i, tree in enumerate(forest.trees):
-        if packed:
-            # The forest's floats are already the codec's decoded images
-            # (decode-at-build), so this re-encode is a bit-exact fixed
-            # point: load_packed reproduces the arrays exactly.
-            writer.add(f"tree{i}/words", pack_node_words(tree, encoding), encoding.word_dtype)
-            writer.add(
-                f"tree{i}/tfield",
-                encode_field(tree.threshold, mode, tgrid, rounding="ceil"),
-                encoding.field_dtype,
-            )
-            writer.add(
-                f"tree{i}/vfield",
-                encode_field(tree.value, mode, vgrid, rounding="nearest"),
-                encoding.field_dtype,
-            )
-            for field, dtype in _PACKED_STRUCT_FIELDS:
-                writer.add(f"tree{i}/{field}", getattr(tree, field), dtype)
-        else:
-            for field, dtype in _TREE_FIELDS:
-                writer.add(f"tree{i}/{field}", getattr(tree, field), dtype)
-        if tree.cat_offset is not None:
-            for field, dtype in _CAT_FIELDS:
-                writer.add(f"tree{i}/{field}", getattr(tree, field), dtype)
+        # The forest's floats are already the codec's decoded images
+        # (decode-at-build), so this re-encode is a bit-exact fixed
+        # point: load_packed reproduces the arrays exactly.
+        writer.add(f"tree{i}/words", codec.pack_node_words(tree, encoding), encoding.word_dtype)
+        for name, values, grid, rounding in (
+            ("tfield", tree.threshold, tgrid, "ceil"),
+            ("vfield", tree.value, vgrid, "nearest"),
+        ):
+            field = codec.encode_field(values, mode, grid, rounding=rounding)
+            writer.add(f"tree{i}/{name}", field, encoding.field_dtype)
+        fields = _STRUCT_FIELDS + (_CAT_FIELDS if tree.cat_offset is not None else ())
+        for name, dtype in fields:
+            writer.add(f"tree{i}/{name}", getattr(tree, name), dtype)
         writer.add(f"tree{i}/address", layout.node_address[i], np.int64)
     writer.add("tree_order", np.asarray(layout.tree_order), np.int64)
     writer.add("level_base", layout.level_base, np.int64)
     writer.add("level_slots", layout.level_slots, np.int64)
 
+    forest_types = _HEADER_SCHEMA["forest"]
     header = {
         "artifact_version": ARTIFACT_VERSION,
         "engine": engine,
@@ -238,27 +291,20 @@ def pack_layout(
         "forest": {
             "n_trees": forest.n_trees,
             "tree_nodes": [tree.n_nodes for tree in forest.trees],
-            "n_classes": forest.n_classes,
             "tree_groups": [tree.group for tree in forest.trees],
-            "n_attributes": forest.n_attributes,
-            "task": forest.task,
-            "aggregation": forest.aggregation,
-            "base_score": forest.base_score,
-            "learning_rate": forest.learning_rate,
-            "name": forest.name,
             "metadata": _json_safe_metadata(forest.metadata),
+            # coerced to the schema's types, e.g. an integral base_score
+            **{k: forest_types[k](getattr(forest, k)) for k in _FOREST_SCALARS},
         },
         "layout": {
             "format_name": layout.format_name,
             "total_bytes": layout.total_bytes,
-            "record": {
-                "attr_bytes": layout.record.attr_bytes,
-                "threshold_bytes": layout.record.threshold_bytes,
-                "flags_bytes": layout.record.flags_bytes,
-                "packed": layout.record.packed,
-                "threshold_mode": layout.record.threshold_mode,
-            },
             "metadata": _json_safe_metadata(layout.metadata),
+            "record": {
+                "attr_bytes": record.attr_bytes,
+                "threshold_mode": mode,
+                "flags_bytes": record.flags_bytes,
+            },
         },
         "sections": writer.table,
     }
@@ -267,6 +313,7 @@ def pack_layout(
         fh.write(ARTIFACT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
+        fh.write(struct.pack("<I", zlib.crc32(header_bytes)))
         for blob in writer.blobs:
             fh.write(blob)
     return PackedModel(header=header, layout=layout, path=Path(path))
@@ -313,112 +360,102 @@ def pack_forest(
 def load_packed(path: str | Path) -> "PackedModel":
     """Read and verify a ``.tahoe`` artifact.
 
-    Every section's crc32 is checked; the layout is rebuilt exactly as
-    packed (tree validation is skipped — the arrays were valid when
-    written and are checksummed on the way back in).
+    The header and every section are crc32-checked, the header is held to
+    its schema, and every section must be read, so a damaged file never
+    loads as a different layout.  Tree validation is skipped: the arrays
+    were valid when written and are checksummed on the way back in.
 
     Raises:
-        ArtifactError: bad magic, unsupported version, truncation, or a
-            checksum mismatch.
+        ArtifactError: bad magic, another version, truncation, a checksum
+            mismatch, or a header that does not describe the file.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < len(ARTIFACT_MAGIC) + 4 or raw[: len(ARTIFACT_MAGIC)] != ARTIFACT_MAGIC:
+    if len(raw) < _PREFIX or raw[: len(ARTIFACT_MAGIC)] != ARTIFACT_MAGIC:
         raise ArtifactError(
             f"{path} is not a .tahoe artifact (bad magic); pack one with "
             "`repro pack` or modelstore.pack_forest"
         )
     (header_len,) = struct.unpack_from("<I", raw, len(ARTIFACT_MAGIC))
-    header_start = len(ARTIFACT_MAGIC) + 4
-    header_end = header_start + header_len
-    if len(raw) < header_end:
+    header_end = _PREFIX + header_len
+    if len(raw) < header_end + 4:
         raise ArtifactError(f"{path} is truncated inside its header")
+    header_bytes = raw[_PREFIX:header_end]
     try:
-        header = json.loads(raw[header_start:header_end].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path} has a corrupt header: {exc}") from exc
-    version = header.get("artifact_version")
-    if version not in _READABLE_VERSIONS:
+    version = header.get("artifact_version") if isinstance(header, dict) else None
+    if version != ARTIFACT_VERSION:
         raise ArtifactError(
-            f"{path} has artifact version {version!r}; this build reads "
-            f"versions {_READABLE_VERSIONS}"
+            f"{path} has artifact version {version!r}; this build reads only "
+            f"version {ARTIFACT_VERSION}: repack the model with `repro pack` "
+            "or modelstore.pack_forest"
         )
-    reader = _SectionReader(raw[header_end:], header["sections"])
+    if struct.unpack_from("<I", raw, header_end)[0] != zlib.crc32(header_bytes):
+        raise ArtifactError(f"{path} header failed its crc32 check")
+    record = _check_header(header)
+    fmeta, lmeta = header["forest"], header["layout"]
+    mode = record.threshold_mode
+    try:
+        tgrid, vgrid = _grids(lmeta["metadata"], mode)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path} lacks the {mode} quantisation grids: {exc}") from exc
+    reader = _SectionReader(raw[header_end + 4 :], header["sections"])
+    field = codec.NodeEncoding(8, mode).field_dtype.name  # set by the mode alone
 
-    fmeta = header["forest"]
-    lmeta = header["layout"]
-    record = NodeRecordLayout(**lmeta["record"])
-    if record.packed:
-        from repro.formats.encoding import NodeEncoding, decode_field, unpack_node_words
-
-        encoding = NodeEncoding(8 * record.attr_bytes, record.threshold_mode)
-        nmeta = lmeta.get("metadata", {}).get("node_encoding") or {}
-        tgrid = tuple(nmeta["tgrid"]) if nmeta.get("tgrid") else None
-        vgrid = tuple(nmeta["vgrid"]) if nmeta.get("vgrid") else None
-    tree_groups = fmeta.get("tree_groups") or [0] * fmeta["n_trees"]
-    trees = []
-    for i in range(fmeta["n_trees"]):
-        if record.packed:
-            unpacked = unpack_node_words(reader.get(f"tree{i}/words"), encoding)
-            fields = {
-                field: reader.get(f"tree{i}/{field}")
-                for field, _ in _PACKED_STRUCT_FIELDS
-            }
-            fields.update(
-                feature=unpacked["feature"],
-                threshold=decode_field(
-                    reader.get(f"tree{i}/tfield"), record.threshold_mode, tgrid
-                ),
-                value=decode_field(
-                    reader.get(f"tree{i}/vfield"), record.threshold_mode, vgrid
-                ),
-                default_left=unpacked["default_left"],
-                flip=unpacked["flip"],
-            )
-        else:
-            fields = {
-                field: reader.get(f"tree{i}/{field}") for field, _ in _TREE_FIELDS
-            }
-        cats = {}
-        if reader.has(f"tree{i}/cat_offset"):
-            cats = {
-                field: reader.get(f"tree{i}/{field}") for field, _ in _CAT_FIELDS
-            }
+    trees, node_address = [], []
+    for i, (n, group) in enumerate(zip(fmeta["tree_nodes"], fmeta["tree_groups"])):
+        words = reader.get(f"tree{i}/words", *_WORD_DTYPES, n=n)
+        node = codec.unpack_node_words(words, codec.NodeEncoding(8 * words.itemsize, mode))
+        fields = _STRUCT_FIELDS + (_CAT_FIELDS if reader.has(f"tree{i}/cat_offset") else ())
+        arrays = {
+            name: reader.get(f"tree{i}/{name}", dtype, n=None if name == "cat_bits" else n)
+            for name, dtype in fields
+        }
+        threshold = codec.decode_field(reader.get(f"tree{i}/tfield", field, n=n), mode, tgrid)
+        value = codec.decode_field(reader.get(f"tree{i}/vfield", field, n=n), mode, vgrid)
+        node_address.append(reader.get(f"tree{i}/address", "int64", n=n))
         trees.append(
             DecisionTree(
-                feature=fields["feature"],
-                threshold=fields["threshold"],
-                left=fields["left"],
-                right=fields["right"],
-                value=fields["value"],
-                default_left=np.asarray(fields["default_left"]).astype(bool),
-                visit_count=fields["visit_count"],
-                flip=np.asarray(fields["flip"]).astype(bool),
-                group=int(tree_groups[i]),
+                feature=node["feature"],
+                threshold=threshold,
+                value=value,
+                default_left=node["default_left"],
+                flip=node["flip"],
+                group=group,
                 validate_on_init=False,
-                **cats,
+                **arrays,
             )
         )
-    forest = Forest(
-        trees=trees,
-        n_attributes=int(fmeta["n_attributes"]),
-        n_classes=int(fmeta.get("n_classes", 1) or 1),
-        task=fmeta["task"],
-        aggregation=fmeta["aggregation"],
-        base_score=float(fmeta["base_score"]),
-        learning_rate=float(fmeta["learning_rate"]),
-        name=fmeta.get("name", "forest"),
-        metadata=dict(fmeta.get("metadata", {})),
-    )
+    n_trees = fmeta["n_trees"]
+    tree_order = reader.get("tree_order", "int64", n=n_trees).tolist()
+    level_base = reader.get("level_base", "int64")
+    level_slots = reader.get("level_slots", "int64", n=level_base.size)
+    reader.check_all_read()
+    if sorted(tree_order) != list(range(n_trees)):
+        raise ArtifactError(f"{path} tree_order is not a permutation of its trees")
+    if level_base.size == 0 or lmeta["total_bytes"] != int(
+        level_base[-1] + level_slots[-1] * n_trees * record.node_bytes
+    ):
+        raise ArtifactError(f"{path} total_bytes disagrees with its levels and record")
+    try:
+        forest = Forest(
+            trees=trees,
+            metadata=dict(fmeta["metadata"]),
+            **{k: fmeta[k] for k in _FOREST_SCALARS},
+        )
+    except ValueError as exc:
+        raise ArtifactError(f"{path} describes an invalid forest: {exc}") from exc
     layout = ForestLayout(
         forest=forest,
         record=record,
-        tree_order=[int(v) for v in reader.get("tree_order")],
-        node_address=[reader.get(f"tree{i}/address") for i in range(fmeta["n_trees"])],
-        level_base=reader.get("level_base"),
-        level_slots=reader.get("level_slots"),
-        total_bytes=int(lmeta["total_bytes"]),
+        tree_order=tree_order,
+        node_address=node_address,
+        level_base=level_base,
+        level_slots=level_slots,
+        total_bytes=lmeta["total_bytes"],
         format_name=lmeta["format_name"],
-        metadata=dict(lmeta.get("metadata", {})),
+        metadata=dict(lmeta["metadata"]),
     )
     return PackedModel(header=header, layout=layout, path=Path(path))
 
@@ -467,9 +504,9 @@ class PackedModel:
     def section_sizes(self) -> dict[str, int]:
         """On-disk bytes per section kind (``tree{i}/x`` summed over trees)."""
         sizes: dict[str, int] = {}
-        for entry in self.header.get("sections", []):
-            kind = entry["name"].split("/", 1)[-1]
-            sizes[kind] = sizes.get(kind, 0) + int(entry["length"])
+        for name, _, length, _ in self.header["sections"]:
+            kind = name.split("/", 1)[-1]
+            sizes[kind] = sizes.get(kind, 0) + length
         return sizes
 
     def resolve_spec(self):

@@ -115,7 +115,7 @@ def rank_node_encodings(
         # Pass the real layout only when the candidate matches its
         # record: the layout-aware terms (stretch, partitioning) read
         # layout.node_size and would mix byte widths otherwise.
-        matches_current = enc.node_bytes == layout.node_size and layout.record.packed
+        matches_current = enc.node_bytes == layout.node_size and not layout.record.flags_bytes
         lay = layout if matches_current else None
         predictions = [
             predict_shared_data(sample, cand_fp, hw, layout=lay),

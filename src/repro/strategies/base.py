@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.layout import ForestLayout
 from repro.gpusim.counters import TrafficCounters
 from repro.gpusim.engine_sim import ExecutionBreakdown
 from repro.gpusim.specs import GPUSpec
@@ -139,8 +138,3 @@ def add_coalesced_staging(
     target.add(n_bytes, fetched, tx, tx * spec.warp_size)
     if to_shared:
         counters.shared_write.add(n_bytes, n_bytes, tx, tx * spec.warp_size)
-
-
-def forest_bytes(layout: ForestLayout) -> int:
-    """Size of the laid-out forest in bytes (allocation, holes included)."""
-    return layout.total_bytes

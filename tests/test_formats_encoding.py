@@ -273,7 +273,7 @@ def test_lossless_widths_bit_identical_across_engines(
         engine = engine_cls(forest, p100, config=config)
         got = engine.predict(test_X).predictions
         assert np.array_equal(got, baseline), f"{engine_cls.__name__} w{bits}"
-        assert engine.layout.record.packed
+        assert engine.layout.record.flags_bytes == 0
         assert engine.layout.record.encoding_label == f"w{bits}/f32"
 
 
@@ -285,7 +285,7 @@ def test_both_layouts_packed_predictions_match(small_gbdt, test_X):
         build_adaptive_layout(forest, node_encoding=enc),
         build_reorg_layout(forest, node_encoding=enc),
     ):
-        assert layout.record.packed
+        assert layout.record.flags_bytes == 0
         assert layout.metadata["node_encoding"]["lossless"]
         np.testing.assert_array_equal(layout.forest.predict(test_X), expected)
 
@@ -357,7 +357,7 @@ def test_artifact_round_trip_packed(small_forest, test_X, p100, tmp_path):
     pack_forest(forest, p100, path, config=config)
     model = load_packed(path)
     assert model.node_encoding == "w8/f32"
-    assert model.layout.record.packed
+    assert model.layout.record.flags_bytes == 0
     sections = model.section_sizes()
     assert sections.get("words", 0) > 0
     baseline = TahoeEngine(forest, p100, config=config).predict(test_X).predictions
@@ -367,10 +367,16 @@ def test_artifact_round_trip_packed(small_forest, test_X, p100, tmp_path):
     np.testing.assert_array_equal(got, baseline)
     np.testing.assert_array_equal(got, restored)
 
-    # Packed artifacts are smaller than the unpacked equivalent.
+    # Every artifact stores the same narrowest words, whatever record the
+    # layout simulates; only a narrower float field shrinks the file.
     wide = tmp_path / "wide.tahoe"
     pack_forest(forest, p100, wide)
-    assert path.stat().st_size < wide.stat().st_size
+    wide_sections = load_packed(wide).section_sizes()
+    for kind in ("words", "tfield", "vfield"):
+        assert wide_sections[kind] == sections[kind]
+    narrow = tmp_path / "q8.tahoe"
+    pack_forest(forest, p100, narrow, config=TahoeConfig(node_width=8, threshold_mode="q8"))
+    assert narrow.stat().st_size < path.stat().st_size
 
 
 def test_layout_io_round_trip_packed(small_gbdt, p100, tmp_path):
@@ -389,7 +395,7 @@ def test_layout_io_round_trip_packed(small_gbdt, p100, tmp_path):
         source_fingerprint=forest.fingerprint(),
     )
     loaded = load_packed(path).layout
-    assert loaded.record.packed
+    assert loaded.record.flags_bytes == 0
     assert loaded.record.threshold_mode == "f32"
     assert loaded.record.node_bytes == layout.record.node_bytes
     X = np.random.default_rng(0).standard_normal(

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.formats.encoding import NodeEncoding
 from repro.formats.layout import (
     NodeRecordLayout,
     attr_index_bytes,
     build_interleaved_layout,
     heap_positions,
+    select_node_record,
 )
 from repro.formats.reorg import build_reorg_layout
 
@@ -26,21 +28,33 @@ class TestAttrIndexBytes:
 
 
 class TestNodeRecordLayout:
-    def test_fixed_is_nine_bytes(self):
-        assert NodeRecordLayout.fixed().node_size == 9
+    def test_fixed_is_nine_bytes(self, small_forest):
+        record = select_node_record(small_forest, False, None)
+        assert record == NodeRecordLayout()
+        assert record.node_bytes == 9
+        assert record.encoding_label == "legacy-a4"
 
     def test_variable_shrinks_for_narrow_forest(self, small_forest):
-        record = NodeRecordLayout.variable(small_forest)
+        record = select_node_record(small_forest, True, None)
         # letter has 16 attributes -> 1-byte index -> 6-byte record.
         assert record.attr_bytes == 1
-        assert record.node_size == 6
+        assert record.node_bytes == 6
+        assert record.encoding_label == "legacy-a1"
 
     def test_variable_never_exceeds_fixed(self, small_forest, small_gbdt):
         for forest in (small_forest, small_gbdt):
             assert (
-                NodeRecordLayout.variable(forest).node_size
-                <= NodeRecordLayout.fixed().node_size
+                select_node_record(forest, True, None).node_bytes
+                <= select_node_record(forest, False, None).node_bytes
             )
+
+    @pytest.mark.parametrize("variable_width", [False, True])
+    def test_encoding_overrides_width_choice(self, small_forest, variable_width):
+        encoding = NodeEncoding(16, "q8")
+        record = select_node_record(small_forest, variable_width, encoding)
+        assert (record.attr_bytes, record.threshold_mode, record.flags_bytes) == (2, "q8", 0)
+        assert record.node_bytes == encoding.node_bytes == 3
+        assert record.encoding_label == "w16/q8"
 
 
 class TestHeapPositions:
@@ -106,7 +120,7 @@ class TestInterleavedLayout:
     def test_tree_order_applied(self, small_forest):
         order = list(reversed(range(small_forest.n_trees)))
         layout = build_interleaved_layout(
-            small_forest, NodeRecordLayout.fixed(), order, "test"
+            small_forest, NodeRecordLayout(), order, "test"
         )
         assert layout.tree_order == order
         assert layout.forest.trees[0] is small_forest.trees[-1]

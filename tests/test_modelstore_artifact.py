@@ -1,18 +1,27 @@
 """Packed ``.tahoe`` artifact: exact round-trip, integrity checking, and
 zero-conversion engine construction."""
 
+import dataclasses
+import json
 import struct
+import uuid
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TahoeEngine
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.core.fil import FILEngine
+from repro.core.native import NativeEngine
+from repro.formats.encoding import THRESHOLD_MODES, WIDTH_BITS
 from repro.modelstore import import_model, load_packed, pack_forest
-from repro.modelstore.artifact import ARTIFACT_MAGIC, ArtifactError
+from repro.modelstore.artifact import ARTIFACT_MAGIC, ARTIFACT_VERSION, ArtifactError
+from repro.trees.tree import LEAF
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,6 +32,26 @@ _STAGES = (
     "t_format_conversion",
     "t_copy_to_gpu",
 )
+
+
+def _split(raw: bytes) -> tuple[dict, bytes]:
+    """An artifact's decoded header and its section bytes."""
+    (header_len,) = struct.unpack_from("<I", raw, len(ARTIFACT_MAGIC))
+    start = len(ARTIFACT_MAGIC) + 4
+    header = json.loads(raw[start : start + header_len])
+    return header, raw[start + header_len + 4 :]
+
+
+def _join(header: dict, body: bytes) -> bytes:
+    """Re-encode ``header`` with a valid checksum in front of ``body``."""
+    encoded = json.dumps(header).encode()
+    return (
+        ARTIFACT_MAGIC
+        + struct.pack("<I", len(encoded))
+        + encoded
+        + struct.pack("<I", zlib.crc32(encoded))
+        + body
+    )
 
 
 @pytest.fixture()
@@ -184,7 +213,8 @@ class TestIntegrity:
         (header_len,) = struct.unpack_from("<I", raw, len(ARTIFACT_MAGIC))
         start = len(ARTIFACT_MAGIC) + 4
         header = raw[start : start + header_len].replace(
-            b'"artifact_version":3', b'"artifact_version":9'
+            f'"artifact_version":{ARTIFACT_VERSION}'.encode(),
+            f'"artifact_version":{ARTIFACT_VERSION + 1}'.encode(),
         )
         assert len(header) == header_len  # same-length in-place edit
         future = tmp_path / "future.tahoe"
@@ -192,8 +222,307 @@ class TestIntegrity:
         with pytest.raises(ArtifactError, match="version"):
             load_packed(future)
 
+    def test_v3_file_rejected(self, packed_path, tmp_path):
+        # A v3 file: magic, header length, header, then sections (no
+        # header checksum).
+        header, body = _split(packed_path.read_bytes())
+        header["artifact_version"] = 3
+        encoded = json.dumps(header).encode()
+        old = tmp_path / "v3.tahoe"
+        old.write_bytes(ARTIFACT_MAGIC + struct.pack("<I", len(encoded)) + encoded + body)
+        with pytest.raises(ArtifactError, match="repack"):
+            load_packed(old)
+
     def test_spec_mismatch_rejected(self, packed_path):
         from repro.gpusim.specs import GPU_SPECS
 
         with pytest.raises(ArtifactError, match="packed for"):
             load_packed(packed_path).make_engine(GPU_SPECS["K80"])
+
+
+# ----------------------------------------------------------------------
+# Round-trip matrix: every record family, both formats
+# ----------------------------------------------------------------------
+
+_TREE_ARRAYS = (
+    "feature", "threshold", "left", "right", "value", "default_left",
+    "visit_count", "flip", "cat_offset", "cat_count", "cat_bits",
+)
+
+
+def _assert_same_layout(got, want):
+    """Bit-exact equality of everything a layout carries."""
+    assert got.record == want.record
+    assert got.format_name == want.format_name
+    assert got.total_bytes == want.total_bytes
+    assert got.tree_order == want.tree_order
+    assert got.level_base.tobytes() == want.level_base.tobytes()
+    assert got.level_slots.tobytes() == want.level_slots.tobytes()
+    assert len(got.node_address) == len(want.node_address)
+    for a, b in zip(got.node_address, want.node_address):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    gf, wf = got.forest, want.forest
+    for attr in ("n_attributes", "n_classes", "task", "aggregation", "name", "metadata"):
+        assert getattr(gf, attr) == getattr(wf, attr)
+    for attr in ("base_score", "learning_rate"):
+        assert np.float64(getattr(gf, attr)).tobytes() == np.float64(getattr(wf, attr)).tobytes()
+    assert gf.n_trees == wf.n_trees
+    for a, b in zip(gf.trees, wf.trees):
+        assert a.group == b.group
+        for name in _TREE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _wide_fid(forest):
+    """``forest`` with attribute ``f`` moved to ``256 + 16 f``: as few
+    distinct attributes as before (a 1-byte record index) but fids that
+    need 16-bit node words."""
+    trees = []
+    for tree in forest.trees:
+        clone = tree.copy()
+        clone.feature = np.where(
+            tree.feature == LEAF, LEAF, 256 + 16 * tree.feature
+        ).astype(np.int32)
+        trees.append(clone)
+    return dataclasses.replace(forest, trees=trees, n_attributes=512)
+
+
+_RECORD_CASES = [("fixed", {"variable_width": False}), ("variable", {})] + [
+    (f"w{bits}/{mode}", {"node_width": bits, "threshold_mode": mode})
+    for bits in WIDTH_BITS
+    for mode in THRESHOLD_MODES
+]
+_MATRIX = [
+    pytest.param(wide, engine, kwargs, id=f"{'wide' if wide else 'narrow'}-{engine}-{label}")
+    for wide in (False, True)
+    for engine in ("tahoe", "fil")
+    for label, kwargs in _RECORD_CASES
+    # FIL has no variable-width record; 8-bit words cannot hold fids >= 32.
+    if not (engine == "fil" and label == "variable")
+    if not (wide and label.startswith("w8/"))
+]
+
+
+@pytest.fixture(scope="module")
+def matrix_inputs(small_forest, test_X):
+    X = test_X[:32]
+    wide_X = np.zeros((X.shape[0], 512), dtype=np.float32)
+    wide_X[:, 256 + 16 * np.arange(X.shape[1])] = X
+    return {False: (small_forest, X), True: (_wide_fid(small_forest), wide_X)}
+
+
+@pytest.mark.parametrize("wide,engine,kwargs", _MATRIX)
+def test_round_trip_matrix(matrix_inputs, p100, tmp_path, wide, engine, kwargs):
+    forest, X = matrix_inputs[wide]
+    config = TahoeConfig(**kwargs)
+    path = tmp_path / "m.tahoe"
+    built = pack_forest(forest, p100, path, engine=engine, config=config).layout
+    loaded = load_packed(path)
+    _assert_same_layout(loaded.layout, built)
+    if wide and not kwargs:
+        # A 1-byte record index over fids that need 16-bit disk words.
+        assert built.record.encoding_label == "legacy-a1"
+    word_dtypes = {
+        dtype for name, dtype, *_ in loaded.header["sections"] if name.endswith("/words")
+    }
+    assert word_dtypes == {"uint16" if wide else "uint8"}  # narrowest fit, every record
+
+    cls = TahoeEngine if engine == "tahoe" else FILEngine
+    cold = cls(forest, p100, config=config).predict(X).predictions
+    np.testing.assert_array_equal(loaded.make_engine(p100).predict(X).predictions, cold)
+    native = loaded.make_engine(p100, backend="native").predict(X).predictions
+    native_cold = NativeEngine.from_layout(built, p100).predict(X).predictions
+    np.testing.assert_array_equal(native, native_cold)
+
+
+# ----------------------------------------------------------------------
+# Malformed headers, truncation, byte flips
+# ----------------------------------------------------------------------
+
+
+def _rewrite(path, mutate):
+    """Apply ``mutate`` to ``path``'s decoded header and re-checksum it."""
+    header, body = _split(path.read_bytes())
+    mutate(header)
+    path.write_bytes(_join(header, body))
+    return path
+
+
+class TestHeaderValidation:
+    def test_missing_n_trees(self, packed_path):
+        _rewrite(packed_path, lambda h: h["forest"].pop("n_trees"))
+        with pytest.raises(ArtifactError, match="keys"):
+            load_packed(packed_path)
+
+    def test_extra_record_key(self, packed_path):
+        _rewrite(packed_path, lambda h: h["layout"]["record"].update(packed=True))
+        with pytest.raises(ArtifactError, match="record"):
+            load_packed(packed_path)
+
+    def test_unknown_section_dtype(self, packed_path):
+        _rewrite(packed_path, lambda h: h["sections"][0].__setitem__(1, "float128x"))
+        with pytest.raises(ArtifactError, match="dtype"):
+            load_packed(packed_path)
+
+    def test_non_list_sections(self, packed_path):
+        _rewrite(packed_path, lambda h: h.update(sections={"tree0/words": 0}))
+        with pytest.raises(ArtifactError, match="sections"):
+            load_packed(packed_path)
+
+    def test_non_integer_total_bytes(self, packed_path):
+        _rewrite(packed_path, lambda h: h["layout"].update(total_bytes="12"))
+        with pytest.raises(ArtifactError, match="total_bytes"):
+            load_packed(packed_path)
+
+    def test_fewer_trees_than_sections(self, packed_path):
+        _rewrite(packed_path, lambda h: h["forest"].update(n_trees=3))
+        with pytest.raises(ArtifactError, match="n_trees"):
+            load_packed(packed_path)
+
+    def test_tree_nodes_edit_rejected(self, packed_path):
+        _rewrite(packed_path, lambda h: h["forest"]["tree_nodes"].__setitem__(0, 3))
+        with pytest.raises(ArtifactError, match="wrong length"):
+            load_packed(packed_path)
+
+    @pytest.mark.parametrize("key,value", [("attr_bytes", 2), ("flags_bytes", 0)])
+    def test_record_edit_rejected(self, packed_path, key, value):
+        _rewrite(packed_path, lambda h: h["layout"]["record"].update({key: value}))
+        with pytest.raises(ArtifactError, match="total_bytes"):
+            load_packed(packed_path)
+
+    def test_total_bytes_edit_rejected(self, packed_path):
+        _rewrite(packed_path, lambda h: h["layout"].update(total_bytes=h["layout"]["total_bytes"] + 1))
+        with pytest.raises(ArtifactError, match="total_bytes"):
+            load_packed(packed_path)
+
+    @pytest.mark.parametrize("name,problem", [("extra", "unexpected sections"), (None, "repeats")])
+    def test_appended_section_rejected(self, packed_path, name, problem):
+        # A well-formed, checksummed copy of the first section, appended
+        # under a name nothing reads or under the first section's own name.
+        header, body = _split(packed_path.read_bytes())
+        first = header["sections"][0]
+        header["sections"].append([name or first[0]] + first[1:])
+        packed_path.write_bytes(_join(header, body + body[: first[2]]))
+        with pytest.raises(ArtifactError, match=problem):
+            load_packed(packed_path)
+
+    def test_trailing_bytes_rejected(self, packed_path):
+        packed_path.write_bytes(packed_path.read_bytes() + b"\x00")
+        with pytest.raises(ArtifactError, match="padded"):
+            load_packed(packed_path)
+
+    def test_header_checksum(self, packed_path):
+        raw = bytearray(packed_path.read_bytes())
+        raw[raw.index(b'"spec_name":"') + 13] ^= 0x01
+        packed_path.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactError, match="header failed its crc32"):
+            load_packed(packed_path)
+
+
+_WRONG_TYPES = (None, True, 7, 2.5, "x", [1], {"a": 1})
+
+
+def _schema_paths(header):
+    """Every key the header schema holds, as paths of keys and indices,
+    grouped so the few top-level keys are drawn as often as the many
+    section-table ones."""
+    return [
+        [(k,) for k in header],
+        [("forest", k) for k in header["forest"]],
+        [("layout", k) for k in header["layout"]],
+        [("layout", "record", k) for k in header["layout"]["record"]],
+        [("forest", "tree_nodes", i) for i in range(len(header["forest"]["tree_nodes"]))],
+        [("sections", i, k) for i, row in enumerate(header["sections"]) for k in range(len(row))],
+    ]
+
+
+#: Integer keys whose value any edit must be caught on (or leave the
+#: loaded layout identical): counts, sizes, record widths, the section table.
+_RENUMBERABLE = {
+    ("artifact_version",), ("forest", "n_trees"), ("layout", "total_bytes"),
+    ("layout", "record", "attr_bytes"), ("layout", "record", "flags_bytes"),
+}
+
+
+def _renumberable(path):
+    return (
+        path in _RENUMBERABLE
+        or (len(path) == 3 and path[:2] == ("forest", "tree_nodes"))
+        or (len(path) == 3 and path[0] == "sections" and path[2] in (2, 3))  # length, crc32
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_artifacts(small_forest, small_gbdt, p100, tmp_path_factory):
+    """(bytes, layout) of a default Tahoe artifact and a q8 FIL one."""
+    out = []
+    for forest, engine, config in (
+        (small_forest, "tahoe", None),
+        (small_gbdt, "fil", TahoeConfig(node_width="auto", threshold_mode="q8")),
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / f"{engine}.tahoe"
+        layout = pack_forest(forest, p100, path, engine=engine, config=config).layout
+        out.append((path.read_bytes(), layout))
+    return out
+
+
+def _loads_identically_or_fails(raw, directory, want):
+    # A fresh file each time: overwriting one in place is far slower on
+    # some filesystems than creating and unlinking a new one.
+    path = directory / f"{uuid.uuid4().hex}.tahoe"
+    path.write_bytes(raw)
+    try:
+        got = load_packed(path).layout
+    except ArtifactError:
+        return
+    finally:
+        path.unlink()
+    _assert_same_layout(got, want)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_header_mutations_fail_or_load_identically(fuzz_artifacts, tmp_path_factory, data):
+    raw, want = data.draw(st.sampled_from(fuzz_artifacts))
+    header, body = _split(raw)
+    path = data.draw(st.sampled_from(data.draw(st.sampled_from(_schema_paths(header)))))
+    *parents, key = path
+    parent = header
+    for p in parents:
+        parent = parent[p]
+    ops = ["drop", "add", "retype"] + (["renumber"] if _renumberable(path) else [])
+    op = data.draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[key]
+    elif op == "add":
+        if isinstance(parent, dict):
+            parent["unexpected"] = 0
+        else:
+            parent.append(0)
+    elif op == "retype":
+        original = parent[key]
+        parent[key] = data.draw(
+            st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(original)])
+        )
+    else:
+        parent[key] += data.draw(st.integers(-3, 3).filter(bool))
+    _loads_identically_or_fails(_join(header, body), tmp_path_factory.getbasetemp(), want)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_truncation_and_byte_flips_fail_or_load_identically(
+    fuzz_artifacts, tmp_path_factory, data
+):
+    raw, want = data.draw(st.sampled_from(fuzz_artifacts))
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        mutated = raw[:at]
+    else:
+        flipped = bytearray(raw)
+        flipped[at] ^= data.draw(st.integers(1, 255))
+        mutated = bytes(flipped)
+    _loads_identically_or_fails(mutated, tmp_path_factory.getbasetemp(), want)
