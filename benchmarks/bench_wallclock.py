@@ -13,10 +13,14 @@ Scenarios:
   through ``TahoeEngine.predict()`` (selector, COA probe and all).
 * ``tree_parallel`` / ``sample_parallel`` — the two raw trace kernels on
   the same forest, isolating the lockstep loop from the engine.
+* ``convert/fig5-all`` — conversion stages 1-4 (``convert_forest`` with
+  the paper defaults) of all fifteen fig5 forests, cold each repeat;
+  ``throughput_trees_per_s`` is its tracked rate.
 
 Each scenario key embeds its workload size, so quick-mode (CI) and
 full-mode (local) numbers coexist in ``BENCH_wallclock.json`` and are
-only ever compared like-for-like.  Every scenario is timed ``repeats``
+only ever compared like-for-like (``convert/fig5-all`` is the same
+workload in both modes, so one entry serves both).  Every scenario is timed ``repeats``
 times and recorded as the median (``wall_s``) with its quartiles
 (``wall_s_q1`` / ``wall_s_q3``), so the artifact carries its own noise;
 ``samples_per_s`` (samples over the median) is the rate ``repro bench
@@ -51,7 +55,8 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 import common
-from repro.core import TahoeEngine
+from repro.core import TahoeConfig, TahoeEngine
+from repro.core.engine import convert_forest
 from repro.datasets import load_dataset, train_test_split
 from repro.formats import build_adaptive_layout
 from repro.formats.tree_rearrange import round_robin_assignment
@@ -131,8 +136,28 @@ def run_scenarios(quick: bool) -> dict:
             "repeats": repeats,
             "mode": "quick" if quick else "full",
         }
-        print(f"{key:45} {wall * 1e3:9.1f} ms  (IQR {q1 * 1e3:.1f}-{q3 * 1e3:.1f})")
+        _print(key, q1, wall, q3)
+    forests = [common.workload(name).forest for name in common.DATASET_ORDER]
+    n_trees = sum(f.n_trees for f in forests)
+    q1, wall, q3 = _quartiles(
+        lambda: [convert_forest(f, TahoeConfig()) for f in forests], repeats
+    )
+    out["convert/fig5-all"] = {
+        "wall_s": wall,
+        "wall_s_q1": q1,
+        "wall_s_q3": q3,
+        "throughput_trees_per_s": n_trees / wall,
+        "forests": len(forests),
+        "trees": n_trees,
+        "repeats": repeats,
+        "mode": "quick" if quick else "full",
+    }
+    _print("convert/fig5-all", q1, wall, q3)
     return out
+
+
+def _print(key: str, q1: float, wall: float, q3: float) -> None:
+    print(f"{key:45} {wall * 1e3:9.1f} ms  (IQR {q1 * 1e3:.1f}-{q3 * 1e3:.1f})")
 
 
 def _payload(scenarios: dict) -> dict:

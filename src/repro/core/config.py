@@ -73,6 +73,26 @@ class TahoeConfig:
     edge_count_decay: float = 0.9
     obs: ObsConfig = field(default_factory=ObsConfig)
 
+    def __post_init__(self) -> None:
+        # The similarity parameters are checked here, not at conversion:
+        # a forest of one tree, or tree_rearrangement=False, never reaches
+        # the code that would reject them.
+        if self.t_nodes < 2:
+            raise ValueError(f"t_nodes must be >= 2, got {self.t_nodes}")
+        if self.l_hash <= 0:
+            raise ValueError(f"l_hash must be positive, got {self.l_hash}")
+        if self.m_chunks <= 0:
+            raise ValueError(f"m_chunks must be positive, got {self.m_chunks}")
+        if self.l_hash % self.m_chunks != 0:
+            raise ValueError(
+                f"l_hash={self.l_hash} is not divisible by m_chunks={self.m_chunks}"
+            )
+        if self.similarity_method not in ("lsh", "pairwise"):
+            raise ValueError(
+                "similarity_method must be 'lsh' or 'pairwise', "
+                f"got {self.similarity_method!r}"
+            )
+
     def conversion_key(self) -> tuple:
         """The knobs the conversion pipeline's output depends on.
 

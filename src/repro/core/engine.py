@@ -35,6 +35,7 @@ from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.notation import HardwareParams
 from repro.perfmodel.selector import rank_explain_strategies, rank_strategies
 from repro.strategies import StrategyNotApplicable, StrategyResult
+from repro.trees.flat import FlatForest
 from repro.trees.forest import Forest
 from repro.trees.probabilities import update_visit_counts
 
@@ -55,18 +56,18 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
     """
     stats = ConversionStats()
     t0 = time.perf_counter()
-    # Stage 1: fetch the tree ensemble and edge probabilities
-    # "from GPU" — materialise the per-tree probability arrays.
+    # Stage 1: fetch the tree ensemble and edge probabilities "from GPU"
+    # — one level-synchronous pass over the flat forest arrays, which the
+    # later stages read (heap positions, node probabilities).
     with span("fetch_probabilities", category="conversion"):
-        edge_probs = [tree.edge_probabilities() for tree in forest.trees]
-        del edge_probs
+        flat = FlatForest.build(forest)
     t1 = time.perf_counter()
     stats.t_fetch_probabilities = t1 - t0
     # Stage 2: probability-based node rearrangement.
     with span("node_rearrangement", category="conversion"):
-        structured = (
-            rearrange_forest_nodes(forest) if config.node_rearrangement else forest
-        )
+        if config.node_rearrangement:
+            flat = rearrange_forest_nodes(flat)
+    structured = flat.forest
     t2 = time.perf_counter()
     stats.t_node_rearrangement = t2 - t1
     # Stage 3: similarity detection (SimHash + LSH).
@@ -75,7 +76,7 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
     ):
         if config.tree_rearrangement and forest.n_trees > 1:
             order = similarity_tree_order(
-                structured,
+                flat,
                 t_nodes=config.t_nodes,
                 l_hash=config.l_hash,
                 m_chunks=config.m_chunks,
@@ -90,7 +91,7 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
         encoding = make_encoding(structured, config.node_width, config.threshold_mode)
         record = select_node_record(structured, config.variable_width, encoding)
         layout = build_interleaved_layout(
-            structured, record, order, "adaptive", encoding=encoding
+            structured, record, order, "adaptive", encoding=encoding, flat=flat
         )
     stats.t_format_conversion = time.perf_counter() - t3
     stats.node_encoding = record.encoding_label

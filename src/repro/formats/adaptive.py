@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.formats.layout import ForestLayout, build_interleaved_layout, select_node_record
 from repro.formats.node_rearrange import rearrange_forest_nodes
 from repro.formats.tree_rearrange import similarity_tree_order
+from repro.trees.flat import FlatForest
 from repro.trees.forest import Forest
 
 __all__ = ["build_adaptive_layout"]
@@ -50,10 +51,13 @@ def build_adaptive_layout(
         The laid-out forest; ``metadata["techniques"]`` records which
         steps were applied.
     """
-    structured = rearrange_forest_nodes(forest) if node_rearrangement else forest
+    flat = FlatForest.build(forest)
+    if node_rearrangement:
+        flat = rearrange_forest_nodes(flat)
+    structured = flat.forest
     if tree_rearrangement and forest.n_trees > 1:
         order = similarity_tree_order(
-            structured,
+            flat,
             t_nodes=t_nodes,
             l_hash=l_hash,
             m_chunks=m_chunks,
@@ -67,6 +71,7 @@ def build_adaptive_layout(
         tree_order=order,
         format_name="adaptive",
         encoding=node_encoding,
+        flat=flat,
     )
     layout.metadata["techniques"] = {
         "node_rearrangement": node_rearrangement,

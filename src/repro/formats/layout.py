@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.encoding import THRESHOLD_MODES, NodeEncoding, apply_encoding, resolve_width_bits
+from repro.trees.flat import FlatForest
 from repro.trees.forest import Forest
-from repro.trees.tree import LEAF, DecisionTree
+from repro.trees.tree import DecisionTree
 
 __all__ = [
     "NodeRecordLayout",
@@ -121,24 +122,8 @@ def heap_positions(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     root is ``(0, 0)`` and the children of ``(l, s)`` are ``(l+1, 2s)``
     and ``(l+1, 2s+1)``.
     """
-    n = tree.n_nodes
-    level = np.zeros(n, dtype=np.int32)
-    slot = np.zeros(n, dtype=np.int64)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            lo, hi = tree.left[node], tree.right[node]
-            if lo != LEAF:
-                level[lo] = level[node] + 1
-                slot[lo] = 2 * slot[node]
-                nxt.append(int(lo))
-            if hi != LEAF:
-                level[hi] = level[node] + 1
-                slot[hi] = 2 * slot[node] + 1
-                nxt.append(int(hi))
-        frontier = nxt
-    return level, slot
+    flat = FlatForest.build([tree])
+    return flat.depth, flat.slot
 
 
 @dataclass
@@ -197,6 +182,7 @@ def build_interleaved_layout(
     tree_order: list[int] | None,
     format_name: str,
     encoding=None,
+    flat: FlatForest | None = None,
 ) -> ForestLayout:
     """Shared constructor for level-major interleaved layouts.
 
@@ -213,6 +199,9 @@ def build_interleaved_layout(
             the stored codec, and the codec metadata is recorded under
             ``metadata["node_encoding"]``.  ``record`` should then be
             ``select_node_record(forest, ..., encoding)``.
+        flat: ``forest``'s flat arrays (conversion stage 1's output),
+            whose depths and heap positions place every node; built here
+            when omitted.
     """
     encoding_meta = None
     if encoding is not None:
@@ -221,21 +210,23 @@ def build_interleaved_layout(
     if tree_order is None:
         tree_order = list(range(forest.n_trees))
     laid_out = forest.reordered(tree_order)
+    if flat is None:
+        flat = FlatForest.build(forest)
     n_trees = laid_out.n_trees
-    positions = [heap_positions(tree) for tree in laid_out.trees]
-    n_levels = 1 + max(int(level.max()) for level, _ in positions)
+    level, slot = flat.depth, flat.slot
+    n_levels = 1 + int(level.max())
     level_slots = np.zeros(n_levels, dtype=np.int64)
-    for level, slot in positions:
-        np.maximum.at(level_slots, level, slot + 1)
-    level_base = np.zeros(n_levels, dtype=np.int64)
+    np.maximum.at(level_slots, level, slot + 1)
     size = record.node_bytes
-    for lv in range(1, n_levels):
-        level_base[lv] = level_base[lv - 1] + level_slots[lv - 1] * n_trees * size
-    total_bytes = int(level_base[-1] + level_slots[-1] * n_trees * size)
-    node_address = []
-    for pos, (level, slot) in enumerate(positions):
-        addr = level_base[level] + (slot * n_trees + pos) * size
-        node_address.append(addr.astype(np.int64))
+    level_bytes = level_slots * n_trees * size
+    level_base = np.zeros(n_levels, dtype=np.int64)
+    np.cumsum(level_bytes[:-1], out=level_base[1:])
+    total_bytes = int(level_base[-1] + level_bytes[-1])
+    stored_at = np.empty(n_trees, dtype=np.int64)
+    stored_at[tree_order] = np.arange(n_trees)
+    address = level_base[level] + (slot * n_trees + stored_at[flat.tree_of]) * size
+    # Per-tree copies: the layout outlives the forest-wide buffer.
+    node_address = [address[flat.offsets[t] : flat.offsets[t + 1]].copy() for t in tree_order]
     layout = ForestLayout(
         forest=laid_out,
         record=record,

@@ -8,41 +8,44 @@ interleaved layout coalesces their accesses.
 
 Swapping inverts the node's branch predicate; the tree records that in its
 ``flip`` bit so predictions are bit-for-bit unchanged (tests assert this).
+The whole forest is rearranged at once: one mask over the flat node
+arrays of :class:`~repro.trees.flat.FlatForest`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.trees.flat import FlatForest
 from repro.trees.forest import Forest
 from repro.trees.tree import DecisionTree
 
 __all__ = ["rearrange_nodes_by_probability", "rearrange_forest_nodes", "count_swaps"]
 
 
-def rearrange_nodes_by_probability(tree: DecisionTree) -> DecisionTree:
-    """Return a copy of ``tree`` with hot children swapped to the left.
+def _hot_right(flat: FlatForest) -> np.ndarray:
+    """Decision nodes whose right child is the more probable one."""
+    return ~flat.is_leaf & (flat.p_left < flat.p_right)
 
-    The method walks top-down (as in the paper); descendants move with
-    their parent implicitly because child pointers are swapped, not node
-    storage.
+
+def rearrange_forest_nodes(forest: Forest | FlatForest) -> Forest | FlatForest:
+    """Swap every decision node's hotter child to the left.
+
+    Given a :class:`Forest`, returns the rearranged forest.  Given a
+    :class:`FlatForest` (conversion stage 1's output), returns the
+    rearranged flat forest, whose ``forest`` is the rearranged forest;
+    the conversion pipeline passes it on so later stages reuse its heap
+    positions.  The input is never modified.
     """
-    out = tree.copy()
-    p_left, p_right = out.edge_probabilities()
-    for node in range(out.n_nodes):
-        if out.is_leaf[node]:
-            continue
-        if p_left[node] < p_right[node]:
-            out.left[node], out.right[node] = out.right[node], out.left[node]
-            out.flip[node] = ~out.flip[node]
-            out.default_left[node] = ~out.default_left[node]
-    out.validate()
-    return out
+    flat = FlatForest.build(forest)
+    out = flat.swap_children(_hot_right(flat))
+    return out if isinstance(forest, FlatForest) else out.forest
 
 
-def rearrange_forest_nodes(forest: Forest) -> Forest:
-    """Apply node rearrangement to every tree of a forest."""
-    return forest.with_trees(
-        [rearrange_nodes_by_probability(tree) for tree in forest.trees]
-    )
+def rearrange_nodes_by_probability(tree: DecisionTree) -> DecisionTree:
+    """A new tree with hot children swapped to the left (``tree`` is kept)."""
+    flat = FlatForest.build([tree])
+    return flat.swap_children(_hot_right(flat)).trees[0]
 
 
 def count_swaps(tree: DecisionTree) -> int:

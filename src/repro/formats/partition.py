@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.layout import ForestLayout, heap_positions
+from repro.formats.layout import ForestLayout
+from repro.trees.flat import FlatForest
 
 __all__ = ["PartitionError", "partition_trees", "cached_partition", "tree_work"]
 
@@ -36,21 +37,20 @@ def tree_work(layout: ForestLayout) -> np.ndarray:
     """
     cached = layout.metadata.get("_tree_work")
     if cached is None:
-        cached = np.array(
-            [float(t.node_probabilities().sum()) for t in layout.forest.trees]
-        )
+        flat = FlatForest.build(layout.forest)
+        bounds = zip(flat.offsets[:-1], flat.offsets[1:])
+        cached = np.array([float(flat.node_prob[a:b].sum()) for a, b in bounds])
         layout.metadata["_tree_work"] = cached
     return cached
 
 
 def _slot_profiles(layout: ForestLayout) -> list[np.ndarray]:
-    profiles = []
-    for tree in layout.forest.trees:
-        level, slot = heap_positions(tree)
-        slots = np.zeros(int(level.max()) + 1, dtype=np.int64)
-        np.maximum.at(slots, level, slot + 1)
-        profiles.append(slots)
-    return profiles
+    """Per layout tree, the heap slots it uses on each of its levels."""
+    flat = FlatForest.build(layout.forest)
+    depths = np.maximum.reduceat(flat.depth, flat.offsets[:-1])
+    profiles = np.zeros((flat.n_trees, int(depths.max()) + 1), dtype=np.int64)
+    np.maximum.at(profiles, (flat.tree_of, flat.depth), flat.slot + 1)
+    return [profiles[t, : d + 1] for t, d in enumerate(depths.tolist())]
 
 
 def _segment_bytes(trial: np.ndarray, count: int, node_size: int) -> int:

@@ -14,13 +14,14 @@ import numpy as np
 
 from repro.hashing.lsh import lsh_collisions, order_trees_by_similarity
 from repro.hashing.pairwise import pairwise_order
+from repro.trees.flat import FlatForest
 from repro.trees.forest import Forest
 
 __all__ = ["similarity_tree_order", "round_robin_assignment"]
 
 
 def similarity_tree_order(
-    forest: Forest,
+    forest: Forest | FlatForest,
     t_nodes: int = 4,
     l_hash: int = 128,
     m_chunks: int = 64,
@@ -29,7 +30,8 @@ def similarity_tree_order(
     """Order trees by structural similarity.
 
     Args:
-        forest: the forest to order.
+        forest: the forest to order, or its flat arrays (conversion
+            stage 1's output).
         t_nodes: nodes per token (paper default 4).
         l_hash: SimHash length in bits (paper default 128).
         m_chunks: LSH chunk count (paper default 64).
@@ -40,13 +42,12 @@ def similarity_tree_order(
         A permutation: position ``p`` of the result holds the original
         index of the tree to store ``p``-th.
     """
-    if method == "pairwise":
-        return pairwise_order(forest.trees, t_nodes=t_nodes)
-    if method != "lsh":
+    if method not in ("lsh", "pairwise"):
         raise ValueError(f"unknown method {method!r}")
-    table = lsh_collisions(
-        forest.trees, t_nodes=t_nodes, l_hash=l_hash, m_chunks=m_chunks
-    )
+    flat = FlatForest.build(forest)
+    if method == "pairwise":
+        return pairwise_order(flat, t_nodes=t_nodes)
+    table = lsh_collisions(flat, t_nodes=t_nodes, l_hash=l_hash, m_chunks=m_chunks)
     return order_trees_by_similarity(table)
 
 

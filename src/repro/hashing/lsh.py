@@ -11,13 +11,14 @@ have the second largest").
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hashing.rabin_karp import rabin_karp
-from repro.hashing.simhash import normalize_checksum, simhash_checksum
+from repro.hashing.rabin_karp import rabin_karp_rows
+from repro.hashing.simhash import forest_checksums, normalize_checksum, tokenize_forest
+from repro.trees.flat import FlatForest
 from repro.trees.tree import DecisionTree
 
 __all__ = ["CollisionTable", "lsh_collisions", "order_trees_by_similarity"]
@@ -25,21 +26,32 @@ __all__ = ["CollisionTable", "lsh_collisions", "order_trees_by_similarity"]
 
 @dataclass
 class CollisionTable:
-    """Pairwise collision counts plus the per-chunk buckets behind them.
+    """Pairwise collision counts plus the per-chunk hashes behind them.
 
     Attributes:
         counts: symmetric int32 matrix, ``counts[a, b]`` = number of chunk
             positions at which trees ``a`` and ``b`` collide.
-        buckets: per chunk position, a mapping from chunk hash to the list
-            of tree indices that produced it.
+        signatures: ``(n_trees, m_chunks)`` int64 chunk hashes.
     """
 
     counts: np.ndarray
-    buckets: list[dict[int, list[int]]]
+    signatures: np.ndarray
 
     @property
     def n_trees(self) -> int:
         return self.counts.shape[0]
+
+    @property
+    def buckets(self) -> list[dict[int, list[int]]]:
+        """Per chunk position, a mapping from chunk hash to the ascending
+        list of tree indices that produced it."""
+        out = []
+        for column in self.signatures.T.tolist():
+            bucket: dict[int, list[int]] = {}
+            for tree_idx, h in enumerate(column):
+                bucket.setdefault(h, []).append(tree_idx)
+            out.append(bucket)
+        return out
 
     def most_similar_pair(self) -> tuple[int, int]:
         """The tree pair with the most collisions (ties break lexicographically)."""
@@ -52,52 +64,41 @@ class CollisionTable:
         return flat // n, flat % n
 
 
-def _chunk_hashes(normalized: np.ndarray, m_chunks: int) -> list[int]:
-    """Rabin–Karp hash of each of the ``m_chunks`` equal slices."""
-    l_hash = normalized.shape[0]
-    if m_chunks <= 0:
-        raise ValueError("m_chunks must be positive")
-    if l_hash % m_chunks != 0:
-        raise ValueError(f"l_hash={l_hash} is not divisible by m_chunks={m_chunks}")
-    width = l_hash // m_chunks
-    return [
-        rabin_karp(normalized[i * width : (i + 1) * width]) for i in range(m_chunks)
-    ]
-
-
 def lsh_collisions(
-    trees: list[DecisionTree],
+    trees: FlatForest | Sequence[DecisionTree],
     t_nodes: int = 4,
     l_hash: int = 128,
     m_chunks: int = 64,
 ) -> CollisionTable:
-    """Compute the pairwise collision table for a list of trees.
+    """Compute the pairwise collision table for a forest's trees.
 
     Paper defaults: ``t_nodes=4``, ``l_hash=128``, ``m_chunks=64``
-    (section 7.1).
+    (section 7.1).  Every tree's normalised checksum is cut into
+    ``m_chunks`` chunks, each Rabin–Karp hashed, and two trees collide
+    at a chunk position when their hashes there are equal.
     """
-    n = len(trees)
-    signatures = [
-        _chunk_hashes(
-            normalize_checksum(simhash_checksum(t, t_nodes=t_nodes, l_hash=l_hash)),
-            m_chunks,
-        )
-        for t in trees
-    ]
-    counts = np.zeros((n, n), dtype=np.int32)
-    buckets: list[dict[int, list[int]]] = []
-    for chunk in range(m_chunks):
-        bucket: dict[int, list[int]] = defaultdict(list)
-        for tree_idx in range(n):
-            bucket[signatures[tree_idx][chunk]].append(tree_idx)
-        buckets.append(dict(bucket))
-        for members in bucket.values():
-            if len(members) < 2:
-                continue
-            arr = np.array(members)
-            counts[np.ix_(arr, arr)] += 1
+    if m_chunks <= 0:
+        raise ValueError("m_chunks must be positive")
+    if l_hash % m_chunks != 0:
+        raise ValueError(f"l_hash={l_hash} is not divisible by m_chunks={m_chunks}")
+    checksums = forest_checksums(tokenize_forest(trees, t_nodes), l_hash)
+    n = checksums.shape[0]
+    chunks = normalize_checksum(checksums).reshape(n, m_chunks, l_hash // m_chunks)
+    signatures = rabin_karp_rows(chunks)
+    # One column per (chunk position, hash) bucket that holds two or more
+    # trees; a tree pair's collision count is then the number of columns
+    # both trees are in, i.e. one product of the 0/1 membership matrix
+    # (exact in float32: every entry is a small integer).
+    _, bucket = np.unique(signatures + (np.arange(m_chunks) << 32), return_inverse=True)
+    bucket = bucket.reshape(n, m_chunks)
+    shared = np.bincount(bucket.ravel()) > 1
+    column = np.cumsum(shared) - 1
+    rows, chunk = np.nonzero(shared[bucket])
+    members = np.zeros((n, int(shared.sum())), dtype=np.float32)
+    members[rows, column[bucket[rows, chunk]]] = 1.0
+    counts = (members @ members.T).astype(np.int32)
     np.fill_diagonal(counts, 0)
-    return CollisionTable(counts=counts, buckets=buckets)
+    return CollisionTable(counts=counts, signatures=signatures)
 
 
 def order_trees_by_similarity(

@@ -14,21 +14,20 @@ same notion of similarity and their orders can be compared for agreement).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.hashing.lsh import order_trees_by_similarity
-from repro.hashing.simhash import tokenize_tree
+from repro.hashing.simhash import tokenize_forest
+from repro.trees.flat import FlatForest
 from repro.trees.tree import DecisionTree
 
 __all__ = ["pairwise_similarity_matrix", "pairwise_order"]
 
 
-def _token_weights(tree: DecisionTree, t_nodes: int) -> dict[bytes, float]:
-    return {tok.content: tok.weight for tok in tokenize_tree(tree, t_nodes=t_nodes)}
-
-
 def pairwise_similarity_matrix(
-    trees: list[DecisionTree], t_nodes: int = 4
+    trees: FlatForest | Sequence[DecisionTree], t_nodes: int = 4
 ) -> np.ndarray:
     """Weighted-Jaccard similarity for every tree pair.
 
@@ -37,8 +36,11 @@ def pairwise_similarity_matrix(
     construction — this is the cost the paper's SimHash+LSH pipeline
     avoids.
     """
-    n = len(trees)
-    token_maps = [_token_weights(t, t_nodes) for t in trees]
+    tokens = tokenize_forest(trees, t_nodes=t_nodes)
+    n = tokens.offsets.shape[0] - 1
+    token_maps = [
+        {tok.content: tok.weight for tok in tokens.of_tree(t)} for t in range(n)
+    ]
     sim = np.zeros((n, n), dtype=np.float64)
     for a in range(n):
         sim[a, a] = 1.0
@@ -57,13 +59,16 @@ def pairwise_similarity_matrix(
     return sim
 
 
-def pairwise_order(trees: list[DecisionTree], t_nodes: int = 4) -> list[int]:
+def pairwise_order(
+    trees: FlatForest | Sequence[DecisionTree], t_nodes: int = 4
+) -> list[int]:
     """Tree order from the exact pairwise similarity matrix.
 
     Uses the same greedy chaining as the LSH path so the two methods
     differ only in how similarity was computed.
     """
-    if len(trees) <= 1:
-        return list(range(len(trees)))
-    sim = pairwise_similarity_matrix(trees, t_nodes=t_nodes)
+    flat = FlatForest.build(trees)
+    if flat.n_trees <= 1:
+        return list(range(flat.n_trees))
+    sim = pairwise_similarity_matrix(flat, t_nodes=t_nodes)
     return order_trees_by_similarity(sim)

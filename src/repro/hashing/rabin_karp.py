@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["rabin_karp", "rabin_karp_rolling"]
+__all__ = ["rabin_karp", "rabin_karp_rolling", "rabin_karp_rows"]
 
 #: Default polynomial base and modulus (a large prime below 2^31 keeps the
 #: arithmetic exact in int64).
@@ -33,6 +33,20 @@ def rabin_karp(
     h = 0
     for s in symbols:
         h = (h * base + int(s) + 1) % modulus
+    return h
+
+
+def rabin_karp_rows(symbols: np.ndarray) -> np.ndarray:
+    """:func:`rabin_karp` (default polynomial) of every row of ``symbols``.
+
+    Hashes the last axis of an integer array in int64, one symbol column
+    at a time.  Exact for symbols below ``2**22`` (such as the 0/1 chunk
+    symbols): every intermediate then stays below ``2**63``.
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)
+    h = np.zeros(symbols.shape[:-1], dtype=np.int64)
+    for column in np.moveaxis(symbols, -1, 0):
+        h = (h * DEFAULT_BASE + column + 1) % DEFAULT_MODULUS
     return h
 
 

@@ -1,6 +1,6 @@
 """Tokenisation and SimHash (paper section 4.2, figure 3).
 
-The pipeline per tree:
+The pipeline, run over every tree of a forest at once:
 
 1. **Tokenisation** — every root→leaf path is cut into tokens of
    ``t_nodes`` consecutive nodes (consecutive tokens overlap by one node,
@@ -16,26 +16,43 @@ The pipeline per tree:
 2. **SimHash** — each token is hashed with SHA-1 to ``l_hash`` bits, each
    bit mapped to ±1, the vector weighted by the node probability of the
    token's last node, and all weighted vectors summed into the tree's
-   *checksum*.
+   *checksum*, token by token in content order.
 3. The checksum is **normalised** to a 0/1 vector (negative → 0) before
    the LSH stage.
+
+Windows start at depths ``0, s, 2s, ...`` with stride ``s = t_nodes - 1``,
+so a token is fixed by its last node alone: it ends at a node of depth
+``d`` (a multiple of ``s``, or a leaf) and starts at depth
+``s * floor((d - 1) / s)``, and its nodes' heap positions are ``p >> k``
+for the last node's position ``p``.  Tokens are therefore read off the
+flat forest arrays (:class:`~repro.trees.flat.FlatForest`) without
+walking any path, and each distinct token is hashed once per forest.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trees.tree import LEAF, DecisionTree
+from repro.trees.flat import FlatForest
+from repro.trees.tree import DecisionTree
 
 __all__ = [
+    "ForestTokens",
     "Token",
-    "tokenize_tree",
-    "token_bits",
-    "simhash_checksum",
+    "forest_checksums",
     "normalize_checksum",
+    "simhash_checksum",
+    "token_bits",
+    "tokenize_forest",
+    "tokenize_tree",
 ]
+
+#: Bits per SHA-1 digest.
+_SHA1_BITS = 160
 
 
 class Token:
@@ -56,41 +73,40 @@ class Token:
         return f"Token({self.content!r}, weight={self.weight:.3f})"
 
 
-def _heap_positions(tree: DecisionTree) -> np.ndarray:
-    """Structural (heap) position of every node: root=1, left=2p, right=2p+1.
+@dataclass
+class ForestTokens:
+    """Every tree's distinct tokens, grouped by tree in content order.
 
-    Positions exceeding int64 range cannot occur for depths < 62, which is
-    far beyond any practical tree.
+    Attributes:
+        contents: the forest's distinct token contents, sorted.
+        offsets: ``(n_trees + 1,)``; tree ``t``'s tokens are rows
+            ``offsets[t]:offsets[t + 1]``.
+        key: per token row, its index into ``contents`` (ascending within
+            a tree).
+        weight: per token row, the node probability of its last node.
     """
-    pos = np.zeros(tree.n_nodes, dtype=np.int64)
-    pos[0] = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            p = pos[node]
-            lo, hi = tree.left[node], tree.right[node]
-            if lo != LEAF:
-                pos[lo] = 2 * p
-                nxt.append(int(lo))
-            if hi != LEAF:
-                pos[hi] = 2 * p + 1
-                nxt.append(int(hi))
-        frontier = nxt
-    return pos
+
+    contents: list[bytes]
+    offsets: np.ndarray
+    key: np.ndarray
+    weight: np.ndarray
+
+    def of_tree(self, t: int) -> list[Token]:
+        """Tree ``t``'s tokens, in content order."""
+        a, b = self.offsets[t], self.offsets[t + 1]
+        return [
+            Token(self.contents[k], w)
+            for k, w in zip(self.key[a:b].tolist(), self.weight[a:b].tolist())
+        ]
 
 
-def tokenize_tree(
-    tree: DecisionTree, t_nodes: int = 4, include_features: bool = False
-) -> list[Token]:
-    """Split every root→leaf path into overlapping ``t_nodes``-node tokens.
-
-    Duplicate token contents are merged (keeping the maximum weight), since
-    shared path prefixes would otherwise be counted once per leaf and
-    drown out the deeper structure.
+def tokenize_forest(
+    forest: FlatForest | Sequence[DecisionTree], t_nodes: int = 4, include_features: bool = False
+) -> ForestTokens:
+    """Tokens of every tree (see the module docstring for the scheme).
 
     Args:
-        tree: tree to tokenise.
+        forest: flat forest or list of trees to tokenise.
         t_nodes: token length in nodes (paper default 4).
         include_features: also embed each node's attribute index in the
             token content (off by default — figure 3's tokens are purely
@@ -98,30 +114,65 @@ def tokenize_tree(
     """
     if t_nodes < 2:
         raise ValueError("t_nodes must be >= 2")
-    positions = _heap_positions(tree)
-    node_prob = tree.node_probabilities()
+    flat = FlatForest.build(forest)
     stride = t_nodes - 1
-    merged: dict[bytes, float] = {}
-    for path in tree.root_to_leaf_paths():
-        start = 0
-        while True:
-            window = path[start : start + t_nodes]
-            if not window:
-                break
-            parts = []
-            for node in window:
-                if include_features:
-                    parts.append(f"{positions[node]}:{int(tree.feature[node])}")
-                else:
-                    parts.append(str(positions[node]))
-            content = "|".join(parts).encode()
-            weight = float(node_prob[window[-1]])
-            if weight > merged.get(content, -1.0):
-                merged[content] = weight
-            if start + t_nodes >= len(path):
-                break
-            start += stride
-    return [Token(content, weight) for content, weight in sorted(merged.items())]
+    depth = flat.depth.astype(np.int64)
+    end = np.flatnonzero((depth >= 0) & (flat.is_leaf | ((depth > 0) & (depth % stride == 0))))
+    length = depth[end] - np.maximum((depth[end] - 1) // stride, 0) * stride + 1
+    # Column j holds the token's j-th node counted back from its last
+    # node (-1 once past its first), so a row reversed is the token.
+    shifts = np.arange(t_nodes, dtype=np.int64)
+    inside = shifts[None, :] < length[:, None]
+    rows = np.where(inside, flat.position[end][:, None] >> shifts[None, :], -1)
+    if include_features:
+        nodes = np.empty_like(rows)
+        nodes[:, 0] = end
+        for j in range(1, t_nodes):
+            nodes[:, j] = flat.parent[nodes[:, j - 1]]
+        features = np.where(inside, flat.feature[nodes], -1)
+        rows = np.concatenate([rows, features], axis=1)
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    else:
+        # The last node's position alone fixes a positional token.
+        _, first, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+        distinct = rows[first]
+    contents = []
+    for row in distinct.tolist():
+        positions = [p for p in row[:t_nodes] if p >= 0][::-1]
+        if include_features:
+            parts = [f"{p}:{f}" for p, f in zip(positions, row[t_nodes:][: len(positions)][::-1])]
+        else:
+            parts = map(str, positions)
+        contents.append("|".join(parts).encode())
+    order = sorted(range(len(contents)), key=contents.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    key = rank[inverse.ravel()]
+    tree = flat.tree_of[end]
+    sort = np.argsort(tree * len(order) + key)
+    offsets = np.zeros(flat.n_trees + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tree, minlength=flat.n_trees), out=offsets[1:])
+    return ForestTokens(
+        contents=[contents[i] for i in order],
+        offsets=offsets,
+        key=key[sort],
+        weight=flat.node_prob[end][sort],
+    )
+
+
+def tokenize_tree(
+    tree: DecisionTree, t_nodes: int = 4, include_features: bool = False
+) -> list[Token]:
+    """One tree's tokens, sorted by content (see :func:`tokenize_forest`)."""
+    return tokenize_forest([tree], t_nodes, include_features).of_tree(0)
+
+
+def _digest(content: bytes, blocks: int) -> bytes:
+    """``blocks`` SHA-1 digests: of ``content``, then of ``content || i``."""
+    out = hashlib.sha1(content).digest()
+    for block in range(1, blocks):
+        out += hashlib.sha1(content + block.to_bytes(4, "little")).digest()
+    return out
 
 
 def token_bits(content: bytes, l_hash: int) -> np.ndarray:
@@ -133,32 +184,45 @@ def token_bits(content: bytes, l_hash: int) -> np.ndarray:
     """
     if l_hash <= 0:
         raise ValueError("l_hash must be positive")
-    digest = b""
-    block = 0
-    while len(digest) * 8 < l_hash:
-        h = hashlib.sha1()
-        h.update(content)
-        if block:
-            h.update(block.to_bytes(4, "little"))
-        digest += h.digest()
-        block += 1
-    bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[:l_hash]
-    return bits.astype(np.int8)
+    digest = _digest(content, -(-l_hash // _SHA1_BITS))
+    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[:l_hash].astype(np.int8)
 
 
-def simhash_checksum(
-    tree: DecisionTree, t_nodes: int = 4, l_hash: int = 128
-) -> np.ndarray:
+def forest_checksums(tokens: ForestTokens, l_hash: int = 128) -> np.ndarray:
+    """``(n_trees, l_hash)`` SimHash checksums: per tree, the weighted ±1
+    sum over its tokens in content order.
+
+    Each distinct content is hashed once.  The sum runs token rank by
+    token rank over all trees at once, so every tree adds its tokens in
+    the same order as a sequential per-tree loop (bit-identical floats).
+    """
+    if l_hash <= 0:
+        raise ValueError("l_hash must be positive")
+    blocks = -(-l_hash // _SHA1_BITS)
+    digests = b"".join(_digest(content, blocks) for content in tokens.contents)
+    bits = np.unpackbits(
+        np.frombuffer(digests, dtype=np.uint8).reshape(len(tokens.contents), -1), axis=1
+    )
+    signs = bits[:, :l_hash].astype(np.float64) * 2.0 - 1.0
+    counts = np.diff(tokens.offsets)
+    by_count = np.argsort(-counts, kind="stable")
+    live = np.searchsorted(-counts[by_count], -np.arange(counts.max(initial=0)))
+    acc = np.zeros((counts.shape[0], l_hash), dtype=np.float64)
+    for rank, n_live in enumerate(live.tolist()):
+        rows = tokens.offsets[by_count[:n_live]] + rank
+        acc[:n_live] += tokens.weight[rows, None] * signs[tokens.key[rows]]
+    checksums = np.empty_like(acc)
+    checksums[by_count] = acc
+    return checksums
+
+
+def simhash_checksum(tree: DecisionTree, t_nodes: int = 4, l_hash: int = 128) -> np.ndarray:
     """SimHash checksum of a tree: the weighted ±1 sum over all tokens.
 
     Paper defaults: ``t_nodes=4``, ``l_hash=128`` (section 7.1).
     Returns a float64 vector of length ``l_hash``.
     """
-    checksum = np.zeros(l_hash, dtype=np.float64)
-    for token in tokenize_tree(tree, t_nodes=t_nodes):
-        signs = token_bits(token.content, l_hash).astype(np.float64) * 2.0 - 1.0
-        checksum += token.weight * signs
-    return checksum
+    return forest_checksums(tokenize_forest([tree], t_nodes), l_hash)[0]
 
 
 def normalize_checksum(checksum: np.ndarray) -> np.ndarray:

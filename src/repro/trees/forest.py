@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.trees.flat import FlatForest
 from repro.trees.tree import DecisionTree
 
 __all__ = ["Forest"]
@@ -94,13 +95,15 @@ class Forest:
         return sum(tree.n_nodes for tree in self.trees)
 
     def max_depth(self) -> int:
-        return max(tree.depth() for tree in self.trees)
+        return int(self.tree_depths().max())
 
     def mean_depth(self) -> float:
-        return float(np.mean([tree.depth() for tree in self.trees]))
+        return float(np.mean(self.tree_depths()))
 
     def tree_depths(self) -> np.ndarray:
-        return np.array([tree.depth() for tree in self.trees], dtype=np.int32)
+        """Depth of every tree, from one pass over the whole forest."""
+        flat = FlatForest.build(self)
+        return np.maximum.reduceat(flat.depth, flat.offsets[:-1])
 
     @property
     def tree_class(self) -> np.ndarray:

@@ -36,14 +36,90 @@ The layout is intentionally decoupled from any on-GPU storage format —
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DecisionTree", "LEAF"]
+__all__ = ["DecisionTree", "LEAF", "Levels", "edge_probabilities", "level_pass"]
 
 #: Sentinel used in ``feature``/``left``/``right`` for leaves.
 LEAF = -1
+
+
+def edge_probabilities(
+    left: np.ndarray, right: np.ndarray, is_leaf: np.ndarray, visit_count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(p_left, p_right)`` per node from visit counts.
+
+    ``p_left[i] = visit_count[left[i]] / visit_count[i]`` at decision
+    nodes; leaves get 0 and never-visited decision nodes 0.5/0.5.
+    ``left``/``right`` index ``visit_count`` directly.
+    """
+    p_left = np.zeros(is_leaf.shape[0], dtype=np.float64)
+    p_right = np.zeros(is_leaf.shape[0], dtype=np.float64)
+    idx = np.flatnonzero(~is_leaf)
+    total = visit_count[idx]
+    visited = total > 0
+    safe = np.where(visited, total, 1)
+    p_left[idx] = np.where(visited, visit_count[left[idx]] / safe, 0.5)
+    p_right[idx] = np.where(visited, visit_count[right[idx]] / safe, 0.5)
+    return p_left, p_right
+
+
+class Levels(NamedTuple):
+    """Output of :func:`level_pass`: each level's node ids, and per node
+    its parent (-1 at roots), depth (-1 when unreachable), heap position
+    (root = 1, children of ``p`` at ``2p``/``2p + 1``) and probability."""
+
+    levels: list[np.ndarray]
+    parent: np.ndarray
+    depth: np.ndarray
+    position: np.ndarray
+    node_prob: np.ndarray | None
+
+
+def level_pass(
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray | Sequence[int],
+    p_left: np.ndarray | None = None,
+    p_right: np.ndarray | None = None,
+) -> Levels:
+    """Walk every tree level by level from ``roots`` at once.
+
+    Each level lists its nodes' children in ``(left, right)`` order.
+    Node probabilities are computed only when edge probabilities are
+    given.
+    """
+    n = left.shape[0]
+    parent = np.full(n, -1, dtype=np.int64)
+    depth = np.full(n, -1, dtype=np.int32)
+    position = np.zeros(n, dtype=np.int64)
+    node_prob = None if p_left is None else np.zeros(n, dtype=np.float64)
+    frontier = np.asarray(roots, dtype=np.int64)
+    depth[frontier] = 0
+    position[frontier] = 1
+    if node_prob is not None:
+        node_prob[frontier] = 1.0
+    levels = []
+    while frontier.size:
+        if len(levels) > n:
+            raise ValueError("child pointers form a cycle")
+        levels.append(frontier)
+        kids = np.stack([left[frontier], right[frontier]], axis=1).ravel()
+        keep = kids != LEAF
+        kids = kids[keep].astype(np.int64)
+        par = np.repeat(frontier, 2)[keep]
+        is_right = np.tile(np.array([False, True]), frontier.size)[keep]
+        parent[kids] = par
+        depth[kids] = depth[par] + 1
+        position[kids] = 2 * position[par] + is_right
+        if node_prob is not None:
+            node_prob[kids] = node_prob[par] * np.where(is_right, p_right[par], p_left[par])
+        frontier = kids
+    return Levels(levels, parent, depth, position, node_prob)
 
 
 @dataclass
@@ -139,28 +215,12 @@ class DecisionTree:
         return int(depths.max()) if depths.size else 0
 
     def node_depths(self) -> np.ndarray:
-        """Depth of every node (root = 0), computed by BFS."""
-        depths = np.full(self.n_nodes, -1, dtype=np.int32)
-        depths[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for child in (self.left[node], self.right[node]):
-                    if child != LEAF:
-                        depths[child] = depths[node] + 1
-                        nxt.append(int(child))
-            frontier = nxt
-        return depths
+        """Depth of every node (root = 0)."""
+        return level_pass(self.left, self.right, [0]).depth
 
     def parents(self) -> np.ndarray:
         """Parent index of every node (root gets -1)."""
-        parent = np.full(self.n_nodes, -1, dtype=np.int32)
-        for node in range(self.n_nodes):
-            for child in (self.left[node], self.right[node]):
-                if child != LEAF:
-                    parent[child] = node
-        return parent
+        return level_pass(self.left, self.right, [0]).parent.astype(np.int32)
 
     # ------------------------------------------------------------------
     # Probabilities (paper section 2)
@@ -172,18 +232,7 @@ class DecisionTree:
         ``i`` takes the left edge, estimated from training visit counts.
         Leaves get 0.  Nodes never visited during training get 0.5/0.5.
         """
-        p_left = np.zeros(self.n_nodes, dtype=np.float64)
-        p_right = np.zeros(self.n_nodes, dtype=np.float64)
-        decision = ~self.is_leaf
-        idx = np.nonzero(decision)[0]
-        for i in idx:
-            total = self.visit_count[i]
-            if total <= 0:
-                p_left[i] = p_right[i] = 0.5
-            else:
-                p_left[i] = self.visit_count[self.left[i]] / total
-                p_right[i] = self.visit_count[self.right[i]] / total
-        return p_left, p_right
+        return edge_probabilities(self.left, self.right, self.is_leaf, self.visit_count)
 
     def node_probabilities(self) -> np.ndarray:
         """Probability that each node is visited (root = 1.0).
@@ -192,22 +241,7 @@ class DecisionTree:
         by construction equals ``visit_count[i] / visit_count[0]`` when
         counts are consistent.
         """
-        prob = np.zeros(self.n_nodes, dtype=np.float64)
-        prob[0] = 1.0
-        p_left, p_right = self.edge_probabilities()
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                lo, hi = self.left[node], self.right[node]
-                if lo != LEAF:
-                    prob[lo] = prob[node] * p_left[node]
-                    nxt.append(int(lo))
-                if hi != LEAF:
-                    prob[hi] = prob[node] * p_right[node]
-                    nxt.append(int(hi))
-            frontier = nxt
-        return prob
+        return level_pass(self.left, self.right, [0], *self.edge_probabilities()).node_prob
 
     # ------------------------------------------------------------------
     # Prediction
@@ -263,16 +297,7 @@ class DecisionTree:
     # ------------------------------------------------------------------
     def level_order(self) -> list[list[int]]:
         """Node ids grouped by depth (BFS levels), children in (left, right) order."""
-        levels: list[list[int]] = [[0]]
-        while True:
-            nxt: list[int] = []
-            for node in levels[-1]:
-                for child in (self.left[node], self.right[node]):
-                    if child != LEAF:
-                        nxt.append(int(child))
-            if not nxt:
-                return levels
-            levels.append(nxt)
+        return [level.tolist() for level in level_pass(self.left, self.right, [0]).levels]
 
     def root_to_leaf_paths(self) -> list[list[int]]:
         """All root→leaf paths as lists of node ids (preorder of leaves)."""
@@ -340,24 +365,27 @@ class DecisionTree:
             if cat.any() and int(ends.max()) > self.cat_bits.shape[0]:
                 raise ValueError("categorical bitset extends past cat_bits pool")
         is_leaf = self.is_leaf
-        for node in range(n):
-            lo, hi = int(self.left[node]), int(self.right[node])
-            if is_leaf[node]:
-                if lo != LEAF or hi != LEAF:
-                    raise ValueError(f"leaf {node} has children ({lo}, {hi})")
-            else:
-                if not (0 <= lo < n and 0 <= hi < n):
-                    raise ValueError(f"node {node} has out-of-range child ({lo}, {hi})")
-                if lo == node or hi == node:
-                    raise ValueError(f"node {node} is its own child")
-                if self.feature[node] < 0:
-                    raise ValueError(f"decision node {node} has negative feature index")
+        lo, hi = self.left, self.right
+        decision = ~is_leaf
+        nodes = np.arange(n, dtype=np.int32)
+        checks = (
+            (is_leaf & ((lo != LEAF) | (hi != LEAF)), "leaf {node} has children ({lo}, {hi})"),
+            (
+                # As unsigned, a negative child is out of range too.
+                decision & ((lo.view(np.uint32) >= n) | (hi.view(np.uint32) >= n)),
+                "node {node} has out-of-range child ({lo}, {hi})",
+            ),
+            (decision & ((lo == nodes) | (hi == nodes)), "node {node} is its own child"),
+            (decision & (self.feature < 0), "decision node {node} has negative feature index"),
+        )
+        failing = np.logical_or.reduce([mask for mask, _ in checks])
+        if failing.any():
+            node = int(np.argmax(failing))
+            message = next(msg for mask, msg in checks if mask[node])
+            raise ValueError(message.format(node=node, lo=int(lo[node]), hi=int(hi[node])))
         # Every non-root node must be reachable exactly once (tree, not DAG).
-        seen = np.zeros(n, dtype=np.int32)
-        for node in range(n):
-            for child in (self.left[node], self.right[node]):
-                if child != LEAF:
-                    seen[child] += 1
+        children = np.concatenate([lo[decision], hi[decision]])
+        seen = np.bincount(children, minlength=n)
         if seen[0] != 0:
             raise ValueError("root has a parent")
         bad = np.nonzero(seen[1:] != 1)[0] + 1

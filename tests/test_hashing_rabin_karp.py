@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hashing.rabin_karp import rabin_karp, rabin_karp_rolling
+from repro.hashing.rabin_karp import rabin_karp, rabin_karp_rolling, rabin_karp_rows
 
 
 class TestRabinKarp:
@@ -31,6 +31,15 @@ class TestRabinKarp:
         base, mod = 10, 10**9
         # symbols shifted by one: [2, 3] -> (2+1)*10 + (3+1) = 34
         assert rabin_karp([2, 3], base=base, modulus=mod) == 34
+
+
+class TestRows:
+    def test_each_row_matches_scalar_hash(self):
+        symbols = np.random.default_rng(0).integers(0, 2, size=(5, 3, 40))
+        rows = rabin_karp_rows(symbols)
+        assert rows.shape == (5, 3)
+        for idx in np.ndindex(5, 3):
+            assert rows[idx] == rabin_karp(symbols[idx])
 
 
 class TestRolling:
