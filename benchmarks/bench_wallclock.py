@@ -16,6 +16,11 @@ Scenarios:
 * ``convert/fig5-all`` — conversion stages 1-4 (``convert_forest`` with
   the paper defaults) of all fifteen fig5 forests, cold each repeat;
   ``throughput_trees_per_s`` is its tracked rate.
+* ``serve/letter-single-replay`` — the serving hot path: a native
+  ``TahoeServer`` (``SchedulerConfig(backend="native")`` defaults) on the
+  fig5 letter forest, N one-row requests scripted at 50k req/s through
+  one ``run()`` call per repeat (requests are built outside the timed
+  call); ``requests_per_s`` is its tracked rate.
 
 Each scenario key embeds its workload size, so quick-mode (CI) and
 full-mode (local) numbers coexist in ``BENCH_wallclock.json`` and are
@@ -62,6 +67,7 @@ from repro.formats import build_adaptive_layout
 from repro.formats.tree_rearrange import round_robin_assignment
 from repro.gpusim.specs import GPU_SPECS
 from repro.gpusim.trace import trace_sample_parallel, trace_tree_parallel
+from repro.serving import InferenceRequest, SchedulerConfig, TahoeServer
 from repro.trees import RandomForestTrainer
 from repro.trees.io import forest_from_dict, forest_to_dict
 
@@ -97,6 +103,29 @@ def _quartiles(fn, repeats: int) -> tuple[float, float, float]:
         fn()
         times.append(time.perf_counter() - t0)
     q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return float(q1), float(median), float(q3)
+
+
+def serve_replay(n: int, repeats: int) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` wall seconds of one ``run()`` over ``n``
+    one-row native requests arriving at 50k req/s."""
+    trained = common.workload("letter")
+    pool = np.ascontiguousarray(trained.split.test.X)
+    server = TahoeServer(
+        trained.forest, GPU_SPECS["P100"], scheduler=SchedulerConfig(backend="native")
+    )
+    rows = np.random.default_rng(11).integers(0, pool.shape[0], n)
+    times = []
+    for repeat in range(repeats + 1):  # the first burst warms up
+        origin = 10.0 * repeat
+        requests = [
+            InferenceRequest(repeat * n + k, pool[row : row + 1], origin + k / 50_000.0)
+            for k, row in enumerate(rows.tolist())
+        ]
+        t0 = time.perf_counter()
+        server.run(requests)
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = np.percentile(times[1:], [25, 50, 75])
     return float(q1), float(median), float(q3)
 
 
@@ -153,6 +182,19 @@ def run_scenarios(quick: bool) -> dict:
         "mode": "quick" if quick else "full",
     }
     _print("convert/fig5-all", q1, wall, q3)
+    n_serve = 2000 if quick else 12_500
+    key = f"serve/letter-single-replay/n{n_serve}"
+    q1, wall, q3 = serve_replay(n_serve, repeats)
+    out[key] = {
+        "wall_s": wall,
+        "wall_s_q1": q1,
+        "wall_s_q3": q3,
+        "requests_per_s": n_serve / wall,
+        "requests": n_serve,
+        "repeats": repeats,
+        "mode": "quick" if quick else "full",
+    }
+    _print(key, q1, wall, q3)
     return out
 
 

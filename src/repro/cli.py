@@ -472,6 +472,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     result = server.run(requests, report=True)
     s = result.summary
+    layers = dict(server.wall_layers(), time_domain="wall")
     scenario = (
         f"serving/{args.dataset}/{args.gpu}/qps{args.qps:g}x{args.burst_factor:g}"
         f"/d{args.duration:g}/e{args.n_engines}/{args.backend}"
@@ -505,6 +506,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "explain_fraction": args.explain_fraction,
         },
         "summary": s,
+        "layers": layers,
     }
     if args.explain_fraction > 0.0:
         payload_body["explain"] = {"completed_explain_requests": n_explained}
@@ -554,6 +556,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"queue wait p50 {wait['p50'] * 1e3:.3f} ms  p95 {wait['p95'] * 1e3:.3f} ms  "
         f"p99 {wait['p99'] * 1e3:.3f} ms"
+    )
+    print(
+        f"wall layers of run() ({layers['run_s'] * 1e3:.1f} ms, "
+        f"{layers['coverage']:.1%} accounted): "
+        + ", ".join(f"{k} {v * 1e3:.1f} ms" for k, v in layers["parts_s"].items())
     )
     if s.get("slo"):
         slo_s = s["slo"]

@@ -178,6 +178,8 @@ def flatten_numeric(value, prefix: str = "") -> dict[str, float]:
 def classify_metric(path: str) -> str:
     """``"lower"`` / ``"higher"`` / ``"info"`` for one dotted metric path."""
     lowered = path.lower()
+    if lowered.endswith("requests_per_s"):
+        return "higher"  # a served rate, not the request count "requests" marks
     for token in _INFO_TOKENS:
         if token in lowered:
             return "info"

@@ -23,6 +23,8 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.streaming import StreamingHistogram
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -36,6 +38,8 @@ _TRAFFIC_CLASSES = (
     "shared_read",
     "shared_write",
 )
+#: The per-class quantities :meth:`MetricsRegistry.record_traffic` folds.
+_TRAFFIC_FIELDS = ("requested_bytes", "fetched_bytes", "transactions", "accesses")
 
 
 @dataclass
@@ -91,6 +95,23 @@ class Histogram:
             value = float(value)
             for _ in range(count):
                 insort(self._sorted, value)
+
+    def observe_many(self, values) -> None:
+        """Record every value of ``values``: the same state as a loop of
+        :meth:`observe`, from one vectorised pass in streaming mode."""
+        if self._stream is not None:
+            self._stream.observe_many(values)
+        else:
+            for value in np.asarray(values, dtype=np.float64).ravel().tolist():
+                insort(self._sorted, value)
+
+    def copy(self) -> Histogram:
+        """An independent twin with the same observations."""
+        twin = Histogram.__new__(Histogram)
+        twin.name, twin.help, twin.raw = self.name, self.help, self.raw
+        twin._stream = None if self._stream is None else self._stream.copy()
+        twin._sorted = list(self._sorted)
+        return twin
 
     @property
     def observations(self) -> list[float]:
@@ -197,6 +218,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        # (prefix, traffic class) -> its four counters, resolved once.
+        self._traffic: dict[tuple[str, str], tuple[Counter, ...]] = {}
 
     def _get(self, name: str, kind, help: str):
         metric = self._metrics.get(name)
@@ -208,6 +231,10 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as {type(metric).__name__}"
             )
         return metric
+
+    def get(self, name: str) -> Counter | Gauge | Histogram | None:
+        """The metric registered as ``name``, without creating it."""
+        return self._metrics.get(name)
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(name, Counter, help)
@@ -244,11 +271,16 @@ class MetricsRegistry:
             mc = getattr(counters, cls, None)
             if mc is None:
                 continue
-            base = f"{prefix}.{cls}"
-            self.counter(f"{base}.requested_bytes").inc(mc.requested_bytes)
-            self.counter(f"{base}.fetched_bytes").inc(mc.fetched_bytes)
-            self.counter(f"{base}.transactions").inc(mc.transactions)
-            self.counter(f"{base}.accesses").inc(mc.accesses)
+            handles = self._traffic.get((prefix, cls))
+            if handles is None:
+                handles = tuple(
+                    self.counter(f"{prefix}.{cls}.{field}") for field in _TRAFFIC_FIELDS
+                )
+                self._traffic[(prefix, cls)] = handles
+            for counter, field in zip(handles, _TRAFFIC_FIELDS):
+                amount = getattr(mc, field)
+                if amount:
+                    counter.inc(amount)
         forest = getattr(counters, "forest_global", None)
         if forest is not None and forest.fetched_bytes:
             self.histogram(
@@ -283,3 +315,4 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._metrics.clear()
+        self._traffic.clear()

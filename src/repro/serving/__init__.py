@@ -49,7 +49,9 @@ from repro.serving.api import (
 )
 from repro.serving.population import UserPopulationWorkload
 from repro.serving.request import (
+    ENGINE_ERROR,
     REJECTED_DEADLINE,
+    REJECTED_INVALID,
     REJECTED_QUEUE_FULL,
     REJECTED_SHARD_OVERLOADED,
     InferenceRequest,
@@ -69,7 +71,9 @@ from repro.serving.workload import (
 )
 
 __all__ = [
+    "ENGINE_ERROR",
     "REJECTED_DEADLINE",
+    "REJECTED_INVALID",
     "REJECTED_QUEUE_FULL",
     "REJECTED_SHARD_OVERLOADED",
     "WORKLOADS",

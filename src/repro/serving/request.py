@@ -14,14 +14,16 @@ carries healthy neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "ENGINE_ERROR",
     "KIND_EXPLAIN",
     "KIND_PREDICT",
     "REJECTED_DEADLINE",
+    "REJECTED_INVALID",
     "REJECTED_QUEUE_FULL",
     "REJECTED_SHARD_OVERLOADED",
     "InferenceRequest",
@@ -33,6 +35,11 @@ __all__ = [
 REJECTED_QUEUE_FULL = "queue_full"
 REJECTED_DEADLINE = "deadline_exceeded"
 REJECTED_SHARD_OVERLOADED = "shard_overloaded"
+#: The request's sample block does not fit the served model (wrong
+#: dimensionality or column count) — refused at admission.
+REJECTED_INVALID = "invalid_request"
+#: The engine raised while running the request's micro-batch.
+ENGINE_ERROR = "engine_error"
 
 #: Request kinds (the only values ``InferenceRequest.kind`` takes).
 KIND_PREDICT = "predict"
@@ -71,6 +78,7 @@ class InferenceRequest:
             requests ask for exact SHAP attributions instead of
             predictions.  The scheduler coalesces kind-homogeneous
             micro-batches only (the two kinds run different kernels).
+        n_samples: rows in ``X`` (derived once, at construction).
     """
 
     request_id: int
@@ -81,6 +89,7 @@ class InferenceRequest:
     model: str | None = None
     user: int | None = None
     kind: str = KIND_PREDICT
+    n_samples: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float32)
@@ -92,10 +101,7 @@ class InferenceRequest:
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.trace_id is None:
             self.trace_id = f"req-{self.request_id:08d}"
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.X.shape[0])
+        self.n_samples = int(self.X.shape[0])
 
 
 @dataclass

@@ -44,10 +44,12 @@ the §6 predicted one — real throughput, same scheduler.
 
 from __future__ import annotations
 
+import time
 from collections import Counter as TallyCounter
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,7 +69,9 @@ from repro.perfmodel.notation import HardwareParams
 from repro.perfmodel.selector import rank_strategies
 from repro.serving.api import PolicyConfig, SchedulerConfig, materialize_workload
 from repro.serving.request import (
+    ENGINE_ERROR,
     REJECTED_DEADLINE,
+    REJECTED_INVALID,
     REJECTED_QUEUE_FULL,
     InferenceRequest,
     InferenceResponse,
@@ -83,8 +87,26 @@ __all__ = ["SchedulerConfig", "ServingResult", "TahoeServer"]
 #: themselves always carry their own trace regardless).
 MAX_REPORT_TRACES = 2000
 
+#: Wall-clock layers of the serving loop, each accumulated into a
+#: ``serving.wall.<layer>_seconds`` counter next to ``run_seconds``:
+#: ``admission`` — :meth:`TahoeServer.run`'s arrival loop (submit,
+#: validation, admission control) outside the dispatches it triggers;
+#: per dispatch, ``assembly`` (dequeue, deadline filter, concatenate),
+#: ``engine`` (the engine call's outer wall), ``telemetry`` (latency and
+#: wait accounting, histograms, counters, batch records) and ``fanout``
+#: (per-request responses and traces); ``result`` — the run's closing
+#: summary capture, report and response ordering.
+WALL_LAYERS = ("admission", "assembly", "engine", "telemetry", "fanout", "result")
 
-@dataclass
+#: The counter each kind of error response increments.
+_REFUSAL_COUNTERS = {
+    REJECTED_QUEUE_FULL: "serving.rejected.queue_full",
+    REJECTED_DEADLINE: "serving.rejected.deadline",
+    REJECTED_INVALID: "serving.rejected.invalid_request",
+    ENGINE_ERROR: "serving.engine_errors",
+}
+
+
 class ServingResult:
     """Outcome of one :meth:`TahoeServer.run` call.
 
@@ -92,12 +114,29 @@ class ServingResult:
         responses: one per submitted request, submission order.
         summary: JSON-ready aggregate statistics (latency quantiles,
             batch-size histogram, rejection/deadline counters, cache).
+            Built on first read from what the run froze at its end, so
+            it equals what an eager summary would have returned then,
+            and a caller that never reads it never pays for it.
         report: the serving run's :class:`RunReport`.
     """
 
-    responses: list[InferenceResponse]
-    summary: dict
-    report: RunReport | None = None
+    __slots__ = ("responses", "report", "_summary")
+
+    def __init__(
+        self,
+        responses: list[InferenceResponse],
+        summary: dict | Callable[[], dict],
+        report: RunReport | None = None,
+    ) -> None:
+        self.responses = responses
+        self.report = report
+        self._summary = summary
+
+    @property
+    def summary(self) -> dict:
+        if callable(self._summary):
+            self._summary = self._summary()
+        return self._summary
 
     @property
     def completed(self) -> list[InferenceResponse]:
@@ -218,6 +257,16 @@ class TahoeServer:
         self._clock = 0.0
         self._responses: list[InferenceResponse] = []
         self._pending: list[InferenceRequest] = []
+        self._row_shape = self._model_row_shape()
+        # Per-arrival accounting buffered until the next fold: the queue
+        # depth each arrival saw (one histogram pass per run, not one
+        # update per request) and the wall seconds of each layer.
+        self._arrival_depths: list[int] = []
+        self._wall = dict.fromkeys(WALL_LAYERS + ("run",), 0.0)
+
+    def _model_row_shape(self) -> tuple[int]:
+        """The ``X.shape[1:]`` every request for the active model must have."""
+        return (int(self.engines[0].forest.n_attributes),)
 
     # ------------------------------------------------------------------
     # Model store: staging and hot swap
@@ -331,6 +380,7 @@ class TahoeServer:
             raise ValueError(f"version {version} is not staged")
         previous = self._active_version
         self.engines = engines  # the swap: queued work now lands here
+        self._row_shape = self._model_row_shape()
         self._active_version = self.registry.get(self.model_name, version)
         event = self.registry.activate(self.model_name, version, at_time=now)
         new_key = self._version_key(self._active_version)
@@ -414,40 +464,39 @@ class TahoeServer:
 
         Advances the simulated clock to the arrival (forced flushes
         whose max-wait expires first happen first, in simulated-time
-        order), applies bounded-queue admission, and dispatches any
-        batches the arrival completes.  Returns the structured rejection
-        response when admission fails; ``None`` when the request is
-        queued — its response is produced by a later dispatch and
-        collected by :meth:`run`.
+        order), checks the request's shape against the active model,
+        applies bounded-queue admission, and dispatches any batches the
+        arrival completes.  Returns the structured rejection response
+        when the request is malformed or admission fails; ``None`` when
+        the request is queued — its response is produced by a later
+        dispatch and collected by :meth:`run`.
         """
-        metrics = self.recorder.metrics
-        self._flush_due(request.arrival_time, self._responses)
-        self._clock = max(self._clock, request.arrival_time)
-        metrics.histogram(
-            "serving.queue_depth", help="queued requests at each arrival"
-        ).observe(len(self._queue))
-        metrics.counter("serving.requests_total").inc()
-        if len(self._queue) >= self.config.max_queue:
-            metrics.counter("serving.rejected.queue_full").inc()
-            rejection = InferenceResponse(
-                request_id=request.request_id,
-                predictions=None,
-                arrival_time=request.arrival_time,
-                completion_time=self._clock,
-                error=ServingError(
-                    REJECTED_QUEUE_FULL,
-                    f"queue at capacity ({self.config.max_queue} requests)",
-                ),
-                trace=self._reject_trace(request, self._clock, REJECTED_QUEUE_FULL),
+        queue = self._queue
+        arrival = request.arrival_time
+        if queue and queue[0].arrival_time + self.config.max_wait <= arrival:
+            self._flush_due(arrival)
+        if arrival > self._clock:
+            self._clock = arrival
+        self._arrival_depths.append(len(queue))
+        if request.X.shape[1:] != self._row_shape:
+            return self._refuse(
+                request,
+                self._clock,
+                REJECTED_INVALID,
+                f"request rows have shape {request.X.shape[1:]}, the model "
+                f"takes {self._row_shape}",
             )
-            self._responses.append(rejection)
-            if self.slo is not None:
-                self.slo.observe(now=self._clock, ok=False)
-            return rejection
-        self._queue.append(request)
+        if len(queue) >= self.config.max_queue:
+            return self._refuse(
+                request,
+                self._clock,
+                REJECTED_QUEUE_FULL,
+                f"queue at capacity ({self.config.max_queue} requests)",
+            )
+        queue.append(request)
         self._queued_samples += request.n_samples
         while self._queued_samples >= self.target_batch:
-            self._dispatch(self._clock, self._responses)
+            self._dispatch(self._clock)
         return None
 
     def run(
@@ -466,57 +515,110 @@ class TahoeServer:
         the queue drains fully; otherwise the clock stops at ``until``
         (due flushes applied, later arrivals held for the next call).
         Returns one response per request this call resolved (successes
-        and structured rejections alike).
+        and structured rejections alike); the result's ``summary`` is
+        built when first read.
         """
+        wall = self._wall
+        t_start = time.perf_counter()
+        dispatched = self._dispatch_seconds()
         mark = len(self._responses)
         requests = self._pending + materialize_workload(workload, until)
         self._pending = []
-        requests.sort(key=lambda r: r.arrival_time)
+        requests.sort(key=attrgetter("arrival_time"))
         for req in requests:
             if until is not None and req.arrival_time > until:
                 self._pending.append(req)
                 continue
             self.submit(req)
+        t_admitted = time.perf_counter()
+        wall["admission"] += max(
+            0.0, t_admitted - t_start - (self._dispatch_seconds() - dispatched)
+        )
         if until is None:
             # Drain: whatever is still queued flushes at its max-wait point.
             while self._queue:
                 due = self._queue[0].arrival_time + self.config.max_wait
-                self._dispatch(max(self._clock, due), self._responses)
+                self._dispatch(max(self._clock, due))
         else:
-            self._flush_due(until, self._responses)
+            self._flush_due(until)
             self._clock = max(self._clock, until)
+        t_result = time.perf_counter()
         responses = self._responses[mark:]
-        summary = self.summary(responses)
+        summary = partial(_summarize, responses, self._freeze())
         run_report = None
         if report:
+            summary = summary()
             n_ok = int(sum(r.predictions.shape[0] for r in responses if r.ok))
             run_report = self.build_report(
                 n_samples=n_ok, serving_summary=summary, responses=responses
             )
-        responses = sorted(responses, key=lambda r: r.request_id)
-        return ServingResult(responses=responses, summary=summary, report=run_report)
+        result = ServingResult(
+            responses=sorted(responses, key=attrgetter("request_id")),
+            summary=summary,
+            report=run_report,
+        )
+        t_end = time.perf_counter()
+        wall["result"] += t_end - t_result
+        wall["run"] += t_end - t_start
+        self._fold()
+        return result
 
-    def _flush_due(self, until: float, responses: list[InferenceResponse]) -> None:
+    def _dispatch_seconds(self) -> float:
+        """Wall seconds spent in dispatches since the last fold."""
+        wall = self._wall
+        return wall["assembly"] + wall["engine"] + wall["telemetry"] + wall["fanout"]
+
+    def _fold(self) -> None:
+        """Fold buffered per-arrival accounting and layer wall seconds
+        into the metrics registry (once per :meth:`run`)."""
+        metrics = self.recorder.metrics
+        depths = self._arrival_depths
+        if depths:
+            metrics.counter("serving.requests_total").inc(len(depths))
+            metrics.histogram(
+                "serving.queue_depth", help="queued requests at each arrival"
+            ).observe_many(depths)
+            self._arrival_depths = []
+        wall = self._wall
+        for layer, seconds in wall.items():
+            if seconds:
+                metrics.counter(
+                    f"serving.wall.{layer}_seconds",
+                    help=f"measured wall seconds in the serving {layer} layer",
+                ).inc(seconds)
+                wall[layer] = 0.0
+
+    def _flush_due(self, until: float) -> None:
         """Dispatch every queued group whose max-wait expires by ``until``."""
         while self._queue:
             due = self._queue[0].arrival_time + self.config.max_wait
             if due > until:
                 break
-            self._dispatch(due, responses)
+            self._dispatch(due)
 
-    def _dispatch(self, now: float, responses: list[InferenceResponse]) -> None:
-        """Coalesce the queue head into one micro-batch and run it."""
+    def _dispatch(self, now: float) -> None:
+        """Coalesce the queue head into one micro-batch and run it.
+
+        Per-batch work happens once per batch: latencies, waits and the
+        deadline-miss mask are numpy arrays over the batch, each
+        histogram takes one :meth:`~repro.obs.metrics.Histogram.observe_many`,
+        and counters move once.  The per-request loop only slices
+        predictions and builds responses and traces.
+        """
         if not self._queue:
             return
+        wall = self._wall
+        t0 = time.perf_counter()
         # Scheduled hot swaps land here: between batches, so a batch is
         # never split across model versions.
         self._apply_due_swaps(now)
         metrics = self.recorder.metrics
         batch: list[InferenceRequest] = []
         total = 0
+        max_batch = self.config.max_batch
         while self._queue:
             nxt = self._queue[0]
-            if batch and total + nxt.n_samples > self.config.max_batch:
+            if batch and total + nxt.n_samples > max_batch:
                 break
             # Kind-homogeneous coalescing: predict and explain requests
             # run different kernels, so a micro-batch never mixes them —
@@ -530,44 +632,51 @@ class TahoeServer:
                 break
         # Deadline admission: anything already expired is rejected with a
         # structured error instead of wasting batch capacity (and instead
-        # of raising mid-batch).
-        live: list[InferenceRequest] = []
-        for req in batch:
-            if req.deadline is not None and req.deadline < now:
-                metrics.counter("serving.rejected.deadline").inc()
-                responses.append(
-                    InferenceResponse(
-                        request_id=req.request_id,
-                        predictions=None,
-                        arrival_time=req.arrival_time,
-                        completion_time=now,
-                        error=ServingError(
-                            REJECTED_DEADLINE,
-                            f"deadline {req.deadline:.6f}s passed before dispatch "
-                            f"at {now:.6f}s",
-                        ),
-                        trace=self._reject_trace(req, now, REJECTED_DEADLINE),
+        # of raising mid-batch).  No deadline reads as NaN: never expired,
+        # never missed.
+        deadlines = np.array([req.deadline for req in batch], dtype=np.float64)
+        expired = deadlines < now
+        live = batch
+        if expired.any():
+            live = []
+            for req, gone in zip(batch, expired.tolist()):
+                if gone:
+                    self._refuse(
+                        req,
+                        now,
+                        REJECTED_DEADLINE,
+                        f"deadline {req.deadline:.6f}s passed before dispatch "
+                        f"at {now:.6f}s",
                     )
-                )
-                if self.slo is not None:
-                    self.slo.observe(now=now, ok=False)
-            else:
-                live.append(req)
+                else:
+                    live.append(req)
+            deadlines = deadlines[~expired]
         if not live:
+            wall["assembly"] += time.perf_counter() - t0
             return
         g = self._next_engine
         self._next_engine = (self._next_engine + 1) % len(self.engines)
+        engine = self.engines[g]
         start = max(now, self._engine_free[g])
         X = np.concatenate([req.X for req in live], axis=0)
-        cache_hit = bool(self.engines[g].conversion_stats.cache_hit)
+        cache_hit = bool(engine.conversion_stats.cache_hit)
         explaining = live[0].kind == "explain"
+        t1 = time.perf_counter()
+        wall["assembly"] += t1 - t0
+        try:
+            result = engine.explain(X) if explaining else engine.predict(X)
+        except Exception as exc:  # one failed batch never takes the run down
+            wall["engine"] += time.perf_counter() - t1
+            detail = f"{type(exc).__name__}: {exc}"
+            for req in live:
+                self._refuse(req, now, ENGINE_ERROR, detail)
+            return
+        t2 = time.perf_counter()
+        wall["engine"] += t2 - t1
         if explaining:
-            result = self.engines[g].explain(X)
             metrics.counter(
                 "serving.explain_batches", help="explain micro-batches dispatched"
             ).inc()
-        else:
-            result = self.engines[g].predict(X)
         service = result.total_time
         completion = start + service
         self._engine_free[g] = completion
@@ -580,38 +689,19 @@ class TahoeServer:
                 bd, "t_global_reduce", 0.0
             )
         kernel_end = start + max(0.0, service - min(t_reduce, service))
+        n_rows = int(X.shape[0])
+        n_live = len(live)
         metrics.histogram(
             "serving.batch_size", help="coalesced samples per dispatched micro-batch"
-        ).observe(X.shape[0])
-        self._batch_sizes[int(X.shape[0])] += 1
+        ).observe(n_rows)
+        self._batch_sizes[n_rows] += 1
         metrics.counter("serving.batches_total").inc()
-        metrics.counter("serving.samples_total").inc(X.shape[0])
+        metrics.counter("serving.samples_total").inc(n_rows)
         for strategy_result in result.batches:
             self.recorder.record_batch(self._batch_index, strategy_result)
             self._batch_index += 1
         label = self._active_version.label
-        self._served_by_version[label] += len(live)
-        tracing = self.config.request_tracing
-        # Hoisted metric handles: registry lookups and the batch-constant
-        # stage durations (assembly/kernel/reduction are identical for
-        # every request in the micro-batch) cost one call per dispatch,
-        # not one per request — the per-request loop below is the serving
-        # tier's hot path.
-        n_live = len(live)
-        miss_counter = metrics.counter("serving.deadline_misses")
-        completed_counter = metrics.counter("serving.completed")
-        latency_hist = metrics.histogram(
-            "serving.request_latency_seconds",
-            help="arrival-to-completion latency per request",
-        )
-        wait_hist = metrics.histogram(
-            "serving.queue_wait_seconds",
-            help="arrival-to-dispatch wait per request",
-        )
-        stage_queue_hist = metrics.histogram(
-            "serving.stage.queue_wait_seconds",
-            help="per-request queue_wait stage duration",
-        )
+        self._served_by_version[label] += n_live
         for stage, value in (
             ("batch_assembly", start - now),
             ("kernel", kernel_end - start),
@@ -621,17 +711,42 @@ class TahoeServer:
                 f"serving.stage.{stage}_seconds",
                 help=f"per-request {stage} stage duration",
             ).observe(value, n_live)
-        completed_counter.inc(n_live)
+        arrivals = np.array([req.arrival_time for req in live], dtype=np.float64)
+        latency = completion - arrivals
+        queue_wait = start - arrivals
+        missed = completion > deadlines
+        metrics.histogram(
+            "serving.request_latency_seconds",
+            help="arrival-to-completion latency per request",
+        ).observe_many(latency)
+        metrics.histogram(
+            "serving.queue_wait_seconds",
+            help="arrival-to-dispatch wait per request",
+        ).observe_many(queue_wait)
+        metrics.histogram(
+            "serving.stage.queue_wait_seconds",
+            help="per-request queue_wait stage duration",
+        ).observe_many(now - arrivals)
+        metrics.counter("serving.deadline_misses").inc(int(np.count_nonzero(missed)))
+        metrics.counter("serving.completed").inc(n_live)
+        missed = missed.tolist()
+        if self.slo is not None:
+            for latency_s, wait_s, miss in zip(
+                latency.tolist(), queue_wait.tolist(), missed
+            ):
+                self.slo.observe(
+                    now=completion, latency=latency_s, queue_wait=wait_s, ok=not miss
+                )
+        t3 = time.perf_counter()
+        wall["telemetry"] += t3 - t2
+        tracing = self.config.request_tracing
         if tracing:
             # Spans are immutable once recorded, and four of the six
             # stages are identical for every request in the micro-batch
             # (only queue_wait's start and response_fanout's outcome are
             # per-request) — share those span objects across the batch.
             assembly_span = StageSpan(
-                "batch_assembly",
-                now,
-                start,
-                {"batch_size": int(X.shape[0]), "engine": g},
+                "batch_assembly", now, start, {"batch_size": n_rows, "engine": g}
             )
             cache_span = StageSpan(
                 "cache_lookup", start, start, {"cache_hit": cache_hit}
@@ -644,24 +759,14 @@ class TahoeServer:
             fanout_missed = StageSpan(
                 "response_fanout", completion, completion, {"missed_deadline": True}
             )
+        predictions = result.predictions
+        attributions = result.attributions if explaining else None
+        base_values = result.base_values if explaining else None
+        responses = self._responses
         offset = 0
-        for req in live:
-            preds = result.predictions[offset : offset + req.n_samples]
-            attrs = (
-                result.attributions[offset : offset + req.n_samples]
-                if explaining
-                else None
-            )
-            offset += req.n_samples
-            missed = req.deadline is not None and completion > req.deadline
-            if missed:
-                miss_counter.inc()
-            latency = completion - req.arrival_time
-            queue_wait = start - req.arrival_time
-            latency_hist.observe(latency)
-            wait_hist.observe(queue_wait)
-            stage_queue_hist.observe(now - req.arrival_time)
-            trace = None
+        trace = None
+        for req, miss in zip(live, missed):
+            stop = offset + req.n_samples
             if tracing:
                 trace = RequestTrace(
                     trace_id=req.trace_id,
@@ -672,29 +777,43 @@ class TahoeServer:
                         cache_span,
                         kernel_span,
                         reduce_span,
-                        fanout_missed if missed else fanout_ok,
+                        fanout_missed if miss else fanout_ok,
                     ],
-                )
-            if self.slo is not None:
-                self.slo.observe(
-                    now=completion,
-                    latency=latency,
-                    queue_wait=queue_wait,
-                    ok=not missed,
                 )
             responses.append(
                 InferenceResponse(
                     request_id=req.request_id,
-                    predictions=preds,
+                    predictions=predictions[offset:stop],
                     arrival_time=req.arrival_time,
                     completion_time=completion,
-                    missed_deadline=missed,
+                    missed_deadline=miss,
                     model_version=label,
                     trace=trace,
-                    attributions=attrs,
-                    base_values=result.base_values if explaining else None,
+                    attributions=None if attributions is None else attributions[offset:stop],
+                    base_values=base_values,
                 )
             )
+            offset = stop
+        wall["fanout"] += time.perf_counter() - t3
+
+    def _refuse(
+        self, req: InferenceRequest, now: float, code: str, detail: str
+    ) -> InferenceResponse:
+        """Answer ``req`` with a structured error at ``now``: counted,
+        traced, and fed to the SLO monitor."""
+        self.recorder.metrics.counter(_REFUSAL_COUNTERS[code]).inc()
+        response = InferenceResponse(
+            request_id=req.request_id,
+            predictions=None,
+            arrival_time=req.arrival_time,
+            completion_time=now,
+            error=ServingError(code, detail),
+            trace=self._reject_trace(req, now, code),
+        )
+        self._responses.append(response)
+        if self.slo is not None:
+            self.slo.observe(now=now, ok=False)
+        return response
 
     def _reject_trace(self, req: InferenceRequest, now: float, code: str):
         """Degenerate trace for a rejected request: the time it spent
@@ -716,6 +835,7 @@ class TahoeServer:
     # ------------------------------------------------------------------
     def metrics(self):
         """The live :class:`~repro.obs.metrics.MetricsRegistry`."""
+        self._fold()
         return self.recorder.metrics
 
     def summary(self, responses: list[InferenceResponse] | None = None) -> dict:
@@ -728,80 +848,69 @@ class TahoeServer:
         """
         if responses is None:
             responses = list(self._responses)
+        return _summarize(responses, self._freeze())
+
+    def _freeze(self) -> dict:
+        """Everything :func:`_summarize` reads besides the responses,
+        copied now so later runs cannot change it: counter values,
+        histogram copies, and the scheduler and model state."""
+        self._fold()
         metrics = self.recorder.metrics
-        latency = metrics.histogram("serving.request_latency_seconds")
-        queue_wait = metrics.histogram("serving.queue_wait_seconds")
-        batch_hist = metrics.histogram("serving.batch_size")
-        completed = [r for r in responses if r.ok]
-        makespan = offered_span = 0.0
-        if completed:
-            first = min(r.arrival_time for r in completed)
-            last = max(r.completion_time for r in completed)
-            makespan = last - first
-        if responses:
-            offered_span = max(r.arrival_time for r in responses) - min(
-                r.arrival_time for r in responses
+        counters = {
+            code: metrics.counter(name).value
+            for code, name in (
+                ("rejected_queue_full", "serving.rejected.queue_full"),
+                ("rejected_deadline", "serving.rejected.deadline"),
+                ("deadline_misses", "serving.deadline_misses"),
+                ("swaps", "serving.model_swaps"),
             )
-        n_samples = int(sum(r.predictions.shape[0] for r in completed))
-        lat_p50, lat_p95, lat_p99 = latency.quantiles((0.5, 0.95, 0.99))
-        wait_p50, wait_p95, wait_p99 = queue_wait.quantiles((0.5, 0.95, 0.99))
+        }
+        # Failure counters are registered only once a failure happened.
+        for code, name in (
+            ("rejected_invalid", _REFUSAL_COUNTERS[REJECTED_INVALID]),
+            ("engine_errors", _REFUSAL_COUNTERS[ENGINE_ERROR]),
+        ):
+            counter = metrics.get(name)
+            counters[code] = counter.value if counter is not None else 0
         return {
-            "requests": len(responses),
-            "completed": len(completed),
-            "rejected_queue_full": int(
-                metrics.counter("serving.rejected.queue_full").value
-            ),
-            "rejected_deadline": int(metrics.counter("serving.rejected.deadline").value),
-            "deadline_misses": int(metrics.counter("serving.deadline_misses").value),
-            "batches": batch_hist.count,
+            "latency": metrics.histogram("serving.request_latency_seconds").copy(),
+            "queue_wait": metrics.histogram("serving.queue_wait_seconds").copy(),
+            "batches": metrics.histogram("serving.batch_size").count,
+            "counters": counters,
             "target_batch": self.target_batch,
             "n_engines": len(self.engines),
             "backend": self.config.backend,
-            "time_domain": getattr(
-                self.engines[0], "time_domain", TIME_DOMAIN_SIMULATED
-            ),
-            "offered_qps": (len(responses) / offered_span)
-            if offered_span > 0
-            else float("inf"),
-            "achieved_qps": (len(completed) / makespan) if makespan > 0 else float("inf"),
-            "achieved_samples_per_s": (n_samples / makespan)
-            if makespan > 0
-            else float("inf"),
-            "latency_s": {
-                "p50": lat_p50,
-                "p95": lat_p95,
-                "p99": lat_p99,
-                "mean": latency.mean,
-                "max": latency.max,
-            },
-            "queue_wait_s": {
-                "p50": wait_p50,
-                "p95": wait_p95,
-                "p99": wait_p99,
-                "mean": queue_wait.mean,
-                "max": queue_wait.max,
-            },
+            "time_domain": getattr(self.engines[0], "time_domain", TIME_DOMAIN_SIMULATED),
             "slo": self.slo.summary() if self.slo is not None else None,
-            "batch_size_histogram": {
-                str(k): int(v) for k, v in sorted(self._batch_sizes.items())
-            },
-            "model": {
-                "active": self._active_version.label,
-                "staged": sorted(self._staged),
-                "swaps": int(self.recorder.metrics.counter("serving.model_swaps").value),
-                "swap_events": list(self.swap_events),
-                "served_by_version": {
-                    k: int(v) for k, v in sorted(self._served_by_version.items())
-                },
-            },
+            "batch_sizes": dict(self._batch_sizes),
+            "active": self._active_version.label,
+            "staged": sorted(self._staged),
+            "swap_events": list(self.swap_events),
+            "served_by_version": dict(self._served_by_version),
             "layout_cache": self.layout_cache.stats(),
             "conversions": [
-                {
-                    "cache_hit": e.conversion_stats.cache_hit,
-                    "total_s": e.conversion_stats.total,
-                }
+                (e.conversion_stats.cache_hit, e.conversion_stats.total)
                 for e in self.engines
             ],
+        }
+
+    def wall_layers(self) -> dict:
+        """Measured wall seconds per serving layer (:data:`WALL_LAYERS`),
+        summed over every :meth:`run` call, next to the calls' outer
+        wall time and the share of it the layers account for."""
+        metrics = self.metrics()
+        parts = {}
+        for layer in WALL_LAYERS:
+            counter = metrics.get(f"serving.wall.{layer}_seconds")
+            parts[layer] = counter.value if counter is not None else 0.0
+        run = metrics.get("serving.wall.run_seconds")
+        run_s = run.value if run is not None else 0.0
+        covered = sum(parts.values())
+        return {
+            "run_s": run_s,
+            "parts_s": parts,
+            "unaccounted_s": run_s - covered,
+            "coverage": covered / run_s if run_s > 0 else 0.0,
         }
 
     def build_report(
@@ -814,6 +923,7 @@ class TahoeServer:
         ``meta["request_traces"]``; the SLO summary and the engine
         pool's merged calibration drift are folded in regardless.
         """
+        self._fold()
         meta = dict(meta)
         if responses is not None and self.config.request_tracing:
             traces = [
@@ -838,3 +948,77 @@ class TahoeServer:
             merged.merge(engine.recorder.calibration)
         report.calibration = merged.summary()
         return report
+
+
+def _summarize(responses: list[InferenceResponse], frozen: dict) -> dict:
+    """The summary dict of :meth:`TahoeServer.summary` from a window of
+    responses and the state :meth:`TahoeServer._freeze` captured."""
+    latency = frozen["latency"]
+    queue_wait = frozen["queue_wait"]
+    counters = frozen["counters"]
+    completed = [r for r in responses if r.ok]
+    makespan = offered_span = 0.0
+    if completed:
+        first = min(r.arrival_time for r in completed)
+        last = max(r.completion_time for r in completed)
+        makespan = last - first
+    if responses:
+        offered_span = max(r.arrival_time for r in responses) - min(
+            r.arrival_time for r in responses
+        )
+    n_samples = int(sum(r.predictions.shape[0] for r in completed))
+    lat_p50, lat_p95, lat_p99 = latency.quantiles((0.5, 0.95, 0.99))
+    wait_p50, wait_p95, wait_p99 = queue_wait.quantiles((0.5, 0.95, 0.99))
+    return {
+        "requests": len(responses),
+        "completed": len(completed),
+        "rejected_queue_full": int(counters["rejected_queue_full"]),
+        "rejected_deadline": int(counters["rejected_deadline"]),
+        "rejected_invalid": int(counters["rejected_invalid"]),
+        "engine_errors": int(counters["engine_errors"]),
+        "deadline_misses": int(counters["deadline_misses"]),
+        "batches": frozen["batches"],
+        "target_batch": frozen["target_batch"],
+        "n_engines": frozen["n_engines"],
+        "backend": frozen["backend"],
+        "time_domain": frozen["time_domain"],
+        "offered_qps": (len(responses) / offered_span)
+        if offered_span > 0
+        else float("inf"),
+        "achieved_qps": (len(completed) / makespan) if makespan > 0 else float("inf"),
+        "achieved_samples_per_s": (n_samples / makespan)
+        if makespan > 0
+        else float("inf"),
+        "latency_s": {
+            "p50": lat_p50,
+            "p95": lat_p95,
+            "p99": lat_p99,
+            "mean": latency.mean,
+            "max": latency.max,
+        },
+        "queue_wait_s": {
+            "p50": wait_p50,
+            "p95": wait_p95,
+            "p99": wait_p99,
+            "mean": queue_wait.mean,
+            "max": queue_wait.max,
+        },
+        "slo": frozen["slo"],
+        "batch_size_histogram": {
+            str(k): int(v) for k, v in sorted(frozen["batch_sizes"].items())
+        },
+        "model": {
+            "active": frozen["active"],
+            "staged": frozen["staged"],
+            "swaps": int(counters["swaps"]),
+            "swap_events": frozen["swap_events"],
+            "served_by_version": {
+                k: int(v) for k, v in sorted(frozen["served_by_version"].items())
+            },
+        },
+        "layout_cache": frozen["layout_cache"],
+        "conversions": [
+            {"cache_hit": cache_hit, "total_s": total_s}
+            for cache_hit, total_s in frozen["conversions"]
+        ],
+    }

@@ -70,6 +70,11 @@ class TestFlattenAndClassify:
         assert classify_metric("speedup.Higgs") == "higher"
         assert classify_metric("some_unknown_metric") == "info"
 
+    def test_request_rate_is_tracked_while_request_counts_stay_info(self):
+        assert classify_metric("scenarios.serve/x/n2000.requests_per_s") == "higher"
+        assert classify_metric("scenarios.serve/x/n2000.requests") == "info"
+        assert classify_metric("summary.requests") == "info"
+
 
 class TestDiff:
     def test_identical_payloads_diff_clean(self):

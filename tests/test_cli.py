@@ -163,6 +163,23 @@ class TestServeCommand:
         assert payload["config"]["backend"] == "native"
         assert envelope["run"]["scenario"].endswith("/native")
 
+    def test_serve_native_records_wall_layers(self, tmp_path, capsys):
+        out_path = tmp_path / "BENCH_serving.json"
+        code = main(
+            ["serve", "--bench", "--quick", "--baseline", "--backend", "native",
+             "--scale", "0.05", "--tree-scale", "0.04", "--out", str(out_path)]
+        )
+        assert code == 0
+        assert "wall layers of run()" in capsys.readouterr().out
+        layers = json.loads(out_path.read_text())["payload"]["layers"]
+        assert layers["time_domain"] == "wall"
+        assert set(layers["parts_s"]) == {
+            "admission", "assembly", "engine", "telemetry", "fanout", "result"
+        }
+        covered = sum(layers["parts_s"].values())
+        assert covered + layers["unaccounted_s"] == pytest.approx(layers["run_s"])
+        assert 0.9 <= layers["coverage"] <= 1.0 + 1e-9
+
     def test_predict_native_backend_bit_identical(self, forest_file, capsys):
         code = main(
             ["predict", "--forest", str(forest_file), "--dataset", "letter",
