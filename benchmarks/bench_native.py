@@ -23,7 +23,9 @@ for serving.  Scenarios:
   clock; the native/simulated wall speedup is the acceptance number
   (expected ≥ 10x — predicting beats simulating a GPU predicting).
 
-The whole payload is denominated in wall seconds
+Every repeated timing is recorded as the median of its repeats
+(``wall_s``) with the interquartile range beside it (``*_iqr``), from
+:func:`common.measure`.  The whole payload is denominated in wall seconds
 (``time_domain: "wall"``), so ``repro bench diff`` refuses to compare it
 against any simulated-time artifact.
 
@@ -63,15 +65,6 @@ DATASET = "letter"
 GPU = "P100"
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _pool(X: np.ndarray, n: int) -> np.ndarray:
     """At least ``n`` inference rows, tiling the real split as needed."""
     if X.shape[0] >= n:
@@ -84,10 +77,11 @@ def bench_batch_sweep(engine, X, batch_sizes, repeats) -> dict:
     out = {}
     for b in batch_sizes:
         batch = _pool(X, b)
-        wall = _best_of(lambda: engine.predict(batch), repeats)
+        t = common.measure(lambda: engine.predict(batch), repeats)
         out[str(b)] = {
-            "wall_s": wall,
-            "samples_per_s": b / wall,
+            "wall_s": t.median,
+            "wall_s_iqr": t.iqr,
+            "samples_per_s": b / t.median,
         }
     return out
 
@@ -98,11 +92,12 @@ def bench_forest_sweep(forest, spec, X, tree_counts, batch, repeats) -> dict:
     for k in tree_counts:
         sub = forest.with_trees(list(forest.trees[:k]))
         engine = NativeEngine(sub, spec)
-        wall = _best_of(lambda: engine.predict(batch_X), repeats)
+        t = common.measure(lambda: engine.predict(batch_X), repeats)
         out[str(k)] = {
             "n_trees": k,
-            "wall_s": wall,
-            "samples_per_s": batch / wall,
+            "wall_s": t.median,
+            "wall_s_iqr": t.iqr,
+            "samples_per_s": batch / t.median,
         }
     return out
 
@@ -113,17 +108,12 @@ def bench_explain_sweep(engine, X, rows, repeats) -> dict:
     out = {}
     for n in rows:
         batch = _pool(X, n)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            engine.explain(batch)
-            times.append(time.perf_counter() - t0)
-        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        t = common.measure(lambda: engine.explain(batch), repeats)
         out[str(n)] = {
             "rows": n,
-            "us_per_row": median / n * 1e6,
-            "us_per_row_iqr": (q3 - q1) / n * 1e6,
-            "samples_per_s": n / median,
+            "us_per_row": t.median / n * 1e6,
+            "us_per_row_iqr": t.iqr / n * 1e6,
+            "samples_per_s": n / t.median,
         }
     return out
 
@@ -144,13 +134,14 @@ def bench_kernels(forest, spec, X, batch, repeats, quick) -> dict:
     engine = NativeEngine(forest, spec)
     ref = _numpy_reference(engine, batch_X)
     engine.predict(batch_X[:64])  # warm (numba JIT compiles here)
-    wall = _best_of(lambda: engine.predict(batch_X), repeats)
+    t = common.measure(lambda: engine.predict(batch_X), repeats)
     out = {
         "numba_available": HAVE_NUMBA,
         "kernels_present": [engine.kernel, "scalar"],
         engine.kernel: {
-            "wall_s": wall,
-            "samples_per_s": batch / wall,
+            "wall_s": t.median,
+            "wall_s_iqr": t.iqr,
+            "samples_per_s": batch / t.median,
             "bit_identical_to_numpy": bool(
                 np.array_equal(engine.predict(batch_X).predictions, ref)
             ),
@@ -167,7 +158,7 @@ def bench_kernels(forest, spec, X, batch, repeats, quick) -> dict:
             )
 
         # One repeat: the pure-Python loop is slow by design.
-        wall = _best_of(run_scalar, 1)
+        wall = common.measure(run_scalar, 1).median
         out["scalar"] = {
             "wall_s": wall,
             "samples_per_s": batch / wall,
@@ -182,7 +173,7 @@ def bench_coldstart(forest, spec, X) -> dict:
     t0 = time.perf_counter()
     cold = NativeEngine(forest, spec)
     cold_build = time.perf_counter() - t0
-    first = _best_of(lambda: cold.predict(X[:256]), 1)
+    first = common.measure(lambda: cold.predict(X[:256]), 1).median
 
     artifact = Path(tempfile.mkdtemp(prefix="bench_native_")) / "bench.tahoe"
     pack_layout(
@@ -196,7 +187,7 @@ def bench_coldstart(forest, spec, X) -> dict:
     t0 = time.perf_counter()
     packed_engine = load_packed(artifact).make_engine(spec, backend="native")
     packed_build = time.perf_counter() - t0
-    packed_first = _best_of(lambda: packed_engine.predict(X[:256]), 1)
+    packed_first = common.measure(lambda: packed_engine.predict(X[:256]), 1).median
     identical = bool(
         np.array_equal(
             cold.predict(X[:256]).predictions,
@@ -269,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     trained = common.workload(DATASET)
     forest = trained.forest
     X = trained.split.test.X
-    repeats = 2 if args.quick else 3
+    repeats = 5 if args.quick else 7
     batch_sizes = [64, 256, 1024] if args.quick else [64, 256, 1024, 4096, 16384]
     tree_counts = [k for k in ([25, 75, 150] if args.quick else [10, 25, 50, 100, 150])
                    if k <= forest.n_trees]

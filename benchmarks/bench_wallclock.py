@@ -47,9 +47,9 @@ the build — CI runners are too noisy for a hard wall-clock gate.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -95,38 +95,27 @@ def profiled_workload():
     return forest, np.ascontiguousarray(X[:3000])
 
 
-def _quartiles(fn, repeats: int) -> tuple[float, float, float]:
-    """``(q1, median, q3)`` of ``repeats`` wall times of ``fn()``."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return float(q1), float(median), float(q3)
-
-
-def serve_replay(n: int, repeats: int) -> tuple[float, float, float]:
-    """``(q1, median, q3)`` wall seconds of one ``run()`` over ``n``
-    one-row native requests arriving at 50k req/s."""
+def serve_replay(n: int, repeats: int) -> common.Timing:
+    """Wall seconds of one ``run()`` over ``n`` one-row native requests
+    arriving at 50k req/s; each burst is built outside the timed call."""
     trained = common.workload("letter")
     pool = np.ascontiguousarray(trained.split.test.X)
     server = TahoeServer(
         trained.forest, GPU_SPECS["P100"], scheduler=SchedulerConfig(backend="native")
     )
-    rows = np.random.default_rng(11).integers(0, pool.shape[0], n)
-    times = []
-    for repeat in range(repeats + 1):  # the first burst warms up
+    rows = np.random.default_rng(11).integers(0, pool.shape[0], n).tolist()
+    repeat_index = itertools.count()
+
+    def burst() -> list[InferenceRequest]:
+        repeat = next(repeat_index)
         origin = 10.0 * repeat
-        requests = [
+        return [
             InferenceRequest(repeat * n + k, pool[row : row + 1], origin + k / 50_000.0)
-            for k, row in enumerate(rows.tolist())
+            for k, row in enumerate(rows)
         ]
-        t0 = time.perf_counter()
-        server.run(requests)
-        times.append(time.perf_counter() - t0)
-    q1, median, q3 = np.percentile(times[1:], [25, 50, 75])
-    return float(q1), float(median), float(q3)
+
+    server.run(burst())  # the first burst warms up
+    return common.measure(server.run, repeats, setup=burst)
 
 
 def run_scenarios(quick: bool) -> dict:
@@ -153,53 +142,53 @@ def run_scenarios(quick: bool) -> dict:
     }
     out = {}
     for key, fn in scenarios.items():
-        q1, wall, q3 = _quartiles(fn, repeats)
+        t = common.measure(fn, repeats)
         out[key] = {
-            "wall_s": wall,
-            "wall_s_q1": q1,
-            "wall_s_q3": q3,
-            "samples_per_s": n / wall,
+            **_wall(t),
+            "samples_per_s": n / t.median,
             "samples": n,
             "trees": int(forest.n_trees),
             "max_depth": MAX_DEPTH,
             "repeats": repeats,
             "mode": "quick" if quick else "full",
         }
-        _print(key, q1, wall, q3)
+        _print(key, t)
     forests = [common.workload(name).forest for name in common.DATASET_ORDER]
     n_trees = sum(f.n_trees for f in forests)
-    q1, wall, q3 = _quartiles(
+    t = common.measure(
         lambda: [convert_forest(f, TahoeConfig()) for f in forests], repeats
     )
     out["convert/fig5-all"] = {
-        "wall_s": wall,
-        "wall_s_q1": q1,
-        "wall_s_q3": q3,
-        "throughput_trees_per_s": n_trees / wall,
+        **_wall(t),
+        "throughput_trees_per_s": n_trees / t.median,
         "forests": len(forests),
         "trees": n_trees,
         "repeats": repeats,
         "mode": "quick" if quick else "full",
     }
-    _print("convert/fig5-all", q1, wall, q3)
+    _print("convert/fig5-all", t)
     n_serve = 2000 if quick else 12_500
     key = f"serve/letter-single-replay/n{n_serve}"
-    q1, wall, q3 = serve_replay(n_serve, repeats)
+    t = serve_replay(n_serve, repeats)
     out[key] = {
-        "wall_s": wall,
-        "wall_s_q1": q1,
-        "wall_s_q3": q3,
-        "requests_per_s": n_serve / wall,
+        **_wall(t),
+        "requests_per_s": n_serve / t.median,
         "requests": n_serve,
         "repeats": repeats,
         "mode": "quick" if quick else "full",
     }
-    _print(key, q1, wall, q3)
+    _print(key, t)
     return out
 
 
-def _print(key: str, q1: float, wall: float, q3: float) -> None:
-    print(f"{key:45} {wall * 1e3:9.1f} ms  (IQR {q1 * 1e3:.1f}-{q3 * 1e3:.1f})")
+def _wall(t: common.Timing) -> dict:
+    return {"wall_s": t.median, "wall_s_q1": t.q1, "wall_s_q3": t.q3}
+
+
+def _print(key: str, t: common.Timing) -> None:
+    print(
+        f"{key:45} {t.median * 1e3:9.1f} ms  (IQR {t.q1 * 1e3:.1f}-{t.q3 * 1e3:.1f})"
+    )
 
 
 def _payload(scenarios: dict) -> dict:

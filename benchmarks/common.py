@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import functools
 import json
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,6 +168,34 @@ def inference_pool(name: str, n_samples: int) -> np.ndarray:
     scale = min(1.0, n_samples / spec.n_samples)
     data = load_dataset(name, scale=scale, seed=BENCH_SEED + 1, attribute_cap=512)
     return data.X[: min(n_samples, data.n_samples)]
+
+
+class Timing(NamedTuple):
+    """Wall seconds over a benchmark's repeats."""
+
+    median: float
+    q1: float
+    q3: float
+    min: float
+
+    @property
+    def iqr(self) -> float:
+        return self.q3 - self.q1
+
+
+def measure(fn, repeats: int, *, setup=None) -> Timing:
+    """Time ``repeats`` calls of ``fn()``: median, quartiles and min.
+
+    With ``setup``, each call is ``fn(setup())`` and only ``fn`` is timed.
+    """
+    times = []
+    for _ in range(repeats):
+        args = () if setup is None else (setup(),)
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return Timing(float(median), float(q1), float(q3), min(times))
 
 
 def write_result(name: str, text: str) -> Path:

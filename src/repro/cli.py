@@ -46,7 +46,7 @@ from repro.formats import build_adaptive_layout, build_reorg_layout
 from repro.gpusim.specs import GPU_SPECS
 from repro.perfmodel import measure_hardware_parameters, rank_strategies
 from repro.trees import train_forest_for_spec
-from repro.trees.io import load_forest, save_forest
+from repro.trees.io import save_forest
 
 __all__ = ["main"]
 
@@ -91,8 +91,44 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_any_model(path, *, n_attributes=None):
+    """``--forest`` accepts every model-store format: returns
+    ``(forest, packed_or_None)``; a packed artifact's forest is its
+    layout's."""
+    from repro.modelstore import PackedModel, load_model
+
+    model = load_model(path, n_attributes=n_attributes)
+    if isinstance(model, PackedModel):
+        return model.layout.forest, model
+    return model, None
+
+
+def _inference_X(args: argparse.Namespace) -> np.ndarray:
+    """The ``--dataset`` inference split, capped at ``--limit`` rows."""
+    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    X = train_test_split(data, seed=args.seed).test.X
+    return X[: args.limit] if args.limit else X
+
+
+def _tahoe_engine(args, spec, forest, packed):
+    """A Tahoe engine for ``--forest``; a packed Tahoe layout skips conversion."""
+    if packed is not None and packed.engine_kind == "tahoe":
+        print(f"loaded packed layout {args.forest} (conversion skipped)")
+        return packed.make_engine(spec)
+    return TahoeEngine(forest, spec)
+
+
+def _write_report(report, args: argparse.Namespace) -> None:
+    """Write a run's :class:`~repro.obs.report.RunReport` to ``--report-json``."""
+    from repro.obs import write_report_json
+
+    report.dataset = args.dataset
+    write_report_json(report, args.report_json)
+    print(f"wrote {args.report_json}")
+
+
 def _cmd_convert(args: argparse.Namespace) -> int:
-    forest = load_forest(args.forest)
+    forest, _ = _load_any_model(args.forest)
     reorg = build_reorg_layout(forest)
     adaptive = build_adaptive_layout(forest)
     swaps = sum(int(t.flip.sum()) for t in adaptive.forest.trees)
@@ -111,7 +147,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.trees.analysis import structure_profile
 
-    forest = load_forest(args.forest)
+    forest, _ = _load_any_model(args.forest)
     info = structure_profile(forest)
     if args.report_json:
         from repro.obs.exporters import jsonable
@@ -140,22 +176,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     from repro.perfmodel import rank_explain_strategies, rank_node_encodings
 
-    forest = load_forest(args.forest)
+    forest, _ = _load_any_model(args.forest)
     spec = GPU_SPECS[args.gpu]
     layout = build_adaptive_layout(forest)
     hw = measure_hardware_parameters(spec)
-    print(f"predicted batch time on {spec.name}, batch={args.batch}:")
-    for choice in rank_strategies(layout, args.batch, spec, hw):
-        t = choice.predicted_time
-        label = "inapplicable" if t == float("inf") else f"{t * 1e3:10.4f} ms"
-        note = choice.prediction.note
-        print(f"  {choice.name:26} {label}  {note}")
-    print("explain (SHAP) strategies:")
-    for choice in rank_explain_strategies(layout, args.batch, spec, hw):
-        t = choice.predicted_time
-        label = "inapplicable" if t == float("inf") else f"{t * 1e3:10.4f} ms"
-        note = choice.prediction.note
-        print(f"  {choice.name:26} {label}  {note}")
+    for title, ranker in (
+        (f"predicted batch time on {spec.name}, batch={args.batch}:", rank_strategies),
+        ("explain (SHAP) strategies:", rank_explain_strategies),
+    ):
+        print(title)
+        for choice in ranker(layout, args.batch, spec, hw):
+            t = choice.predicted_time
+            label = "inapplicable" if t == float("inf") else f"{t * 1e3:10.4f} ms"
+            print(f"  {choice.name:26} {label}  {choice.prediction.note}")
     print("node encodings ranked by predicted bytes moved:")
     ranked = rank_node_encodings(layout, args.batch, spec, hw)
     for i, enc in enumerate(ranked):
@@ -175,30 +208,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_any_model(path, *, n_attributes=None):
-    """``--forest`` accepts every model-store format: returns
-    ``(forest, packed_or_None)``."""
-    from repro.modelstore import PackedModel, load_model
-
-    model = load_model(path, n_attributes=n_attributes)
-    if isinstance(model, PackedModel):
-        return model.layout.forest, model
-    return model, None
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     spec = GPU_SPECS[args.gpu]
     forest, packed = _load_any_model(args.forest, n_attributes=args.n_attributes)
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = train_test_split(data, seed=args.seed)
-    X = split.test.X[: args.limit] if args.limit else split.test.X
+    X = _inference_X(args)
     if args.backend == "native":
         return _predict_native(args, spec, forest, packed, X)
-    if packed is not None and packed.engine_kind == "tahoe":
-        tahoe = packed.make_engine(spec)
-        print(f"loaded packed layout {args.forest} (conversion skipped)")
-    else:
-        tahoe = TahoeEngine(forest, spec)
+    tahoe = _tahoe_engine(args, spec, forest, packed)
     fil = FILEngine(forest, spec)
     profiler = None
     if args.cprofile:
@@ -219,12 +235,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print("WARNING: engines disagree on predictions", file=sys.stderr)
         return 1
     if args.report_json:
-        from repro.obs import write_report_json
-
-        rt.report.dataset = args.dataset
         rt.report.meta["fil_total_time"] = rf.total_time
-        write_report_json(rt.report, args.report_json)
-        print(f"wrote {args.report_json}")
+        _write_report(rt.report, args)
     print(f"samples: {X.shape[0]}, batch: {args.batch or X.shape[0]}")
     print(f"FIL:   {rf.total_time * 1e3:9.3f} ms simulated")
     print(
@@ -268,11 +280,7 @@ def _predict_native(args, spec, forest, packed, X) -> int:
         )
         return 1
     if args.report_json:
-        from repro.obs import write_report_json
-
-        rn.report.dataset = args.dataset
-        write_report_json(rn.report, args.report_json)
-        print(f"wrote {args.report_json}")
+        _write_report(rn.report, args)
     print(f"samples: {X.shape[0]}, batch: {args.batch or X.shape[0]}")
     print(
         f"native ({native.kernel} kernel, numba {'on' if HAVE_NUMBA else 'off'}): "
@@ -299,9 +307,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """
     spec = GPU_SPECS[args.gpu]
     forest, packed = _load_any_model(args.forest, n_attributes=args.n_attributes)
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = train_test_split(data, seed=args.seed)
-    X = split.test.X[: args.limit] if args.limit else split.test.X
+    X = _inference_X(args)
 
     if args.backend == "native":
         from repro.core.native import HAVE_NUMBA, NativeEngine
@@ -318,11 +324,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         clock = "wall"
         runs = [(label, result)]
     else:
-        if packed is not None and packed.engine_kind == "tahoe":
-            tahoe = packed.make_engine(spec)
-            print(f"loaded packed layout {args.forest} (conversion skipped)")
-        else:
-            tahoe = TahoeEngine(forest, spec)
+        tahoe = _tahoe_engine(args, spec, forest, packed)
         fil = FILEngine(forest, spec)
         result = tahoe.explain(X, batch_size=args.batch, report=bool(args.report_json))
         rf = fil.explain(X, batch_size=args.batch)
@@ -362,11 +364,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     for f in order:
         print(f"  f{int(f):<4} {flat[f]:12.6f}")
     if args.report_json:
-        from repro.obs import write_report_json
-
-        result.report.dataset = args.dataset
-        write_report_json(result.report, args.report_json)
-        print(f"wrote {args.report_json}")
+        _write_report(result.report, args)
     return 0
 
 
@@ -381,7 +379,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         TahoeServer,
         make_workload,
     )
-    from repro.trees import train_forest_for_spec
 
     if not args.bench:
         print(
@@ -420,56 +417,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.burst_factor > 1.0:
         traffic_kwargs["burst_factor"] = args.burst_factor
     requests = make_workload(traffic, workload.split.test.X, **traffic_kwargs)
-    if args.explain_fraction > 0.0:
-        # Mark a seeded fraction of the workload as SHAP explain
-        # requests; the scheduler batches the two kinds separately.
-        from repro.serving.api import materialize_workload
-
-        requests = materialize_workload(requests, args.duration)
-        rng = np.random.default_rng(args.seed + 0x5AF)
-        marks = rng.random(len(requests)) < min(args.explain_fraction, 1.0)
-        for req, mark in zip(requests, marks):
-            if mark:
-                req.kind = "explain"
-        if args.out == Path("benchmarks/results/BENCH_serving.json"):
-            args.out = Path("benchmarks/results/BENCH_explain.json")
-    if args.shards > 1 or args.autoscale:
-        return _serve_fleet(
-            args,
-            spec=spec,
-            trained=workload,
-            scheduler=scheduler,
-            slo=slo,
-            traffic=traffic,
-            traffic_workload=requests,
-            cache=cache,
-        )
-    policy = PolicyConfig(slo=slo)
+    forest, packed = workload.forest, None
     if args.forest is not None:
         forest, packed = _load_any_model(
             args.forest, n_attributes=workload.split.test.X.shape[1]
         )
-        if packed is not None:
-            server = TahoeServer(
-                spec=spec,
-                packed=packed,
-                scheduler=scheduler,
-                policy=policy,
-                layout_cache=cache,
-            )
-            print(f"serving packed layout {args.forest} (conversion skipped)")
-        else:
-            server = TahoeServer(
-                forest, spec, scheduler=scheduler, policy=policy, layout_cache=cache
-            )
-    else:
-        server = TahoeServer(
-            workload.forest,
-            spec,
-            scheduler=scheduler,
-            policy=policy,
-            layout_cache=cache,
-        )
+    server = TahoeServer(
+        forest if packed is None else None,
+        spec,
+        packed=packed,
+        scheduler=scheduler,
+        policy=PolicyConfig(slo=slo),
+        layout_cache=cache,
+    )
+    if packed is not None:
+        print(f"serving packed layout {args.forest} (conversion skipped)")
     result = server.run(requests, report=True)
     s = result.summary
     layers = dict(server.wall_layers(), time_domain="wall")
@@ -477,20 +439,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serving/{args.dataset}/{args.gpu}/qps{args.qps:g}x{args.burst_factor:g}"
         f"/d{args.duration:g}/e{args.n_engines}/{args.backend}"
     )
-    if args.traffic != "poisson":
-        scenario += f"/{args.traffic}"
-    n_explained = sum(
-        1 for r in result.responses if r.ok and r.attributions is not None
-    )
-    if args.explain_fraction > 0.0:
-        scenario += f"/explain{args.explain_fraction:g}"
+    if traffic != "poisson":
+        scenario += f"/{traffic}"
     payload_body = {
         "gpu": spec.name,
         "dataset": args.dataset,
         "time_domain": s["time_domain"],
         "config": {
             "backend": args.backend,
-            "traffic": args.traffic,
+            "traffic": traffic,
             "qps": args.qps,
             "duration_s": args.duration,
             "burst_factor": args.burst_factor,
@@ -503,23 +460,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "slo_error_rate": args.slo_error_rate,
             "quick": bool(args.quick),
             "baseline": bool(args.baseline),
-            "explain_fraction": args.explain_fraction,
         },
         "summary": s,
         "layers": layers,
     }
-    if args.explain_fraction > 0.0:
-        payload_body["explain"] = {"completed_explain_requests": n_explained}
     if not args.baseline:
         # --baseline keeps the envelope a committable size: the summary
         # is the regression surface; the full report (per-batch records,
         # request traces) stays out.
         payload_body["report"] = result.report.to_dict()
     payload = bench_envelope(
-        "serving",
-        payload_body,
-        kind="serving_bench",
-        scenario=scenario,
+        "serving", payload_body, kind="serving_bench", scenario=scenario
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -537,8 +488,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"({s['rejected_queue_full']} backpressure, "
         f"{s['rejected_deadline']} expired, {s['deadline_misses']} late)"
     )
-    if args.explain_fraction > 0.0:
-        print(f"explain requests completed: {n_explained}")
     print(
         f"offered {s['offered_qps']:.0f} qps (target {args.qps:.0f}) -> "
         f"achieved {s['achieved_qps']:.0f} qps "
@@ -600,175 +549,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_fleet(
-    args: argparse.Namespace,
-    *,
-    spec,
-    trained,
-    scheduler,
-    slo,
-    traffic: str,
-    traffic_workload,
-    cache,
-) -> int:
-    """The fleet branch of ``repro serve --bench``: sweep shard counts
-    for a scaling curve, optionally demo the autoscaler, write
-    ``BENCH_fleet.json``."""
-    from repro.obs.benchdiff import bench_envelope
-    from repro.obs.exporters import jsonable, write_serving_trace
-    from repro.serving import AutoscaleConfig, PolicyConfig
-    from repro.serving.fleet import TahoeRouter
-
-    forest = trained.forest
-    if args.forest is not None:
-        forest, packed = _load_any_model(
-            args.forest, n_attributes=trained.split.test.X.shape[1]
-        )
-        if packed is not None:
-            print(
-                "fleet mode shards Forest models; pass an unpacked model file",
-                file=sys.stderr,
-            )
-            return 2
-    counts = sorted(
-        {1, max(1, args.shards)} | {1 << i for i in range(10) if 1 << i < args.shards}
-    )
-    policy = PolicyConfig(slo=slo)
-    rows = []
-    last_result = None
-    for count in counts:
-        router = TahoeRouter(
-            forest,
-            spec,
-            n_shards=count,
-            mode=args.shard_mode,
-            scheduler=scheduler,
-            policy=policy,
-            layout_cache=cache,
-        )
-        result = router.run(traffic_workload)
-        s = result.summary
-        lat = s["latency_s"]
-        rows.append(
-            {
-                "shards": count,
-                "requests": s["requests"],
-                "completed": s["completed"],
-                "rejected_shard_overloaded": s["rejected_shard_overloaded"],
-                "grouped_reductions": s["grouped_reductions"],
-                "achieved_qps": s["achieved_qps"],
-                "latency_ms": {
-                    "p50": lat["p50"] * 1e3,
-                    "p95": lat["p95"] * 1e3,
-                    "p99": lat["p99"] * 1e3,
-                },
-            }
-        )
-        last_result = result
-    base_qps = rows[0]["achieved_qps"]
-    for row in rows:
-        row["speedup_vs_1shard"] = (
-            row["achieved_qps"] / base_qps if base_qps > 0 else 1.0
-        )
-    autoscale_section = None
-    if args.autoscale:
-        auto = AutoscaleConfig(
-            min_shards=1,
-            max_shards=max(2, args.shards),
-            scale_up_latency_p95=slo.latency_p95 or 2e-3,
-            scale_up_queue_depth=200,
-            scale_down_queue_depth=40,
-            window=5e-3,
-            cooldown=6e-3,
-            min_requests=10,
-        )
-        router = TahoeRouter(
-            forest,
-            spec,
-            n_shards=1,
-            mode="replicate",
-            scheduler=scheduler,
-            policy=PolicyConfig(slo=slo, autoscale=auto),
-            layout_cache=cache,
-        )
-        result = router.run(traffic_workload)
-        s = result.summary
-        autoscale_section = {
-            "completed": s["completed"],
-            "final_active_shards": s["n_shards"],
-            "peak_shards": s["n_shards_ever"],
-            "scale_ups": sum(
-                1 for e in s["autoscale"]["events"] if e["event"] == "autoscale.scale_up"
-            ),
-            "scale_downs": sum(
-                1
-                for e in s["autoscale"]["events"]
-                if e["event"] == "autoscale.scale_down"
-            ),
-            "events": s["autoscale"]["events"],
-        }
-    scenario = (
-        f"fleet/{args.dataset}/{args.gpu}/{traffic}/qps{args.qps:g}"
-        f"/d{args.duration:g}/{args.shard_mode}/s{args.shards}"
-        + ("/auto" if args.autoscale else "")
-    )
-    payload_body = {
-        "gpu": spec.name,
-        "dataset": args.dataset,
-        "config": {
-            "traffic": args.traffic,
-            "shard_mode": args.shard_mode,
-            "shards": args.shards,
-            "autoscale": bool(args.autoscale),
-            "backend": args.backend,
-            "qps": args.qps,
-            "duration_s": args.duration,
-            "n_engines": args.n_engines,
-            "max_batch": args.max_batch,
-            "max_wait_ms": args.max_wait_ms,
-            "max_queue": args.max_queue,
-            "quick": bool(args.quick),
-        },
-        "scaling": rows,
-        "autoscale": autoscale_section,
-        "layout_cache": cache.stats(),
-    }
-    payload = bench_envelope(
-        "fleet", payload_body, kind="fleet_bench", scenario=scenario
-    )
-    out = Path(args.out)
-    if out == Path("benchmarks/results/BENCH_serving.json"):
-        out = Path("benchmarks/results/BENCH_fleet.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(jsonable(payload), indent=2))
-    print(
-        f"fleet scaling ({args.shard_mode}, {traffic} traffic, "
-        f"{args.dataset}/{args.gpu}):"
-    )
-    for row in rows:
-        lat = row["latency_ms"]
-        print(
-            f"  {row['shards']} shard(s): {row['completed']}/{row['requests']} ok, "
-            f"{row['achieved_qps']:.0f} qps ({row['speedup_vs_1shard']:.2f}x), "
-            f"p95 {lat['p95']:.3f} ms, "
-            f"{row['rejected_shard_overloaded']} shard_overloaded"
-        )
-    if autoscale_section is not None:
-        print(
-            f"autoscale: {autoscale_section['scale_ups']} up / "
-            f"{autoscale_section['scale_downs']} down, peak "
-            f"{autoscale_section['peak_shards']} shard(s), final "
-            f"{autoscale_section['final_active_shards']} active"
-        )
-    hits = cache.stats()["hits"]
-    print(f"layout cache: {hits} hit(s) across the sweep (conversion-free shards)")
-    if args.trace_out and last_result is not None:
-        write_serving_trace(last_result.responses, args.trace_out)
-        print(f"wrote {args.trace_out}")
-    print(f"wrote {out}")
-    return 0
-
-
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
     from repro.obs.benchdiff import diff_envelopes, format_diff, load_envelope
 
@@ -817,8 +597,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    from repro.core import TahoeEngine
-    from repro.core.fil import FILEngine, fil_conversion_key
+    from repro.core.fil import fil_conversion_key
     from repro.formats.encoding import THRESHOLD_MODES
     from repro.modelstore import pack_layout
 
@@ -919,13 +698,11 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.gpusim.report import format_run_report
-    from repro.obs import write_chrome_trace, write_report_json
+    from repro.obs import write_chrome_trace
 
-    forest = load_forest(args.forest)
+    forest, _ = _load_any_model(args.forest)
     spec = GPU_SPECS[args.gpu]
-    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = train_test_split(data, seed=args.seed)
-    X = split.test.X[: args.limit] if args.limit else split.test.X
+    X = _inference_X(args)
     config = TahoeConfig(obs=ObsConfig(tracing=True))
     engine = TahoeEngine(forest, spec, config=config)
     result = engine.predict(X, batch_size=args.batch, report=True)
@@ -938,8 +715,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"https://ui.perfetto.dev"
     )
     if args.report_json:
-        write_report_json(result.report, args.report_json)
-        print(f"wrote {args.report_json}")
+        _write_report(result.report, args)
     print(format_run_report(result.report))
     return 0
 
@@ -949,6 +725,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Tahoe reproduction command-line interface"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags shared by the commands that run a model on a dataset split.
+    inference = argparse.ArgumentParser(add_help=False)
+    inference.add_argument("--forest", type=Path, required=True)
+    inference.add_argument("--dataset", required=True, choices=DATASET_ORDER)
+    inference.add_argument("--gpu", choices=sorted(GPU_SPECS), default="P100")
+    inference.add_argument("--scale", type=float, default=0.01)
+    inference.add_argument("--seed", type=int, default=0)
+    inference.add_argument("--batch", type=int, default=None)
+    inference.add_argument("--limit", type=int, default=None)
+    inference.add_argument("--report-json", type=Path, default=None, dest="report_json")
+    engine_choice = argparse.ArgumentParser(add_help=False)
+    engine_choice.add_argument(
+        "--backend",
+        choices=["tahoe", "native"],
+        default="tahoe",
+        help="tahoe = simulated Tahoe vs FIL comparison; native = vectorised "
+        "host execution at wall-clock speed",
+    )
+    engine_choice.add_argument(
+        "--n-attributes", type=int, default=None, dest="n_attributes",
+        help="widen an imported model's attribute space to the dataset's",
+    )
 
     sub.add_parser("specs", help="list the simulated GPU models").set_defaults(
         func=_cmd_specs
@@ -976,10 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "xgboost", "xgboost-dump", "lightgbm", "sklearn", "forest-json"],
     )
     p.add_argument(
-        "--n-attributes",
-        type=int,
-        default=None,
-        dest="n_attributes",
+        "--n-attributes", type=int, default=None,
         help="widen the attribute space (e.g. to match a dataset)",
     )
     p.add_argument("--name", default=None, help="forest name (file stem otherwise)")
@@ -1032,61 +828,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=10000)
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("predict", help="run Tahoe vs FIL on a dataset's inference split")
-    p.add_argument("--forest", type=Path, required=True)
-    p.add_argument("--dataset", required=True, choices=DATASET_ORDER)
-    p.add_argument("--gpu", choices=sorted(GPU_SPECS), default="P100")
-    p.add_argument(
-        "--backend",
-        choices=["tahoe", "native"],
-        default="tahoe",
-        help="native = vectorised host execution at wall-clock speed "
-        "(bit-identity-checked against the simulator)",
+    p = sub.add_parser(
+        "predict",
+        parents=[inference, engine_choice],
+        help="run Tahoe vs FIL on a dataset's inference split",
     )
-    p.add_argument("--scale", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
     p.add_argument("--verbose", action="store_true")
     p.add_argument(
-        "--n-attributes", type=int, default=None, dest="n_attributes",
-        help="widen an imported model's attribute space to the dataset's",
-    )
-    p.add_argument("--report-json", type=Path, default=None, dest="report_json")
-    p.add_argument(
-        "--cprofile",
-        type=Path,
-        default=None,
+        "--cprofile", type=Path, default=None,
         help="profile both engines' predict() and dump pstats data to FILE",
     )
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser(
         "explain",
+        parents=[inference, engine_choice],
         help="exact SHAP attributions (GPUTreeShap-style path kernel)",
     )
-    p.add_argument("--forest", type=Path, required=True)
-    p.add_argument("--dataset", required=True, choices=DATASET_ORDER)
-    p.add_argument("--gpu", choices=sorted(GPU_SPECS), default="P100")
-    p.add_argument(
-        "--backend",
-        choices=["tahoe", "native"],
-        default="tahoe",
-        help="tahoe = simulated Tahoe vs FIL comparison; "
-        "native = vectorised host execution at wall-clock speed",
-    )
-    p.add_argument("--scale", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
     p.add_argument(
         "--top", type=int, default=8, help="features to list by mean |attribution|"
     )
-    p.add_argument(
-        "--n-attributes", type=int, default=None, dest="n_attributes",
-        help="widen an imported model's attribute space to the dataset's",
-    )
-    p.add_argument("--report-json", type=Path, default=None, dest="report_json")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser(
@@ -1113,9 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         "times, measured flush point)",
     )
     p.add_argument(
-        "--forest",
-        type=Path,
-        default=None,
+        "--forest", type=Path, default=None,
         help="serve this model file (any supported format; .tahoe skips "
         "conversion) instead of training one",
     )
@@ -1131,83 +890,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival process (registry lookup; user-population = Zipf "
         "users with diurnal + flash-crowd session intensities)",
     )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="fleet mode: sweep 1..N router shards for a scaling curve "
-        "and write BENCH_fleet.json instead of BENCH_serving.json",
-    )
-    p.add_argument(
-        "--shard-mode",
-        choices=["replicate", "forest"],
-        default="replicate",
-        dest="shard_mode",
-        help="replicate = full model per shard; forest = split the "
-        "forest across shards with router-side grouped reduction",
-    )
-    p.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="also run the replica autoscaler demo (hysteresis on "
-        "rolling p95/queue depth) and record its events",
-    )
-    p.add_argument(
-        "--explain-fraction",
-        type=float,
-        default=0.0,
-        dest="explain_fraction",
-        help="mark this fraction of requests as SHAP explain requests "
-        "(the scheduler coalesces kind-homogeneous micro-batches); "
-        "writes BENCH_explain.json instead of BENCH_serving.json",
-    )
     p.add_argument("--qps", type=float, default=2000.0, help="offered request rate")
     p.add_argument("--duration", type=float, default=2.0, help="arrival window, seconds")
-    p.add_argument("--n-engines", type=int, default=2, dest="n_engines")
-    p.add_argument("--max-batch", type=int, default=1024, dest="max_batch")
-    p.add_argument("--max-wait-ms", type=float, default=2.0, dest="max_wait_ms")
-    p.add_argument("--max-queue", type=int, default=4096, dest="max_queue")
+    p.add_argument("--n-engines", type=int, default=2)
+    p.add_argument("--max-batch", type=int, default=1024)
+    p.add_argument("--max-wait-ms", type=float, default=2.0)
+    p.add_argument("--max-queue", type=int, default=4096)
     p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=50.0,
-        dest="deadline_ms",
+        "--deadline-ms", type=float, default=50.0,
         help="per-request latency budget (0 disables deadlines)",
     )
     p.add_argument(
-        "--burst-factor",
-        type=float,
-        default=1.0,
-        dest="burst_factor",
+        "--burst-factor", type=float, default=1.0,
         help="overload burst: middle 20%% of the window runs at "
         "qps * FACTOR (1 disables; try 20 to exercise the SLO monitor)",
     )
     p.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=10.0,
-        dest="slo_p95_ms",
+        "--slo-p95-ms", type=float, default=10.0,
         help="p95 end-to-end latency objective (0 disables)",
     )
     p.add_argument(
-        "--slo-error-rate",
-        type=float,
-        default=0.05,
-        dest="slo_error_rate",
+        "--slo-error-rate", type=float, default=0.05,
         help="max failed-request fraction objective (0 disables)",
     )
     p.add_argument(
-        "--slo-window-ms",
-        type=float,
-        default=100.0,
-        dest="slo_window_ms",
+        "--slo-window-ms", type=float, default=100.0,
         help="rolling SLO evaluation window, simulated milliseconds",
     )
     p.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        dest="trace_out",
+        "--trace-out", type=Path, default=None,
         help="also write per-request stage traces as a Chrome/Perfetto file",
     )
     p.add_argument(
@@ -1224,22 +935,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("old", type=Path, help="baseline artifact")
     p.add_argument("new", type=Path, help="candidate artifact")
     p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
+        "--threshold", type=float, default=0.10,
         help="relative change below this is noise (default 10%%)",
     )
     p.add_argument(
-        "--abs-floor",
-        type=float,
-        default=1e-9,
-        dest="abs_floor",
+        "--abs-floor", type=float, default=1e-9,
         help="absolute change below this is float jitter",
     )
     p.add_argument(
-        "--warn-only",
-        action="store_true",
-        dest="warn_only",
+        "--warn-only", action="store_true",
         help="report regressions but exit 0 (CI soft gate)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -1247,17 +951,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench_diff)
 
     p = sub.add_parser(
-        "trace", help="run inference with tracing on and write a Chrome trace"
+        "trace",
+        parents=[inference],
+        help="run inference with tracing on and write a Chrome trace",
     )
-    p.add_argument("--forest", type=Path, required=True)
-    p.add_argument("--dataset", required=True, choices=DATASET_ORDER)
-    p.add_argument("--gpu", choices=sorted(GPU_SPECS), default="P100")
-    p.add_argument("--scale", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", type=Path, default=Path("trace.json"))
-    p.add_argument("--report-json", type=Path, default=None, dest="report_json")
     p.set_defaults(func=_cmd_trace)
     return parser
 

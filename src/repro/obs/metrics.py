@@ -8,22 +8,16 @@ simulator's existing accounting — :class:`~repro.gpusim.counters.TrafficCounte
 of ad-hoc dataclass fields.
 
 Metric names are dotted (``traffic.forest_global.fetched_bytes``); the
-Prometheus exporter sanitises them.  Histograms are **streaming** by
-default — bounded log-bucketed sketches
+Prometheus exporter sanitises them.  Histograms are **streaming** —
+bounded log-bucketed sketches
 (:class:`~repro.obs.streaming.StreamingHistogram`) with fixed memory and
 a few-percent quantile error, which is what lets the serving tier keep
-them on the request hot path indefinitely.  Pass ``raw=True`` for the
-old keep-every-observation behaviour (exact quantiles; benchmarks and
-tests that assert exact values).
+them on the request hot path indefinitely.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.obs.streaming import StreamingHistogram
 
@@ -69,71 +63,37 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution: streaming log-bucketed by default, raw on request.
+    """A named distribution backed by a :class:`StreamingHistogram` —
+    fixed memory, mergeable, p50/p95/p99/p999 without storing samples."""
 
-    Streaming mode (the default) delegates to a
-    :class:`StreamingHistogram` — fixed memory, mergeable, p50/p95/p99/
-    p999 without storing samples.  ``raw=True`` keeps every observation
-    in a sorted list instead, giving exact nearest-rank quantiles in
-    O(log n) per insert (no re-sorting on read) at the cost of unbounded
-    memory — the escape hatch for tests and small offline runs.
-    """
+    __slots__ = ("name", "help", "_stream")
 
-    __slots__ = ("name", "help", "raw", "_stream", "_sorted")
-
-    def __init__(self, name: str, help: str = "", raw: bool = False) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
-        self.raw = bool(raw)
-        self._stream: StreamingHistogram | None = None if self.raw else StreamingHistogram()
-        self._sorted: list[float] = []
+        self._stream = StreamingHistogram()
 
     def observe(self, value: float, count: int = 1) -> None:
-        if self._stream is not None:
-            self._stream.observe(value, count)
-        else:
-            value = float(value)
-            for _ in range(count):
-                insort(self._sorted, value)
+        self._stream.observe(value, count)
 
     def observe_many(self, values) -> None:
         """Record every value of ``values``: the same state as a loop of
-        :meth:`observe`, from one vectorised pass in streaming mode."""
-        if self._stream is not None:
-            self._stream.observe_many(values)
-        else:
-            for value in np.asarray(values, dtype=np.float64).ravel().tolist():
-                insort(self._sorted, value)
+        :meth:`observe`, from one vectorised pass."""
+        self._stream.observe_many(values)
 
     def copy(self) -> Histogram:
         """An independent twin with the same observations."""
         twin = Histogram.__new__(Histogram)
-        twin.name, twin.help, twin.raw = self.name, self.help, self.raw
-        twin._stream = None if self._stream is None else self._stream.copy()
-        twin._sorted = list(self._sorted)
+        twin.name, twin.help, twin._stream = self.name, self.help, self._stream.copy()
         return twin
 
     @property
-    def observations(self) -> list[float]:
-        """The raw samples (ascending).  Raw mode only."""
-        if self._stream is not None:
-            raise TypeError(
-                f"histogram {self.name!r} is streaming and keeps no raw "
-                "observations; construct it with raw=True"
-            )
-        return self._sorted
-
-    @property
     def count(self) -> int:
-        if self._stream is not None:
-            return self._stream.count
-        return len(self._sorted)
+        return self._stream.count
 
     @property
     def total(self) -> float:
-        if self._stream is not None:
-            return self._stream.total
-        return math.fsum(self._sorted)
+        return self._stream.total
 
     @property
     def mean(self) -> float:
@@ -141,71 +101,30 @@ class Histogram:
 
     @property
     def min(self) -> float:
-        if self._stream is not None:
-            return self._stream.min if self._stream.count else 0.0
-        return self._sorted[0] if self._sorted else 0.0
+        return self._stream.min if self._stream.count else 0.0
 
     @property
     def max(self) -> float:
-        if self._stream is not None:
-            return self._stream.max if self._stream.count else 0.0
-        return self._sorted[-1] if self._sorted else 0.0
+        return self._stream.max if self._stream.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank q-quantile (exact in raw mode); 0 when empty."""
+        """Nearest-rank q-quantile (within the bucket error); 0 when empty."""
         return self.quantiles((q,))[0]
 
     def quantiles(self, qs) -> list[float]:
-        """:meth:`quantile` for each of ``qs``; one pass in streaming mode."""
-        if self._stream is not None:
-            return self._stream.quantiles(qs)
-        n = len(self._sorted)
-        if not n:
-            return [0.0] * len(qs)
-        return [self._sorted[min(n - 1, max(0, math.ceil(q * n) - 1))] for q in qs]
+        """:meth:`quantile` for each of ``qs``, in one pass."""
+        return self._stream.quantiles(qs)
 
     def summary(self) -> dict:
-        if self._stream is not None:
-            return self._stream.summary()
-        if not self._sorted:
-            return {"count": 0, "sum": 0.0}
-        p50, p95, p99, p999 = self.quantiles((0.5, 0.95, 0.99, 0.999))
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self._sorted[0],
-            "max": self._sorted[-1],
-            "p50": p50,
-            "p95": p95,
-            "p99": p99,
-            "p999": p999,
-        }
+        return self._stream.summary()
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """Prometheus-style non-empty ``(le_bound, cumulative_count)``.
-
-        Raw mode replays its samples through a scratch streaming
-        histogram so both modes export identical bucket geometry.
-        """
-        stream = self._stream
-        if stream is None:
-            stream = StreamingHistogram()
-            for v in self._sorted:
-                stream.observe(v)
-        return stream.cumulative_buckets()
+        """Prometheus-style non-empty ``(le_bound, cumulative_count)``."""
+        return self._stream.cumulative_buckets()
 
     def merge(self, other: Histogram) -> Histogram:
         """Fold ``other`` into this histogram (replica aggregation)."""
-        if self._stream is not None and other._stream is not None:
-            self._stream.merge(other._stream)
-        elif self._stream is None and other._stream is None:
-            for v in other._sorted:
-                insort(self._sorted, v)
-        else:
-            raise TypeError(
-                f"cannot merge raw and streaming histograms ({self.name!r})"
-            )
+        self._stream.merge(other._stream)
         return self
 
 
@@ -242,16 +161,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(name, Gauge, help)
 
-    def histogram(self, name: str, help: str = "", raw: bool = False) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = Histogram(name, help=help, raw=raw)
-            self._metrics[name] = metric
-        elif not isinstance(metric, Histogram):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}"
-            )
-        return metric
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get(name, Histogram, help)
 
     def __iter__(self):
         return iter(self._metrics.values())
@@ -297,8 +208,7 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge):
                 self.gauge(metric.name, metric.help).set(metric.value)
             else:
-                mine = self.histogram(metric.name, metric.help, raw=metric.raw)
-                mine.merge(metric)
+                self.histogram(metric.name, metric.help).merge(metric)
         return self
 
     def snapshot(self) -> dict:

@@ -1,11 +1,11 @@
 """Bounded log-bucketed streaming histograms.
 
-The raw-observation :class:`~repro.obs.metrics.Histogram` the obs layer
-shipped with keeps every sample — exact quantiles, but O(n) memory and an
-O(n log n) sort per ``quantile()`` call.  That is fine for a benchmark of
-a few thousand batches and fatal for a serving tier observing millions of
-request latencies.  :class:`StreamingHistogram` is the serving-grade
-replacement:
+A histogram that keeps every sample gives exact quantiles, but O(n)
+memory and an O(n log n) sort per ``quantile()`` call.  That is fine for a
+benchmark of a few thousand batches and fatal for a serving tier
+observing millions of request latencies.  :class:`StreamingHistogram` is
+the serving-grade alternative, and the store behind every
+:class:`~repro.obs.metrics.Histogram`:
 
 * **Fixed memory.**  Values land in geometrically spaced buckets
   (``growth`` ratio between consecutive bounds) spanning ``[lo, hi]``,
@@ -117,9 +117,12 @@ class StreamingHistogram:
 
         The weighted form lets callers fold a batch of identical
         observations (e.g. the per-request kernel time of one dispatched
-        micro-batch) into one bucket update instead of N.
+        micro-batch) into one bucket update instead of N.  NaN is
+        rejected before anything is recorded.
         """
         value = float(value)
+        if value != value:
+            raise ValueError("cannot observe NaN")
         self.count += count
         self.total += value * count
         if value < self.min:

@@ -84,6 +84,29 @@ class TestCli:
             main([])
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["json", "tahoe"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert"],
+        ["profile"],
+        ["rank", "--batch", "500"],
+        ["trace", "--dataset", "letter", "--scale", "0.05", "--limit", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_forest_commands_accept_any_model_format(
+    argv, packed, forest_file, tmp_path, capsys
+):
+    """Every ``--forest`` command loads native JSON and packed ``.tahoe``."""
+    model = forest_file
+    if packed:
+        model = tmp_path / "model.tahoe"
+        assert main(["pack", "--forest", str(forest_file), "--out", str(model)]) == 0
+    extra = ["--out", str(tmp_path / "trace.json")] if argv[0] == "trace" else []
+    assert main([argv[0], "--forest", str(model), *argv[1:], *extra]) == 0
+
+
 class TestProfileCommand:
     def test_profile_reports_structure(self, forest_file, capsys):
         assert main(["profile", "--forest", str(forest_file)]) == 0
@@ -179,6 +202,29 @@ class TestServeCommand:
         covered = sum(layers["parts_s"].values())
         assert covered + layers["unaccounted_s"] == pytest.approx(layers["run_s"])
         assert 0.9 <= layers["coverage"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "flags, traffic",
+        [
+            (["--traffic", "user-population"], "user-population"),
+            (["--traffic", "burst", "--burst-factor", "20"], "burst"),
+            # A burst factor alone implies burst traffic.
+            (["--burst-factor", "20"], "burst"),
+        ],
+        ids=["user-population", "burst", "burst-factor-only"],
+    )
+    def test_serve_traffic_models(self, flags, traffic, tmp_path, capsys):
+        out_path = tmp_path / "BENCH_serving.json"
+        code = main(
+            ["serve", "--bench", "--quick", "--baseline", "--scale", "0.05",
+             "--tree-scale", "0.04", *flags, "--out", str(out_path)]
+        )
+        assert code == 0
+        envelope = json.loads(out_path.read_text())
+        assert envelope["kind"] == "serving_bench"
+        assert envelope["run"]["scenario"].endswith(f"/{traffic}")
+        assert envelope["payload"]["config"]["traffic"] == traffic
+        assert envelope["payload"]["summary"]["completed"] > 0
 
     def test_predict_native_backend_bit_identical(self, forest_file, capsys):
         code = main(

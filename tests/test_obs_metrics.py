@@ -24,21 +24,6 @@ def test_gauge_keeps_last_value():
     assert g.value == 0.25
 
 
-def test_raw_histogram_stats_and_quantiles_are_exact():
-    h = Histogram("lat", raw=True)
-    for v in [3.0, 1.0, 4.0, 2.0]:
-        h.observe(v)
-    assert h.count == 4
-    assert h.total == 10.0
-    assert h.mean == 2.5
-    assert h.quantile(0.0) == 1.0
-    assert h.quantile(1.0) == 4.0
-    assert h.quantile(0.5) == 2.0  # nearest-rank
-    assert h.observations == [1.0, 2.0, 3.0, 4.0]  # kept sorted on insert
-    s = h.summary()
-    assert s["count"] == 4 and s["min"] == 1.0 and s["max"] == 4.0
-
-
 def test_streaming_histogram_is_default_and_approximate():
     h = Histogram("lat")
     for v in [1.0, 2.0, 3.0, 4.0]:
@@ -49,11 +34,9 @@ def test_streaming_histogram_is_default_and_approximate():
     # log-bucketed: quantiles land within the bucket's relative error
     assert h.quantile(0.5) == pytest.approx(2.0, rel=0.05)
     assert h.quantile(1.0) == pytest.approx(4.0, rel=0.05)
-    with pytest.raises(TypeError, match="streaming"):
-        _ = h.observations
 
 
-def test_histogram_merge_and_mode_mismatch():
+def test_histogram_merge():
     a = Histogram("lat")
     b = Histogram("lat")
     for v in (1.0, 2.0):
@@ -61,16 +44,13 @@ def test_histogram_merge_and_mode_mismatch():
     b.observe(3.0)
     a.merge(b)
     assert a.count == 3 and a.max == 3.0
-    with pytest.raises(TypeError, match="raw and streaming"):
-        a.merge(Histogram("lat", raw=True))
 
 
 def test_empty_histogram_summary_is_safe():
-    for h in (Histogram("empty"), Histogram("empty_raw", raw=True)):
-        assert h.count == 0
-        assert h.mean == 0.0
-        s = h.summary()
-        assert s["count"] == 0
+    h = Histogram("empty")
+    assert h.count == 0
+    assert h.mean == 0.0
+    assert h.summary()["count"] == 0
 
 
 def test_registry_get_or_create_and_kind_mismatch():
