@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import FILEngine, ObsConfig, TahoeConfig, TahoeEngine
+from repro.core import ENGINE_KINDS, FILEngine, ObsConfig, TahoeConfig, TahoeEngine
 from repro.datasets import DATASET_ORDER, DATASETS, load_dataset, train_test_split
 from repro.formats import build_adaptive_layout, build_reorg_layout
 from repro.gpusim.specs import GPU_SPECS
@@ -597,7 +597,6 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    from repro.core.fil import fil_conversion_key
     from repro.formats.encoding import THRESHOLD_MODES
     from repro.modelstore import pack_layout
 
@@ -611,18 +610,14 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     if node_width is not None and node_width != "auto":
         node_width = int(node_width)
     config = TahoeConfig(node_width=node_width, threshold_mode=args.threshold_mode)
-    if args.engine == "fil":
-        engine = FILEngine(forest, spec, config=config)
-        conversion_key = fil_conversion_key(config)
-    else:
-        engine = TahoeEngine(forest, spec, config=config)
-        conversion_key = config.conversion_key()
+    cls = ENGINE_KINDS[args.engine]
+    engine = cls(forest, spec, config=config)
     result = pack_layout(
         engine.layout,
         args.out,
         engine=args.engine,
         spec_name=spec.name,
-        conversion_key=conversion_key,
+        conversion_key=cls.conversion_key(config),
         source_fingerprint=fingerprint,
     )
     stats = engine.conversion_stats
@@ -792,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--forest", type=Path, required=True, help="any importable model file")
     p.add_argument("--gpu", choices=sorted(GPU_SPECS), default="P100")
-    p.add_argument("--engine", choices=["tahoe", "fil"], default="tahoe")
+    p.add_argument("--engine", choices=list(ENGINE_KINDS), default="tahoe")
     p.add_argument(
         "--n-attributes", type=int, default=None, dest="n_attributes",
         help="widen the attribute space before converting",

@@ -4,6 +4,9 @@
   conforms to: keyword-only construction after ``(forest, spec)``,
   uniform ``predict(X, *, batch_size=None, report=False)``, and
   ``update_forest`` returning :class:`ConversionStats`.
+* :class:`~repro.core.base.LayoutEngine` — the lifecycle the Tahoe, FIL
+  and native engines share: cache-keyed conversion, layout adoption,
+  the batch loop and report assembly.
 * :class:`~repro.core.engine.TahoeEngine` — offline hardware detection,
   online adaptive-format conversion (with per-stage timing for the
   section 7.4 overhead analysis), per-batch model-guided strategy
@@ -21,6 +24,10 @@
   the conversion pipeline.
 * :mod:`repro.core.metrics` — throughput / speedup / CV helpers used by
   every benchmark.
+* :func:`engine_class` — which engine class serves a packed format
+  (``tahoe``/``fil``) on a backend; its
+  :meth:`~repro.core.base.LayoutEngine.conversion_key` is the layout's
+  cache key.
 """
 
 from repro.core.base import (
@@ -29,6 +36,7 @@ from repro.core.base import (
     ConversionStats,
     Engine,
     EngineResult,
+    LayoutEngine,
 )
 from repro.core.cache import LayoutCache
 from repro.core.config import ObsConfig, TahoeConfig
@@ -38,12 +46,28 @@ from repro.core.metrics import geometric_mean, speedup, throughput
 from repro.core.multi import MultiGPUResult, MultiGPUTahoeEngine
 from repro.core.native import NativeEngine
 
+#: Engine class per packed format (the ``engine`` of a ``.tahoe`` header).
+ENGINE_KINDS: dict[str, type[LayoutEngine]] = {"tahoe": TahoeEngine, "fil": FILEngine}
+
+
+def engine_class(kind: str, backend: str | None = None) -> type[LayoutEngine]:
+    """The engine class serving a ``kind`` model on ``backend``.
+
+    ``backend="native"`` executes either format on the host; any other
+    backend gets the simulator engine matching the format.  An unknown
+    ``kind`` raises ``KeyError``.
+    """
+    return NativeEngine if backend == "native" else ENGINE_KINDS[kind]
+
+
 __all__ = [
+    "ENGINE_KINDS",
     "ConversionStats",
     "Engine",
     "EngineResult",
     "FILEngine",
     "LayoutCache",
+    "LayoutEngine",
     "NativeEngine",
     "TIME_DOMAIN_SIMULATED",
     "TIME_DOMAIN_WALL",
@@ -52,6 +76,7 @@ __all__ = [
     "ObsConfig",
     "TahoeConfig",
     "TahoeEngine",
+    "engine_class",
     "geometric_mean",
     "speedup",
     "throughput",

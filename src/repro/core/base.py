@@ -1,8 +1,8 @@
-"""The unified engine surface: one protocol, one result shape.
+"""The unified engine surface: one protocol, one result shape, one lifecycle.
 
 Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
-:class:`~repro.core.fil.FILEngine` and
-:class:`~repro.core.multi.MultiGPUTahoeEngine` — conforms to the
+:class:`~repro.core.fil.FILEngine`, :class:`~repro.core.native.NativeEngine`
+and :class:`~repro.core.multi.MultiGPUTahoeEngine` — conforms to the
 :class:`Engine` protocol:
 
 * construction is ``Engine(forest, spec, *, config=..., hardware=...,
@@ -15,21 +15,29 @@ Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
 * an empty inference batch raises ``ValueError("empty inference
   batch")`` instead of failing mid-batch.
 
-The v1.1 positional call shapes (``TahoeEngine(forest, spec, config)``
-and friends) had a one-release deprecation grace period; it is over and
-the shims are gone — everything after ``(forest, spec)`` is genuinely
-keyword-only now.
+The three single-target engines share one lifecycle, :class:`LayoutEngine`
+(Algorithm 1): convert the forest on load behind the layout cache, ship
+the layout to the execution target, then run inference batch by batch.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.cache import LayoutCache
+from repro.core.config import TahoeConfig
+from repro.obs.recorder import RunRecorder
+from repro.obs.trace import span
+
 if TYPE_CHECKING:
+    from repro.formats.layout import ForestLayout
+    from repro.gpusim.specs import GPUSpec
     from repro.obs.report import RunReport
+    from repro.perfmodel.notation import HardwareParams
     from repro.strategies import StrategyResult
     from repro.trees.forest import Forest
 
@@ -37,9 +45,11 @@ __all__ = [
     "ConversionStats",
     "Engine",
     "EngineResult",
+    "LayoutEngine",
     "TIME_DOMAIN_SIMULATED",
     "TIME_DOMAIN_WALL",
     "check_batch",
+    "prediction_buffer",
 ]
 
 
@@ -152,3 +162,308 @@ def check_batch(X: np.ndarray, *, n_attributes: int | None = None) -> np.ndarray
             f"(the forest's n_attributes), got {got}"
         )
     return X
+
+
+def prediction_buffer(n: int, n_classes: int) -> np.ndarray:
+    """Zeroed float64 predictions: ``(n,)``, or ``(n, n_classes)`` when
+    the forest is multiclass."""
+    return np.zeros((n, n_classes) if n_classes > 1 else n, dtype=np.float64)
+
+
+class LayoutEngine:
+    """The lifecycle every layout-executing engine shares (Algorithm 1).
+
+    On load the forest is converted (stages 1-4) behind the
+    :class:`~repro.core.cache.LayoutCache`, the layout is shipped to the
+    execution target (stage 5), and the finished layout is adopted;
+    :meth:`from_layout` adopts a pre-converted one instead.  Inference
+    then runs batch by batch.  A subclass supplies five things:
+
+    * :meth:`conversion_key` — the knobs its conversion depends on (the
+      layout-cache key);
+    * :meth:`_convert_stages` and :meth:`_ship` — the stages that build
+      its layout (1-4, then 5);
+    * :meth:`_install` — what adoption installs beside the layout;
+    * :meth:`_run_batch` and :meth:`_explain_batch` — one batch's run;
+    * ``report_name`` and ``report_meta`` — its name and extra metadata
+      in a :class:`~repro.obs.report.RunReport`.
+
+    The defaults are the adaptive pipeline's key and stages and the
+    simulated GPU image.  :meth:`_measure_hardware` supplies the §6
+    hardware parameters when the caller passes none (none at all by
+    default); Tahoe and Native each define it in their own module, so a
+    profiler that wraps a module's ``measure_hardware_parameters`` sees
+    that engine's call.
+    """
+
+    report_name = ""
+    report_meta: dict = {}
+    time_domain = TIME_DOMAIN_SIMULATED
+
+    def __init__(
+        self,
+        forest: "Forest",
+        spec: "GPUSpec",
+        *,
+        config: TahoeConfig | None = None,
+        hardware: "HardwareParams | None" = None,
+        recorder: RunRecorder | None = None,
+        layout_cache: LayoutCache | None = None,
+    ) -> None:
+        self._init_common(spec, config, hardware, recorder, layout_cache)
+        self._convert(forest)
+
+    def _init_common(self, spec, config, hardware, recorder, layout_cache) -> None:
+        self.spec = spec
+        self.config = config if config is not None else TahoeConfig()
+        obs = self.config.obs
+        self.recorder = recorder if recorder is not None else RunRecorder(
+            tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
+        )
+        self.hardware = hardware or self._measure_hardware(spec)
+        self.layout_cache = layout_cache
+        self.layout: ForestLayout | None = None
+        self.conversion_stats = ConversionStats()
+
+    @classmethod
+    def from_layout(
+        cls,
+        layout: "ForestLayout",
+        spec: "GPUSpec",
+        *,
+        cache_key: tuple | None = None,
+        config: TahoeConfig | None = None,
+        hardware: "HardwareParams | None" = None,
+        recorder: RunRecorder | None = None,
+        layout_cache: LayoutCache | None = None,
+    ):
+        """Build an engine around an already-converted layout.
+
+        The packed-artifact fast path (:mod:`repro.modelstore.artifact`):
+        no conversion stage runs, so ``conversion_stats`` reports zero
+        time for every stage with ``source="artifact"``.  When
+        ``cache_key`` and ``layout_cache`` are both given the layout is
+        published to the cache, so later engines built from the *source*
+        forest hit it.
+        """
+        engine = cls.__new__(cls)
+        engine._init_common(spec, config, hardware, recorder, layout_cache)
+        engine._adopt_layout(layout, ConversionStats(source="artifact"), cache_key)
+        return engine
+
+    # ------------------------------------------------------------------
+    # What a subclass supplies
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _measure_hardware(spec: "GPUSpec") -> "HardwareParams | None":
+        return None
+
+    @classmethod
+    def conversion_key(cls, config: TahoeConfig | None) -> tuple:
+        """The layout-cache key of this engine's conversion under ``config``."""
+        return (config if config is not None else TahoeConfig()).conversion_key()
+
+    def _convert_stages(self, forest: "Forest") -> "tuple[ForestLayout, ConversionStats]":
+        """Stages 1-4: the adaptive pipeline."""
+        from repro.core.engine import convert_forest
+
+        return convert_forest(forest, self.config)
+
+    def _ship(self, layout: "ForestLayout") -> None:
+        """Stage 5: materialise the simulated GPU image of ``layout``."""
+        from repro.gpusim.trace import flatten_layout
+
+        flatten_layout(layout)
+
+    def _install(self, layout: "ForestLayout") -> None:
+        """Install what executing ``layout`` needs beyond the layout itself."""
+
+    def _run_batch(self, X, start, stop, index, collect_level_stats, report):
+        raise NotImplementedError
+
+    def _explain_batch(self, X, start, stop, index):
+        raise NotImplementedError
+
+    def _after_predict(self, X: np.ndarray) -> None:
+        """Runs once per ``predict`` call, after its last batch."""
+
+    # ------------------------------------------------------------------
+    # Online part: conversion and adoption (Algorithm 1, lines 5-7)
+    # ------------------------------------------------------------------
+    def _adopt_layout(
+        self,
+        layout: "ForestLayout",
+        stats: ConversionStats,
+        cache_key: tuple | None = None,
+    ) -> None:
+        """Install a finished layout and record its conversion stats."""
+        self.layout = layout
+        self.forest = layout.forest
+        stats.node_encoding = layout.record.encoding_label
+        self._install(layout)
+        self.conversion_stats = stats
+        self.recorder.record_conversion(stats)
+        if self.layout_cache is not None and cache_key is not None:
+            self.layout_cache.put(cache_key, layout)
+
+    def _convert(self, forest: "Forest") -> None:
+        cache_key = None
+        if self.layout_cache is not None:
+            t0 = time.perf_counter()
+            cache_key = LayoutCache.key(forest, self.spec, self.conversion_key(self.config))
+            cached = self.layout_cache.get(cache_key)
+            lookup = time.perf_counter() - t0
+            if cached is not None:
+                with self.recorder.activate(), span(
+                    "engine.convert", category="conversion", cache_hit=True
+                ):
+                    stats = ConversionStats(
+                        t_cache_lookup=lookup, cache_hit=True, source="cache"
+                    )
+                self._adopt_layout(cached, stats)
+                return
+        with self.recorder.activate(), span(
+            "engine.convert",
+            category="conversion",
+            trees=forest.n_trees,
+            nodes=forest.n_nodes,
+        ):
+            layout, stats = self._convert_stages(forest)
+            t4 = time.perf_counter()
+            # Stage 5: ship the converted forest to the execution target.
+            with span("copy_to_gpu", category="conversion", bytes=layout.total_bytes):
+                self._ship(layout)
+            stats.t_copy_to_gpu = time.perf_counter() - t4
+        self._adopt_layout(layout, stats, cache_key)
+
+    def update_forest(self, forest: "Forest") -> ConversionStats:
+        """Incremental learning hook: reconvert for an updated forest."""
+        self._convert(forest)
+        return self.conversion_stats
+
+    # ------------------------------------------------------------------
+    # Inference (Algorithm 1, lines 8-16)
+    # ------------------------------------------------------------------
+    def predict(
+        self,
+        X: np.ndarray,
+        *,
+        batch_size: int | None = None,
+        collect_level_stats: bool = False,
+        report: bool = False,
+    ) -> EngineResult:
+        """Run inference over ``X`` batch by batch.
+
+        Args:
+            X: sample matrix (non-empty, ``forest.n_attributes`` columns;
+                anything else raises ``ValueError``).
+            batch_size: samples per batch (whole input when omitted) —
+                the paper's high-parallelism regime uses 100K, the
+                low-parallelism one 100.
+            collect_level_stats: gather per-level coalescing statistics
+                on each batch (figure 2a analysis; simulated engines only).
+            report: attach this run's :class:`RunReport` to the result
+                (conversions, per-batch decisions and times, traffic
+                metrics).
+        """
+        X = check_batch(X, n_attributes=self.forest.n_attributes)
+        n = X.shape[0]
+        if batch_size is None or batch_size >= n:
+            batch_size = n
+        predictions = prediction_buffer(n, self.forest.n_classes)
+        batches: list[StrategyResult] = []
+        total_time = 0.0
+        with self.recorder.activate(), span(
+            "engine.predict", category="engine", samples=n, batch_size=batch_size
+        ):
+            for index, start in enumerate(range(0, n, batch_size)):
+                stop = min(start + batch_size, n)
+                result = self._run_batch(X, start, stop, index, collect_level_stats, report)
+                predictions[start:stop] = result.predictions
+                batches.append(result)
+                total_time += result.time
+        self._after_predict(X)
+        return EngineResult(
+            predictions=predictions,
+            total_time=total_time,
+            batches=batches,
+            strategies_used=[b.strategy for b in batches],
+            report=self.build_report(
+                n_samples=n, batch_size=batch_size, total_time=total_time
+            )
+            if report
+            else None,
+            time_domain=self.time_domain,
+        )
+
+    def explain(
+        self,
+        X: np.ndarray,
+        *,
+        batch_size: int | None = None,
+        report: bool = False,
+    ):
+        """Exact SHAP attributions for ``X``, batch by batch.
+
+        Returns an :class:`~repro.explain.ExplainResult` whose
+        attributions are in raw-margin space (``base_values +
+        attributions.sum(axis=1)`` reconstructs the pre-link margins
+        exactly).
+        """
+        from repro.explain import ExplainResult, squeeze_single_class
+
+        X = check_batch(X, n_attributes=self.forest.n_attributes)
+        n = X.shape[0]
+        if batch_size is None or batch_size >= n:
+            batch_size = n
+        K = self.forest.n_classes
+        phi = np.zeros((n, self.forest.n_attributes, K), dtype=np.float64)
+        margins = np.zeros((n, K), dtype=np.float64)
+        base = np.zeros(K, dtype=np.float64)
+        batches: list[StrategyResult] = []
+        total_time = 0.0
+        with self.recorder.activate(), span(
+            "engine.explain", category="engine", samples=n, batch_size=batch_size
+        ):
+            for index, start in enumerate(range(0, n, batch_size)):
+                stop = min(start + batch_size, n)
+                result = self._explain_batch(X, start, stop, index)
+                phi[start:stop] = result.attributions
+                margins[start:stop] = result.predictions
+                base = result.base_values
+                batches.append(result)
+                total_time += result.time
+        phi, base, margins = squeeze_single_class(phi, base, margins)
+        return ExplainResult(
+            attributions=phi,
+            base_values=base,
+            predictions=margins,
+            total_time=total_time,
+            batches=batches,
+            strategies_used=[b.strategy for b in batches],
+            report=self.build_report(
+                n_samples=n, batch_size=batch_size, total_time=total_time
+            )
+            if report
+            else None,
+            time_domain=self.time_domain,
+        )
+
+    def build_report(
+        self,
+        n_samples: int = 0,
+        batch_size: int | None = None,
+        total_time: float = 0.0,
+        **meta,
+    ) -> "RunReport":
+        """Assemble the engine's telemetry into a :class:`RunReport`."""
+        for key, value in self.report_meta.items():
+            meta.setdefault(key, value)
+        return self.recorder.build_report(
+            engine=self.report_name,
+            gpu=self.spec.name,
+            n_samples=n_samples,
+            batch_size=batch_size,
+            total_time=total_time,
+            **meta,
+        )

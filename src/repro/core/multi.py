@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.base import ConversionStats, EngineResult, check_batch
+from repro.core.base import (
+    ConversionStats,
+    EngineResult,
+    LayoutEngine,
+    check_batch,
+    prediction_buffer,
+)
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.core.engine import TahoeEngine
@@ -68,6 +74,9 @@ class MultiGPUTahoeEngine:
 
     Everything after ``(forest, spec)`` is keyword-only.
     """
+
+    report_name = "tahoe-multigpu"
+    report_meta: dict = {}
 
     def __init__(
         self,
@@ -120,10 +129,11 @@ class MultiGPUTahoeEngine:
         ``[g * ceil(n / n_gpus), ...)``.  Completion time is the slowest
         shard's simulated time.
         """
-        X = check_batch(X, n_attributes=self.engines[0].forest.n_attributes)
+        forest = self.engines[0].forest
+        X = check_batch(X, n_attributes=forest.n_attributes)
         n = X.shape[0]
         shard = -(-n // self.n_gpus)
-        predictions = np.zeros(n, dtype=np.float64)
+        predictions = prediction_buffer(n, forest.n_classes)
         per_gpu: list[EngineResult] = []
         batches = []
         used: list[str] = []
@@ -172,19 +182,5 @@ class MultiGPUTahoeEngine:
         self.recorder.record_conversion(stats)
         return stats
 
-    def build_report(
-        self,
-        n_samples: int = 0,
-        batch_size: int | None = None,
-        total_time: float = 0.0,
-        **meta,
-    ):
-        """Assemble the pool's telemetry into a :class:`RunReport`."""
-        return self.recorder.build_report(
-            engine="tahoe-multigpu",
-            gpu=self.spec.name,
-            n_samples=n_samples,
-            batch_size=batch_size,
-            total_time=total_time,
-            **meta,
-        )
+    # The one report assembly, under this pool's engine name.
+    build_report = LayoutEngine.build_report

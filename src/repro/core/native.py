@@ -47,19 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.base import (
-    TIME_DOMAIN_WALL,
-    ConversionStats,
-    EngineResult,
-    check_batch,
-)
-from repro.core.cache import LayoutCache
-from repro.core.config import TahoeConfig
+from repro.core.base import TIME_DOMAIN_WALL, LayoutEngine
 from repro.formats.layout import ForestLayout
 from repro.gpusim.counters import TrafficCounters
 from repro.gpusim.specs import GPUSpec
-from repro.obs.recorder import RunRecorder
-from repro.obs.trace import span
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.native import (
     NativeCostModel,
@@ -69,7 +60,7 @@ from repro.perfmodel.native import (
 from repro.perfmodel.notation import HardwareParams
 from repro.strategies import StrategyResult
 from repro.strategies.base import finalize_predictions
-from repro.trees.forest import Forest
+from repro.strategies.explain import ExplainStrategyResult
 from repro.trees.tree import LEAF
 
 __all__ = [
@@ -527,7 +518,23 @@ class NativeBreakdown:
         }
 
 
-class NativeEngine:
+def _wall_result(cls, strategy, predictions, breakdown, batch_size, **extra):
+    """A wall-clock batch in the strategy-result shape the recorder reads
+    (no simulated traffic, threads or blocks)."""
+    return cls(
+        strategy=strategy,
+        predictions=predictions,
+        breakdown=breakdown,
+        counters=TrafficCounters(),
+        per_thread_steps=np.zeros(0, dtype=np.int64),
+        n_blocks=0,
+        threads_per_block=0,
+        batch_size=batch_size,
+        **extra,
+    )
+
+
+class NativeEngine(LayoutEngine):
     """Vectorised wall-clock execution of converted forest layouts.
 
     Satisfies the shared :class:`~repro.core.base.Engine` surface.
@@ -549,126 +556,32 @@ class NativeEngine:
             backends.
     """
 
+    report_name = "native"
+    report_meta = {
+        "time_domain": TIME_DOMAIN_WALL,
+        "kernel": "numba" if HAVE_NUMBA else "numpy",
+        "numba": HAVE_NUMBA,
+    }
     time_domain = TIME_DOMAIN_WALL
-
-    def __init__(
-        self,
-        forest: Forest,
-        spec: GPUSpec,
-        *,
-        config: TahoeConfig | None = None,
-        hardware: HardwareParams | None = None,
-        recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
-    ) -> None:
-        self._init_common(spec, config, hardware, recorder, layout_cache)
-        self._convert(forest)
-
-    def _init_common(
-        self,
-        spec: GPUSpec,
-        config: TahoeConfig | None,
-        hardware: HardwareParams | None,
-        recorder: RunRecorder | None,
-        layout_cache: LayoutCache | None,
-    ) -> None:
-        self.spec = spec
-        self.config = config if config is not None else TahoeConfig()
-        obs = self.config.obs
-        self.recorder = recorder if recorder is not None else RunRecorder(
-            tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
-        )
-        self.hardware = hardware or measure_hardware_parameters(spec)
-        self.layout_cache = layout_cache
-        self.layout: ForestLayout | None = None
-        self.flat: NativeForest | None = None
-        self.conversion_stats = ConversionStats()
-        self._cost_model: NativeCostModel | None = None
 
     @property
     def kernel(self) -> str:
         """The traversal kernel this process runs: ``numba`` or ``numpy``."""
-        return "numba" if HAVE_NUMBA else "numpy"
+        return self.report_meta["kernel"]
 
-    @classmethod
-    def from_layout(
-        cls,
-        layout: ForestLayout,
-        spec: GPUSpec,
-        *,
-        cache_key: tuple | None = None,
-        config: TahoeConfig | None = None,
-        hardware: HardwareParams | None = None,
-        recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
-    ) -> "NativeEngine":
-        """Adopt an already-converted layout (tahoe *or* fil format).
+    @staticmethod
+    def _measure_hardware(spec: GPUSpec) -> HardwareParams:
+        return measure_hardware_parameters(spec)
 
-        The packed-artifact fast path: no conversion work, only the
-        flattening (and even that is shared through the layout's own
-        cache slot when replicas adopt the same object).  With
-        ``cache_key`` and ``layout_cache`` the layout is published so
-        engines of *any* backend built from the source forest hit it.
-        """
-        engine = cls.__new__(cls)
-        engine._init_common(spec, config, hardware, recorder, layout_cache)
-        engine._adopt_layout(layout, ConversionStats(source="artifact"), cache_key)
-        return engine
+    def _ship(self, layout: ForestLayout) -> None:
+        # Stage 5 for this backend: "copy to device" is building the flat
+        # native arrays the kernels traverse.
+        flatten_native(layout)
 
-    def _adopt_layout(
-        self,
-        layout: ForestLayout,
-        stats: ConversionStats,
-        cache_key: tuple | None = None,
-    ) -> None:
-        """Install a finished layout: flatten it and record the stats."""
-        self.layout = layout
-        self.forest = layout.forest
-        stats.node_encoding = layout.record.encoding_label
+    def _install(self, layout: ForestLayout) -> None:
+        # Replicas adopting one layout object share its flattening.
         self.flat = flatten_native(layout)
-        self._cost_model = None  # re-calibrate for the new forest shape
-        self.conversion_stats = stats
-        self.recorder.record_conversion(stats)
-        if self.layout_cache is not None and cache_key is not None:
-            self.layout_cache.put(cache_key, layout)
-
-    def _convert(self, forest: Forest) -> None:
-        from repro.core.engine import convert_forest
-
-        cache_key = None
-        if self.layout_cache is not None:
-            t0 = time.perf_counter()
-            cache_key = LayoutCache.key(forest, self.spec, self.config.conversion_key())
-            cached = self.layout_cache.get(cache_key)
-            lookup = time.perf_counter() - t0
-            if cached is not None:
-                with self.recorder.activate(), span(
-                    "engine.convert", category="conversion", cache_hit=True
-                ):
-                    stats = ConversionStats(
-                        t_cache_lookup=lookup, cache_hit=True, source="cache"
-                    )
-                self._adopt_layout(cached, stats)
-                return
-        with self.recorder.activate(), span(
-            "engine.convert",
-            category="conversion",
-            trees=forest.n_trees,
-            nodes=forest.n_nodes,
-        ):
-            layout, stats = convert_forest(forest, self.config)
-            t4 = time.perf_counter()
-            # Stage 5 for this backend: "copy to device" is building the
-            # flat native arrays the kernels traverse.
-            with span("copy_to_native", category="conversion"):
-                flatten_native(layout)
-            stats.t_copy_to_gpu = time.perf_counter() - t4
-        self._adopt_layout(layout, stats, cache_key)
-
-    def update_forest(self, forest: Forest) -> ConversionStats:
-        """Incremental learning hook: reconvert and reflatten."""
-        self._convert(forest)
-        return self.conversion_stats
+        self._cost_model: NativeCostModel | None = None  # re-calibrate for the new shape
 
     # ------------------------------------------------------------------
     # Execution
@@ -688,17 +601,6 @@ class NativeEngine:
         _traverse_scalar_jit(X, *flat.scalar_args(), out)
         return out if multi else out[:, 0]
 
-    def _run_flat(self, X: np.ndarray) -> tuple[np.ndarray, NativeBreakdown]:
-        """Traverse + reduce one batch, wall-clock timed per phase."""
-        t0 = time.perf_counter()
-        leaf_sum = self._leaf_sums(X)
-        t1 = time.perf_counter()
-        predictions = finalize_predictions(self.forest, leaf_sum)
-        t2 = time.perf_counter()
-        return predictions, NativeBreakdown(
-            t_traversal=t1 - t0, t_global_reduce=t2 - t1
-        )
-
     @property
     def cost_model(self) -> NativeCostModel:
         """The calibrated wall-clock cost model (probed lazily, once)."""
@@ -715,160 +617,69 @@ class NativeEngine:
             )
         return self._cost_model
 
-    def predict(
-        self,
-        X: np.ndarray,
-        *,
-        batch_size: int | None = None,
-        collect_level_stats: bool = False,
-        report: bool = False,
-    ) -> EngineResult:
-        """Run native inference over ``X`` batch by batch.
+    def _run_batch(self, X, start, stop, index, collect_level_stats, report) -> StrategyResult:
+        """Traverse + reduce one batch, wall-clock timed per phase.
 
         ``total_time`` (and therefore ``throughput``) is **wall-clock**
-        seconds — ``time_domain="wall"`` on the result keeps it from
-        ever being compared against simulated numbers.
-        ``collect_level_stats`` is accepted for engine-surface
-        uniformity and ignored (there is no simulated memory system to
-        collect from).
-
-        The host CPU is the only target this engine executes on, so no
-        per-batch target is chosen.  With ``report=True`` the hardware
-        ranking (native CPU vs the best simulated-GPU strategy, at
-        ``batch_size``) is evaluated once and recorded as one decision,
+        seconds.  ``collect_level_stats`` is ignored (there is no
+        simulated memory system to collect from).  The host CPU is the
+        only target this engine executes on, so no per-batch target is
+        chosen: with ``report=True`` the hardware ranking (native CPU vs
+        the best simulated-GPU strategy, at the batch size) is evaluated
+        once, outside the timed region, and recorded as one decision
         closed by the first batch's measured time.
         """
-        del collect_level_stats
-        X = check_batch(X, n_attributes=self.flat.n_attributes)
-        n = X.shape[0]
-        if batch_size is None or batch_size >= n:
-            batch_size = n
-        if self.forest.n_classes > 1:
-            predictions = np.zeros((n, self.forest.n_classes), dtype=np.float64)
-        else:
-            predictions = np.zeros(n, dtype=np.float64)
-        batches: list[StrategyResult] = []
-        used: list[str] = []
-        total_time = 0.0
-        with self.recorder.activate(), span(
-            "engine.predict", category="engine", samples=n, batch_size=batch_size
-        ):
-            decision = None
-            if report:
-                # Outside the timed region, like strategy selection is
-                # for the simulated engines.
-                ranked = rank_hardware_targets(
-                    self.cost_model,
-                    self.layout,
-                    batch_size,
-                    self.spec,
-                    self.hardware,
-                    depth=self.flat.mean_depth,
-                )
-                chosen = next(t for t in ranked if t.name == "native_cpu")
-                decision = self.recorder.record_decision(
-                    0, batch_size, ranked, chosen
-                )
-            for index, start in enumerate(range(0, n, batch_size)):
-                stop = min(start + batch_size, n)
-                nb = stop - start
-                preds, breakdown = self._run_flat(X[start:stop])
-                predictions[start:stop] = preds
-                result = StrategyResult(
-                    strategy="native",
-                    predictions=preds,
-                    breakdown=breakdown,
-                    counters=TrafficCounters(),
-                    per_thread_steps=np.zeros(0, dtype=np.int64),
-                    n_blocks=0,
-                    threads_per_block=0,
-                    batch_size=nb,
-                )
-                self.recorder.record_batch(
-                    index, result, decision if index == 0 else None
-                )
-                batches.append(result)
-                used.append("native")
-                total_time += breakdown.total
-        return EngineResult(
-            predictions=predictions,
-            total_time=total_time,
-            batches=batches,
-            strategies_used=used,
-            report=self.build_report(
-                n_samples=n, batch_size=batch_size, total_time=total_time
+        decision = None
+        if report and index == 0:
+            ranked = rank_hardware_targets(
+                self.cost_model,
+                self.layout,
+                stop - start,
+                self.spec,
+                self.hardware,
+                depth=self.flat.mean_depth,
             )
-            if report
-            else None,
-            time_domain=TIME_DOMAIN_WALL,
+            chosen = next(t for t in ranked if t.name == "native_cpu")
+            decision = self.recorder.record_decision(0, stop - start, ranked, chosen)
+        t0 = time.perf_counter()
+        leaf_sum = self._leaf_sums(X[start:stop])
+        t1 = time.perf_counter()
+        predictions = finalize_predictions(self.forest, leaf_sum)
+        t2 = time.perf_counter()
+        result = _wall_result(
+            StrategyResult,
+            "native",
+            predictions,
+            NativeBreakdown(t_traversal=t1 - t0, t_global_reduce=t2 - t1),
+            stop - start,
         )
+        self.recorder.record_batch(index, result, decision)
+        return result
 
-    def explain(
-        self,
-        X: np.ndarray,
-        *,
-        batch_size: int | None = None,
-        report: bool = False,
-    ):
-        """Wall-clock SHAP attributions via the vectorised path kernel.
-
-        The same :func:`~repro.explain.kernel.compute_shap` the
-        simulated strategies run, timed for real: ``total_time`` is
-        wall seconds (``time_domain="wall"``), so explain throughput
-        from this backend is comparable to its predict throughput and
-        never to simulated numbers.
-        """
-        from repro.explain import ExplainResult, squeeze_single_class
+    def _explain_batch(self, X, start, stop, index):
+        """Wall-clock SHAP attributions via the vectorised path kernel:
+        the same :func:`~repro.explain.kernel.compute_shap` the simulated
+        strategies run, timed for real, so explain throughput from this
+        backend is comparable to its predict throughput and never to
+        simulated numbers."""
         from repro.explain.kernel import compute_shap
         from repro.explain.paths import path_set_for_layout
 
-        X = check_batch(X, n_attributes=self.flat.n_attributes)
-        n = X.shape[0]
-        if batch_size is None or batch_size >= n:
-            batch_size = n
         ps = path_set_for_layout(self.layout)
-        phi = np.zeros((n, ps.n_features, ps.n_classes), dtype=np.float64)
-        margins = np.zeros((n, ps.n_classes), dtype=np.float64)
-        batches: list[StrategyResult] = []
-        total_time = 0.0
-        with self.recorder.activate(), span(
-            "engine.explain", category="engine", samples=n, batch_size=batch_size
-        ):
-            for index, start in enumerate(range(0, n, batch_size)):
-                stop = min(start + batch_size, n)
-                t0 = time.perf_counter()
-                phi_b, base, margins_b = compute_shap(ps, X[start:stop])
-                breakdown = NativeBreakdown(t_traversal=time.perf_counter() - t0)
-                phi[start:stop] = phi_b
-                margins[start:stop] = margins_b
-                result = StrategyResult(
-                    strategy="native_explain",
-                    predictions=margins_b,
-                    breakdown=breakdown,
-                    counters=TrafficCounters(),
-                    per_thread_steps=np.zeros(0, dtype=np.int64),
-                    n_blocks=0,
-                    threads_per_block=0,
-                    batch_size=stop - start,
-                )
-                self.recorder.record_batch(index, result)
-                batches.append(result)
-                total_time += breakdown.total
-        phi, base, margins = squeeze_single_class(phi, ps.base_values, margins)
-        return ExplainResult(
+        t0 = time.perf_counter()
+        phi, base, margins = compute_shap(ps, X[start:stop])
+        breakdown = NativeBreakdown(t_traversal=time.perf_counter() - t0)
+        result = _wall_result(
+            ExplainStrategyResult,
+            "native_explain",
+            margins,
+            breakdown,
+            stop - start,
             attributions=phi,
             base_values=base,
-            predictions=margins,
-            total_time=total_time,
-            batches=batches,
-            strategies_used=["native_explain"] * len(batches),
-            report=self.build_report(
-                n_samples=n, batch_size=batch_size, total_time=total_time
-            )
-            if report
-            else None,
-            time_domain=TIME_DOMAIN_WALL,
         )
+        self.recorder.record_batch(index, result)
+        return result
 
     def measure_flush_curve(
         self, batch_sizes: list[int], *, repeats: int = 2, seed: int = 11
@@ -909,23 +720,3 @@ class NativeEngine:
         finally:
             self.recorder = real_recorder
         return curve
-
-    def build_report(
-        self,
-        n_samples: int = 0,
-        batch_size: int | None = None,
-        total_time: float = 0.0,
-        **meta,
-    ):
-        """Assemble the engine's telemetry into a :class:`RunReport`."""
-        meta.setdefault("time_domain", TIME_DOMAIN_WALL)
-        meta.setdefault("kernel", self.kernel)
-        meta.setdefault("numba", HAVE_NUMBA)
-        return self.recorder.build_report(
-            engine="native",
-            gpu=self.spec.name,
-            n_samples=n_samples,
-            batch_size=batch_size,
-            total_time=total_time,
-            **meta,
-        )

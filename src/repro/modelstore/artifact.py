@@ -333,26 +333,19 @@ def pack_forest(
     conversion pipeline once (exactly as a cold engine would), then
     persist its output so every later engine start skips it.
     """
-    from repro.core.config import TahoeConfig
-    from repro.core.engine import TahoeEngine
-    from repro.core.fil import FILEngine, fil_conversion_key
+    from repro.core import ENGINE_KINDS
 
-    fingerprint = forest.fingerprint()
-    if engine == "tahoe":
-        config = config if config is not None else TahoeConfig()
-        built = TahoeEngine(forest, spec, config=config)
-        conversion_key = config.conversion_key()
-    elif engine == "fil":
-        built = FILEngine(forest, spec, config=config)
-        conversion_key = fil_conversion_key(config)
-    else:
+    if engine not in ENGINE_KINDS:
         raise ArtifactError(f"unknown engine kind {engine!r} (need tahoe or fil)")
+    cls = ENGINE_KINDS[engine]
+    fingerprint = forest.fingerprint()
+    built = cls(forest, spec, config=config)
     return pack_layout(
         built.layout,
         path,
         engine=engine,
         spec_name=spec.name,
-        conversion_key=conversion_key,
+        conversion_key=cls.conversion_key(config),
         source_fingerprint=fingerprint,
     )
 
@@ -543,9 +536,7 @@ class PackedModel:
         published under :attr:`cache_key`, so engines later built from
         the source forest hit the cache instead of reconverting.
         """
-        from repro.core.engine import TahoeEngine
-        from repro.core.fil import FILEngine
-        from repro.core.native import NativeEngine
+        from repro.core import engine_class
 
         spec = spec if spec is not None else self.resolve_spec()
         if spec.name != self.spec_name:
@@ -557,11 +548,7 @@ class PackedModel:
             raise ArtifactError(
                 f"unknown backend {backend!r} (expected 'simulated' or 'native')"
             )
-        if backend == "native":
-            cls = NativeEngine
-        else:
-            cls = TahoeEngine if self.engine_kind == "tahoe" else FILEngine
-        return cls.from_layout(
+        return engine_class(self.engine_kind, backend).from_layout(
             self.layout,
             spec,
             cache_key=self.cache_key,

@@ -143,13 +143,16 @@ class StreamingHistogram:
         the same buckets (one index rule), ``total`` summed left to right
         (``np.cumsum`` is sequential where ``np.sum`` is pairwise), and
         ``min``/``max`` the first of equal extremes.  A handful of values
-        is cheaper through that loop itself, so it takes it.  Otherwise
-        NaN is rejected before anything is recorded.
+        is cheaper through that loop itself, so it takes it.  On either
+        path NaN is rejected before anything is recorded.
         """
         v = np.asarray(values, dtype=np.float64).ravel()
         n = v.size
         if n <= _LOOP_UP_TO:
-            for value in v.tolist():
+            few = v.tolist()
+            if any(map(math.isnan, few)):
+                raise ValueError("cannot observe NaN")
+            for value in few:
                 self.observe(value)
             return
         low = float(v[v.argmin()])

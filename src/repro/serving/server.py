@@ -53,12 +53,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.base import TIME_DOMAIN_SIMULATED
+from repro.core import engine_class
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
-from repro.core.engine import TahoeEngine
-from repro.core.fil import FILEngine
-from repro.core.native import NativeEngine
 from repro.gpusim.specs import GPUSpec
 from repro.modelstore.registry import ModelRegistry, ModelVersion
 from repro.obs.drift import CalibrationTracker
@@ -275,22 +272,17 @@ class TahoeServer:
         """The layout-cache key under which ``version``'s layout lives."""
         if version.cache_key is not None:
             return version.cache_key
-        if version.forest is not None and version.engine_kind == "tahoe":
+        if version.forest is not None:
+            cls = engine_class(version.engine_kind, self.config.backend)
             return LayoutCache.key(
-                version.forest, self.spec, self.engine_config.conversion_key()
+                version.forest, self.spec, cls.conversion_key(self.engine_config)
             )
         return None
 
     def _build_engines(self, version: ModelVersion) -> list:
         """A full replica pool for ``version`` — the expensive part of a
         deployment, run off the hot path by :meth:`stage`."""
-        if self.config.backend == "native":
-            # Native executes either packed format; the conversion (when
-            # starting from a forest) still honours the model's kind via
-            # the shared cache key, so simulator engines can reuse it.
-            cls = NativeEngine
-        else:
-            cls = FILEngine if version.engine_kind == "fil" else TahoeEngine
+        cls = engine_class(version.engine_kind, self.config.backend)
         if version.layout is not None:
             # Packed artifact: zero conversion.  The first replica
             # publishes the layout under its source cache key; the rest
@@ -880,7 +872,7 @@ class TahoeServer:
             "target_batch": self.target_batch,
             "n_engines": len(self.engines),
             "backend": self.config.backend,
-            "time_domain": getattr(self.engines[0], "time_domain", TIME_DOMAIN_SIMULATED),
+            "time_domain": self.engines[0].time_domain,
             "slo": self.slo.summary() if self.slo is not None else None,
             "batch_sizes": dict(self._batch_sizes),
             "active": self._active_version.label,

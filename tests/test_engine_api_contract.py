@@ -1,12 +1,14 @@
 """API-contract tests: every engine behind the one unified surface.
 
-Drives ``TahoeEngine``, ``FILEngine`` and ``MultiGPUTahoeEngine``
-through the shared :class:`repro.core.Engine` protocol — construction
-keywords, uniform ``predict``, result shape, ``update_forest`` return
-type, empty-batch error.  The v1.1 positional-argument deprecation
-shims are gone: positional calls past ``(forest, spec)`` now raise
-``TypeError`` like any keyword-only signature.
+Drives ``TahoeEngine``, ``FILEngine``, ``NativeEngine`` and
+``MultiGPUTahoeEngine`` through the shared :class:`repro.core.Engine`
+protocol — construction keywords, uniform ``predict``, result shape,
+``update_forest`` return type, empty-batch error — and the three layout
+engines through the lifecycle they share (:class:`repro.core.LayoutEngine`):
+where a layout comes from, and what its ``ConversionStats`` say.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -22,14 +24,34 @@ from repro import (
     TahoeConfig,
     TahoeEngine,
 )
+from repro.core import NativeEngine, engine_class
+from repro.trees.forest import Forest
 
 ENGINE_FACTORIES = {
     "tahoe": lambda forest, spec, **kw: TahoeEngine(forest, spec, **kw),
     "fil": lambda forest, spec, **kw: FILEngine(forest, spec, **kw),
+    "native": lambda forest, spec, **kw: NativeEngine(forest, spec, **kw),
     "multi": lambda forest, spec, **kw: MultiGPUTahoeEngine(
         forest, spec, n_gpus=2, **kw
     ),
 }
+
+LAYOUT_ENGINES = {"tahoe": TahoeEngine, "fil": FILEngine, "native": NativeEngine}
+
+
+@pytest.fixture(scope="module")
+def multiclass_forest(small_forest, small_gbdt):
+    """The 40 trees of small_forest and small_gbdt as a 3-class sum
+    ensemble."""
+    trees = copy.deepcopy(small_forest.trees + small_gbdt.trees)
+    for i, tree in enumerate(trees):
+        tree.group = i % 3
+    return Forest(
+        trees=trees,
+        n_attributes=small_forest.n_attributes,
+        aggregation="sum",
+        n_classes=3,
+    )
 
 
 @pytest.fixture(scope="module", params=sorted(ENGINE_FACTORIES))
@@ -75,7 +97,9 @@ class TestEngineProtocol:
         assert result.report is not None
         assert result.report.n_samples == test_X.shape[0]
         assert result.report.total_time == pytest.approx(result.total_time)
-        expected = {"tahoe": "tahoe", "fil": "fil", "multi": "tahoe-multigpu"}[name]
+        expected = {
+            "tahoe": "tahoe", "fil": "fil", "native": "native", "multi": "tahoe-multigpu"
+        }[name]
         assert result.report.engine == expected
 
     def test_update_forest_returns_stats(self, any_engine, small_gbdt, p100, test_X):
@@ -89,6 +113,59 @@ class TestEngineProtocol:
         np.testing.assert_allclose(
             engine.predict(test_X).predictions, forest.predict(test_X), rtol=1e-4
         )
+
+    def test_multiclass_matches_tahoe(self, any_engine, multiclass_forest, p100, test_X):
+        name, _ = any_engine
+        reference = TahoeEngine(multiclass_forest, p100).predict(test_X).predictions
+        assert reference.shape == (test_X.shape[0], 3)
+        engine = ENGINE_FACTORIES[name](multiclass_forest, p100)
+        predictions = engine.predict(test_X, batch_size=32).predictions
+        assert np.array_equal(predictions, reference)
+
+
+class TestLayoutLifecycle:
+    """Pipeline, cache and artifact: the three places a layout comes from."""
+
+    STAGES = (
+        "t_fetch_probabilities",
+        "t_node_rearrangement",
+        "t_similarity_detection",
+        "t_format_conversion",
+        "t_copy_to_gpu",
+    )
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_ENGINES))
+    def test_conversion_sources(self, name, small_forest, p100):
+        cls = LAYOUT_ENGINES[name]
+        cache = LayoutCache()
+        cold = cls(small_forest, p100, layout_cache=cache)
+        label = cold.layout.record.encoding_label
+        stats = cold.conversion_stats
+        assert (stats.source, stats.cache_hit, stats.node_encoding) == ("pipeline", False, label)
+        assert LayoutCache.key(small_forest, p100, cls.conversion_key(cold.config)) in cache
+
+        warm = cls(small_forest, p100, layout_cache=cache)
+        stats = warm.conversion_stats
+        assert (stats.source, stats.cache_hit, stats.node_encoding) == ("cache", True, label)
+        assert warm.layout is cold.layout
+        assert all(getattr(stats, stage) == 0.0 for stage in self.STAGES)
+
+        published = LayoutCache()
+        key = ("packed", name)
+        adopted = cls.from_layout(cold.layout, p100, cache_key=key, layout_cache=published)
+        stats = adopted.conversion_stats
+        assert (stats.source, stats.cache_hit, stats.node_encoding) == ("artifact", False, label)
+        assert stats.total == 0
+        assert published.get(key) is cold.layout
+
+    def test_engine_kinds(self):
+        assert engine_class("tahoe") is TahoeEngine
+        assert engine_class("fil", "tahoe") is FILEngine
+        assert engine_class("fil", "native") is NativeEngine
+        assert FILEngine.conversion_key(None) != TahoeEngine.conversion_key(None)
+        assert NativeEngine.conversion_key(None) == TahoeEngine.conversion_key(None)
+        with pytest.raises(KeyError):
+            engine_class("native")
 
 
 class TestBatchWidth:

@@ -138,6 +138,11 @@ def test_nan_rejected_before_recording():
     with pytest.raises(ValueError, match="NaN"):
         h.observe_many(values)
     assert h.count == 0 and h.total == 0.0
+    # A short batch takes the scalar loop: the NaN after two good values
+    # must still leave nothing recorded.
+    with pytest.raises(ValueError, match="NaN"):
+        h.observe_many([1.0, 2.0, float("nan")])
+    assert h.count == 0 and h.total == 0.0
     with pytest.raises(ValueError, match="NaN"):
         h.observe(float("nan"))
     assert h.count == 0 and h.total == 0.0
