@@ -8,10 +8,12 @@ copy); the packed path loads a ``.tahoe`` artifact whose layout was
 converted once at pack time and adopts it with zero conversion work.
 
 For each dataset this measures wall-clock engine-ready time for both
-paths (best of ``repeats``), verifies the packed engine's predictions
-are **bit-identical** to the cold engine's, and verifies the packed
-path's :class:`~repro.core.base.ConversionStats` report zero time in
-every conversion stage (``source="artifact"``).
+paths through :func:`common.measure` (median and IQR over ``repeats``),
+with the packed path also split into its two steps, ``load_packed`` and
+``make_engine``.  It verifies the packed engine's predictions are
+**bit-identical** to the cold engine's, and that the packed path's
+:class:`~repro.core.base.ConversionStats` report zero time in every
+conversion stage (``source="artifact"``).
 
 Writes ``results/coldstart.txt`` and the machine-readable
 ``results/BENCH_coldstart.json``.
@@ -42,7 +44,7 @@ _CONVERSION_STAGES = (
 )
 
 
-def run_coldstart(datasets=DEFAULT_DATASETS, repeats: int = 3, gpu: str = "P100"):
+def run_coldstart(datasets=DEFAULT_DATASETS, repeats: int = 9, gpu: str = "P100"):
     """Cold vs packed engine-ready time per dataset."""
     spec = common.bench_spec(gpu)
     # Hardware microbenchmarks are a per-platform offline step in both
@@ -62,21 +64,17 @@ def run_coldstart(datasets=DEFAULT_DATASETS, repeats: int = 3, gpu: str = "P100"
         packed = pack_forest(load_forest(json_path), spec, tahoe_path)
         pack_s = time.perf_counter() - t0
 
-        cold_s, cold_engine = None, None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            cold_forest = load_forest(json_path)
-            cold_engine = TahoeEngine(cold_forest, spec, hardware=hardware)
-            elapsed = time.perf_counter() - t0
-            cold_s = elapsed if cold_s is None else min(cold_s, elapsed)
+        def cold():
+            return TahoeEngine(load_forest(json_path), spec, hardware=hardware)
 
-        packed_s, packed_engine = None, None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            packed = load_packed(tahoe_path)
-            packed_engine = packed.make_engine(spec, hardware=hardware)
-            elapsed = time.perf_counter() - t0
-            packed_s = elapsed if packed_s is None else min(packed_s, elapsed)
+        def make_engine(packed):
+            return packed.make_engine(spec, hardware=hardware)
+
+        cold_t = common.measure(cold, repeats)
+        load_t = common.measure(lambda: load_packed(tahoe_path), repeats)
+        engine_t = common.measure(make_engine, repeats, setup=lambda: load_packed(tahoe_path))
+        packed_t = common.measure(lambda: make_engine(load_packed(tahoe_path)), repeats)
+        cold_engine, packed_engine = cold(), make_engine(load_packed(tahoe_path))
 
         stats = packed_engine.conversion_stats
         residual = sum(getattr(stats, stage) for stage in _CONVERSION_STAGES)
@@ -94,12 +92,18 @@ def run_coldstart(datasets=DEFAULT_DATASETS, repeats: int = 3, gpu: str = "P100"
                 "json_bytes": json_path.stat().st_size,
                 "tahoe_bytes": tahoe_path.stat().st_size,
                 "pack_s": pack_s,
-                "cold_ready_s": cold_s,
+                "cold_ready_s": cold_t.median,
+                "cold_ready_s_iqr": cold_t.iqr,
                 "cold_convert_s": cold_engine.conversion_stats.total,
-                "packed_ready_s": packed_s,
+                "load_packed_s": load_t.median,
+                "load_packed_s_iqr": load_t.iqr,
+                "make_engine_s": engine_t.median,
+                "make_engine_s_iqr": engine_t.iqr,
+                "packed_ready_s": packed_t.median,
+                "packed_ready_s_iqr": packed_t.iqr,
                 "packed_conversion_s": residual,
                 "packed_source": stats.source,
-                "speedup": cold_s / packed_s if packed_s else float("inf"),
+                "speedup": cold_t.median / packed_t.median,
                 "bit_identical": identical,
             }
         )
@@ -110,26 +114,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
     parser.add_argument("--datasets", nargs="*", default=None)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--gpu", default="P100")
     args = parser.parse_args(argv)
     datasets = tuple(args.datasets) if args.datasets else DEFAULT_DATASETS
     repeats = args.repeats
     if args.quick:
         datasets = ("letter",)
-        repeats = 1
+        repeats = 3
     result = run_coldstart(datasets, repeats=repeats, gpu=args.gpu)
     result["quick"] = bool(args.quick)
     table = common.format_table(
-        "Cold start: JSON+convert vs packed .tahoe artifact",
-        ["dataset", "trees", "cold ms", "convert ms", "packed ms", "speedup", "bit-identical"],
+        "Cold start: JSON+convert vs packed .tahoe artifact "
+        f"(wall ms, median ± IQR of {repeats} repeats)",
+        [
+            "dataset", "trees", "cold ms", "convert ms", "load_packed ms", "make_engine ms",
+            "packed ms", "speedup", "bit-identical",
+        ],
         [
             [
                 r["dataset"],
                 r["trees"],
-                r["cold_ready_s"] * 1e3,
+                f"{r['cold_ready_s'] * 1e3:.2f} ± {r['cold_ready_s_iqr'] * 1e3:.2f}",
                 r["cold_convert_s"] * 1e3,
-                r["packed_ready_s"] * 1e3,
+                f"{r['load_packed_s'] * 1e3:.2f} ± {r['load_packed_s_iqr'] * 1e3:.2f}",
+                f"{r['make_engine_s'] * 1e3:.2f} ± {r['make_engine_s_iqr'] * 1e3:.2f}",
+                f"{r['packed_ready_s'] * 1e3:.2f} ± {r['packed_ready_s_iqr'] * 1e3:.2f}",
                 f"{r['speedup']:.1f}x",
                 r["bit_identical"],
             ]

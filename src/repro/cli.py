@@ -642,11 +642,10 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     enc_meta = result.layout.metadata.get("node_encoding")
     if enc_meta is not None and not enc_meta.get("lossless", True):
         print("  (lossy float field: predictions bounded, not bit-identical)")
-    sizes = result.section_sizes()
-    node_kinds = ("words", "tfield", "vfield")
-    node_total = sum(sizes.get(k, 0) for k in node_kinds)
-    parts = "  ".join(f"{k}={sizes[k]}" for k in node_kinds if k in sizes)
-    print(f"packed sections: node arrays {node_total} B ({parts})")
+    sizes = result.section_sizes()  # one section per forest-wide field
+    node_total = sizes["words"] + sizes["tfield"] + sizes["vfield"]
+    parts = "  ".join(f"{k}={v}" for k, v in sizes.items())
+    print(f"packed sections: node records {node_total} B of {sum(sizes.values())} B ({parts})")
     return 0
 
 

@@ -89,7 +89,7 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
         encoding = make_encoding(structured, config.node_width, config.threshold_mode)
         record = select_node_record(structured, config.variable_width, encoding)
         layout = build_interleaved_layout(
-            structured, record, order, "adaptive", encoding=encoding, flat=flat
+            structured, record, order, "adaptive", encoding=encoding
         )
     stats.t_format_conversion = time.perf_counter() - t3
     stats.node_encoding = record.encoding_label

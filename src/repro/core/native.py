@@ -160,79 +160,44 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
     cached = layout.metadata.get("_native")
     if cached is not None:
         return cached
-    trees = layout.forest.trees
-    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
-    offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    total = int(offsets[-1])
-    feature = np.empty(total, dtype=np.int32)
-    threshold = np.empty(total, dtype=np.float32)
+    block, forest = layout.block, layout.forest
+    offsets, total, feature, flip = block.offsets, block.n_nodes, block.feature, block.flip
+    leaf = feature == LEAF
+    # Resolve the flip bit: the predicate becomes a plain `<`, the
+    # flipped node's children swap, and the default path follows.
     # Interleaved children: every kernel resolves a step with ONE gather,
     # next = child_pair[2*cur + go] (go ∈ {0, 1}), instead of two
-    # gathers plus a where.
+    # gathers plus a where.  Leaves loop to themselves.
+    node, base = np.arange(total, dtype=np.int64), offsets[block.tree_index()]
+    lo, hi = block.local_left, block.local_right
     child_pair = np.empty(2 * total, dtype=np.int32)
-    default_true = np.empty(total, dtype=bool)
-    value = np.empty(total, dtype=np.float32)
-    for t, tree in enumerate(trees):
-        base = int(offsets[t])
-        sl = slice(base, base + tree.n_nodes)
-        feature[sl] = tree.feature
-        threshold[sl] = tree.threshold
-        flip = tree.flip
-        # Resolve the flip bit: the predicate becomes a plain `<`, the
-        # flipped node's children swap, and the default path follows.
-        left = np.where(flip, tree.right, tree.left).astype(np.int64)
-        right = np.where(flip, tree.left, tree.right).astype(np.int64)
-        leaf = tree.feature == LEAF
-        self_id = np.arange(tree.n_nodes, dtype=np.int64)
-        pair = child_pair[2 * base : 2 * (base + tree.n_nodes)]
-        pair[0::2] = np.where(leaf, self_id, right) + base
-        pair[1::2] = np.where(leaf, self_id, left) + base
-        default_true[sl] = np.where(leaf, False, tree.default_left ^ flip)
-        value[sl] = np.where(leaf, tree.value, np.float32(0.0))
-    forest = layout.forest
-    if forest.n_classes > 1:
-        tree_group = forest.tree_class.astype(np.int64)
-    else:
-        tree_group = np.zeros(len(trees), dtype=np.int64)
+    child_pair[0::2] = np.where(leaf, node, np.where(flip, lo, hi) + base)
+    child_pair[1::2] = np.where(leaf, node, np.where(flip, hi, lo) + base)
     # Numeric nodes keep offset -1, so a forest without categorical
-    # splits gets all-(-1) dummies and a one-word pool.
-    cat_offset = np.full(total, -1, dtype=np.int64)
-    cat_count = np.zeros(total, dtype=np.int32)
-    pools = []
-    pool_base = 0
-    for t, tree in enumerate(trees):
-        if tree.cat_offset is None:
-            continue
-        base = int(offsets[t])
-        sl = slice(base, base + tree.n_nodes)
-        shifted = tree.cat_offset.copy()
-        shifted[shifted >= 0] += pool_base
-        cat_offset[sl] = shifted
-        cat_count[sl] = tree.cat_count
-        pools.append(tree.cat_bits)
-        pool_base += tree.cat_bits.shape[0]
-    cat_bits = np.concatenate(pools) if pools else np.zeros(1, dtype=np.uint32)
+    # splits gets all-(-1) dummies (stride-0 views: no memory) and a
+    # one-word pool.
+    cat_offset = block.global_cat_offset()
+    has_cat = cat_offset is not None
     _check_indices(feature, child_pair, offsets, int(forest.n_attributes))
-    feature_ix = np.where(feature == LEAF, np.int32(0), feature).astype(np.int32)
+    depths = block.tree_depths()
     flat = NativeForest(
         feature=feature,
-        feature_ix=feature_ix,
-        threshold=threshold,
+        feature_ix=np.where(leaf, np.int32(0), feature).astype(np.int32),
+        threshold=block.threshold,
         child_pair=child_pair,
-        default_true=default_true,
-        value=value,
+        default_true=~leaf & (block.default_left ^ flip),
+        value=np.where(leaf, block.value, np.float32(0.0)),
         roots=offsets[:-1].astype(np.int32),
         offsets=offsets,
-        max_depth=int(layout.forest.max_depth()),
-        mean_depth=float(layout.forest.mean_depth()),
-        n_attributes=int(layout.forest.n_attributes),
-        tree_group=tree_group,
+        max_depth=int(depths.max()),
+        mean_depth=float(np.mean(depths)),
+        n_attributes=int(forest.n_attributes),
+        tree_group=block.group,
         n_groups=int(forest.n_classes),
-        has_cat=forest.has_categorical,
-        cat_offset=cat_offset,
-        cat_count=cat_count,
-        cat_bits=cat_bits,
+        has_cat=has_cat,
+        cat_offset=cat_offset if has_cat else np.broadcast_to(np.int64(-1), total),
+        cat_count=block.cat_count if has_cat else np.broadcast_to(np.int32(0), total),
+        cat_bits=block.cat_bits if has_cat else np.zeros(1, dtype=np.uint32),
     )
     layout.metadata["_native"] = flat
     return flat

@@ -7,7 +7,7 @@ walking trees sequentially.  This module performs the equivalent
 offline step for our engines — it enumerates every root→leaf path of a
 converted :class:`~repro.formats.layout.ForestLayout` (tahoe adaptive
 or fil reorg; the traversal semantics, including per-node ``flip`` bits
-and categorical bitsets, come straight from the layout's trees) and
+and categorical bitsets, come straight from the layout's node block) and
 packs them into the flat arrays the explain kernel vectorises over:
 
 * **edges** — one entry per decision node on a path, carrying the full
@@ -44,8 +44,8 @@ import numpy as np
 
 from repro.explain.kernel import ShapTables, build_shap_tables
 from repro.formats.layout import ForestLayout
+from repro.trees.flat import NodeBlock
 from repro.trees.forest import Forest
-from repro.trees.tree import LEAF
 
 __all__ = ["PathSet", "build_path_set", "path_set_for_layout"]
 
@@ -129,116 +129,105 @@ def _value_scale(forest: Forest) -> np.ndarray:
     return np.full(forest.n_classes, forest.learning_rate, dtype=np.float64)
 
 
-def build_path_set(forest: Forest) -> PathSet:
-    """Enumerate every root→leaf path of ``forest`` into a PathSet."""
-    e_feature: list[int] = []
-    e_threshold: list[float] = []
-    e_flip: list[bool] = []
-    e_default: list[bool] = []
-    e_expect: list[bool] = []
-    e_cat_off: list[int] = []
-    e_cat_cnt: list[int] = []
-    slot_start: list[int] = [0]
-    slot_feature: list[int] = []
-    slot_zero: list[float] = []
-    path_start: list[int] = [0]
-    path_value: list[float] = []
-    path_group: list[int] = []
-    cat_pools: list[np.ndarray] = []
-    pool_base = 0
+def _sequential_products(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Product of each segment ``values[starts[i]:starts[i + 1]]``, taken
+    left to right one factor at a time (1.0 for an empty segment)."""
+    lengths = np.diff(starts)
+    out = np.ones(lengths.shape[0], dtype=np.float64)
+    live = np.flatnonzero(lengths)
+    k = 0
+    while live.size:
+        out[live] *= values[starts[live] + k]
+        k += 1
+        live = live[lengths[live] > k]
+    return out
 
+
+def build_path_set(source: Forest | NodeBlock) -> PathSet:
+    """Enumerate every root→leaf path of a forest (or of its node block)
+    into a PathSet, from the block's parent, depth and heap positions.
+
+    Paths come tree by tree in depth-first order, right subtree first;
+    each path's edges are merged per feature in first-occurrence order
+    and every product and sum runs in that order, one factor at a time.
+    Like the heap positions, this is exact for depths below 63.
+    """
+    block = source if isinstance(source, NodeBlock) else NodeBlock.from_trees(source)
+    forest, walk, tree_of = block.forest, block.walk(), block.tree_index()
     K = forest.n_classes
-    scale = _value_scale(forest)
+    # Depth-first leaf order, right subtree first: within a tree, sort
+    # the leaves' root-to-leaf bits (heap positions, right = 1),
+    # left-aligned, in descending order.
+    leaves = np.flatnonzero(block.is_leaf)
+    depth = walk.depth[leaves]
+    key = walk.position[leaves] << (int(depth.max()) - depth)
+    path_leaf = leaves[np.lexsort((-key, tree_of[leaves]))]
+    # Edges, root first: walk every path up from its leaf at once.
+    n_edges = walk.depth[path_leaf].astype(np.int64)
+    edge_start = np.concatenate(([0], np.cumsum(n_edges)))
+    node = np.empty(edge_start[-1], dtype=np.int64)
+    child = np.empty_like(node)
+    live = np.flatnonzero(n_edges)
+    cur, at = path_leaf[live], edge_start[live] + n_edges[live] - 1
+    while live.size:
+        node[at], child[at] = walk.parent[cur], cur
+        cur, at = walk.parent[cur], at - 1
+        keep = at >= edge_start[live]
+        live, cur, at = live[keep], cur[keep], at[keep]
+    # Merge per feature in first-occurrence order: group each path's
+    # edges by feature, then order the groups by their first edge.
+    edge_path = np.repeat(np.arange(path_leaf.shape[0]), n_edges)
+    at = np.arange(node.shape[0]) - edge_start[edge_path]
+    key = edge_path * int(forest.n_attributes) + block.feature[node]
+    by_feature = np.argsort(key, kind="stable")
+    firsts = np.diff(key[by_feature], prepend=-1) != 0
+    first_at = np.empty_like(at)
+    first_at[by_feature] = at[by_feature][firsts][np.cumsum(firsts) - 1]
+    key = edge_path * int(n_edges.max(initial=0) + 1) + first_at
+    order = np.argsort(key, kind="stable")
+    node, child, edge_path = node[order], child[order], edge_path[order]
+    slot_first = np.flatnonzero(np.diff(key[order], prepend=-1) != 0)
+    slot_edge_start = np.concatenate((slot_first, [node.shape[0]])).astype(np.int64)
+    visit = block.visit_count.astype(np.float64)
+    slot_zero = _sequential_products(visit[child] / visit[node], slot_edge_start)
+    if (slot_zero <= 0.0).any():
+        raise ValueError(
+            "non-positive cover ratio on a SHAP path; "
+            "visit counts must be >= 1 at every node"
+        )
+    slots_per_path = np.bincount(edge_path[slot_first], minlength=path_leaf.shape[0])
+    path_slot_start = np.concatenate(([0], np.cumsum(slots_per_path))).astype(np.int64)
+    path_zero = _sequential_products(slot_zero, path_slot_start)
+    group = block.group[tree_of[path_leaf]] if K > 1 else np.zeros_like(path_leaf)
+    path_value = block.value[path_leaf].astype(np.float64) * _value_scale(forest)[group]
     base = np.zeros(K, dtype=np.float64)
     if forest.aggregation != "mean":
         base += forest.base_score
-
-    for tree in forest.trees:
-        has_cat = tree.cat_offset is not None
-        tree_pool = 0
-        if has_cat:
-            cat_pools.append(tree.cat_bits)
-            tree_pool = pool_base
-            pool_base += int(tree.cat_bits.shape[0])
-        g = tree.group if K > 1 else 0
-        visit = tree.visit_count.astype(np.float64)
-        # stack of (node, edges-so-far) where edges-so-far is a list of
-        # (feature, threshold, flip, default_left, expect_left,
-        #  cat_offset, cat_count, zero_fraction)
-        stack: list[tuple[int, list[tuple]]] = [(0, [])]
-        while stack:
-            node, edges = stack.pop()
-            if tree.feature[node] == LEAF:
-                # Merge edges by feature (first-occurrence order).
-                by_feature: dict[int, list[tuple]] = {}
-                for e in edges:
-                    by_feature.setdefault(e[0], []).append(e)
-                pz = 1.0
-                for f, group_edges in by_feature.items():
-                    z = 1.0
-                    for e in group_edges:
-                        e_feature.append(e[0])
-                        e_threshold.append(e[1])
-                        e_flip.append(e[2])
-                        e_default.append(e[3])
-                        e_expect.append(e[4])
-                        e_cat_off.append(e[5])
-                        e_cat_cnt.append(e[6])
-                        z *= e[7]
-                    if z <= 0.0:
-                        raise ValueError(
-                            "non-positive cover ratio on a SHAP path; "
-                            "visit counts must be >= 1 at every node"
-                        )
-                    slot_start.append(len(e_feature))
-                    slot_feature.append(f)
-                    slot_zero.append(z)
-                    pz *= z
-                path_start.append(len(slot_feature))
-                v = float(tree.value[node]) * float(scale[g])
-                path_value.append(v)
-                path_group.append(g)
-                base[g] += v * pz
-                continue
-            flip = bool(tree.flip[node]) if tree.flip is not None else False
-            cat_off = -1
-            cat_cnt = 0
-            if has_cat and tree.cat_offset[node] >= 0:
-                cat_off = int(tree.cat_offset[node]) + tree_pool
-                cat_cnt = int(tree.cat_count[node])
-            for child, expect_left in (
-                (int(tree.left[node]), True),
-                (int(tree.right[node]), False),
-            ):
-                edge = (
-                    int(tree.feature[node]),
-                    float(tree.threshold[node]),
-                    flip,
-                    bool(tree.default_left[node]),
-                    expect_left,
-                    cat_off,
-                    cat_cnt,
-                    float(visit[child] / visit[node]),
-                )
-                stack.append((child, edges + [edge]))
-
+    np.add.at(base, group, path_value * path_zero)
+    cat_offset = block.global_cat_offset()
+    if cat_offset is None:
+        edge_cat_offset = np.full(node.shape[0], -1, dtype=np.int64)
+        edge_cat_count = np.zeros(node.shape[0], dtype=np.int32)
+        cat_bits = np.zeros(1, dtype=np.uint32)
+    else:
+        edge_cat_offset = cat_offset[node]
+        edge_cat_count = np.where(edge_cat_offset >= 0, block.cat_count[node], 0).astype(np.int32)
+        cat_bits = block.cat_bits
     return PathSet(
-        edge_feature=np.asarray(e_feature, dtype=np.int32),
-        edge_threshold=np.asarray(e_threshold, dtype=np.float32),
-        edge_flip=np.asarray(e_flip, dtype=bool),
-        edge_default_left=np.asarray(e_default, dtype=bool),
-        edge_expect_left=np.asarray(e_expect, dtype=bool),
-        edge_cat_offset=np.asarray(e_cat_off, dtype=np.int64),
-        edge_cat_count=np.asarray(e_cat_cnt, dtype=np.int32),
-        cat_bits=np.concatenate(cat_pools)
-        if cat_pools
-        else np.zeros(1, dtype=np.uint32),
-        slot_edge_start=np.asarray(slot_start, dtype=np.int64),
-        slot_feature=np.asarray(slot_feature, dtype=np.int32),
-        slot_zero=np.asarray(slot_zero, dtype=np.float64),
-        path_slot_start=np.asarray(path_start, dtype=np.int64),
-        path_value=np.asarray(path_value, dtype=np.float64),
-        path_group=np.asarray(path_group, dtype=np.int32),
+        edge_feature=block.feature[node],
+        edge_threshold=block.threshold[node],
+        edge_flip=block.flip[node],
+        edge_default_left=block.default_left[node],
+        edge_expect_left=child - block.offsets[tree_of[node]] == block.local_left[node],
+        edge_cat_offset=edge_cat_offset,
+        edge_cat_count=edge_cat_count,
+        cat_bits=cat_bits,
+        slot_edge_start=slot_edge_start,
+        slot_feature=block.feature[node[slot_first]],
+        slot_zero=slot_zero,
+        path_slot_start=path_slot_start,
+        path_value=path_value,
+        path_group=group.astype(np.int32),
         n_features=int(forest.n_attributes),
         n_classes=K,
         base_values=base,
@@ -249,6 +238,6 @@ def path_set_for_layout(layout: ForestLayout) -> PathSet:
     """The layout's PathSet, built once and cached in its metadata."""
     cached = layout.metadata.get("_paths")
     if cached is None:
-        cached = build_path_set(layout.forest)
+        cached = build_path_set(layout.block)
         layout.metadata["_paths"] = cached
     return cached

@@ -71,7 +71,6 @@ def build_adaptive_layout(
         tree_order=order,
         format_name="adaptive",
         encoding=node_encoding,
-        flat=flat,
     )
     layout.metadata["techniques"] = {
         "node_rearrangement": node_rearrangement,

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.trees.flat import NodeBlock
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
 
@@ -42,6 +43,7 @@ __all__ = [
     "WIDTH_BITS",
     "apply_encoding",
     "decode_field",
+    "encode_block",
     "make_encoding",
     "max_attribute_index",
     "pack_node_words",
@@ -299,65 +301,52 @@ def decode_field(
 # ---------------------------------------------------------------------------
 
 
-def _split_mask(tree: DecisionTree) -> np.ndarray:
-    """Internal numeric-split nodes — the ones whose threshold routes."""
-    return (tree.feature != LEAF) & ~tree.is_categorical
-
-
 def apply_encoding(forest: Forest, encoding: NodeEncoding) -> tuple[Forest, dict]:
     """Replace the forest's floats with their decoded images.
 
-    Returns the (possibly new) forest plus JSON-safe metadata describing
-    the encoding: width, mode, grids, and whether the round-trip was
-    lossless.  With ``f32`` storage the forest is returned untouched.
-    After this transform every consumer — simulators, the native
-    backend, SHAP, artifacts — executes the *stored* encoding, so
+    Returns a new forest (views into one node block, see
+    :func:`encode_block`) plus JSON-safe metadata describing the
+    encoding: width, mode, grids, and whether the round-trip was
+    lossless.  After this transform every consumer — simulators, the
+    native backend, SHAP, artifacts — executes the *stored* encoding, so
     lossless widths stay bit-identical automatically and re-encoding at
     pack time is a fixed point.
     """
+    block = NodeBlock.from_trees(forest, views=True)
+    return block.forest, encode_block(block, encoding)
+
+
+def encode_block(block: NodeBlock, encoding: NodeEncoding) -> dict:
+    """Replace a node block's thresholds and leaf values, in place, with
+    their decoded images; return the encoding's metadata (``f32``
+    storage leaves the block untouched).  Grids cover the numeric
+    splits' thresholds and the leaves' values; leaves keep their
+    (routing-dead) threshold slots encoded too, so the whole array is a
+    codec fixed point."""
+    mode = encoding.threshold_mode
     meta: dict = {
         "width_bits": encoding.width_bits,
-        "threshold_mode": encoding.threshold_mode,
+        "threshold_mode": mode,
         "node_bytes": encoding.node_bytes,
         "tgrid": None,
         "vgrid": None,
         "lossless": True,
     }
-    if encoding.threshold_mode == "f32":
-        return forest, meta
-
+    if mode == "f32":
+        return meta
     tgrid = vgrid = None
-    if encoding.threshold_mode in _QUANT_LEVELS:
-        thresholds = np.concatenate(
-            [t.threshold[_split_mask(t)] for t in forest.trees]
-            or [np.empty(0, dtype=np.float32)]
-        )
-        leaf_values = np.concatenate(
-            [t.value[t.feature == LEAF] for t in forest.trees]
-            or [np.empty(0, dtype=np.float32)]
-        )
-        tgrid = make_grid(thresholds, encoding.threshold_mode)
-        vgrid = make_grid(leaf_values, encoding.threshold_mode)
+    if mode in _QUANT_LEVELS:
+        leaf = block.is_leaf
+        split = ~leaf if block.cat_offset is None else ~leaf & (block.cat_offset < 0)
+        tgrid = make_grid(block.threshold[split], mode)
+        vgrid = make_grid(block.value[leaf], mode)
         meta["tgrid"] = [float(tgrid[0]), float(tgrid[1])]
         meta["vgrid"] = [float(vgrid[0]), float(vgrid[1])]
-
-    mode = encoding.threshold_mode
-    lossless = True
-    new_trees = []
-    for tree in forest.trees:
-        threshold = decode_field(encode_field(tree.threshold, mode, tgrid, rounding="ceil"),
-                                 mode, tgrid)
-        value = decode_field(encode_field(tree.value, mode, vgrid, rounding="nearest"),
-                             mode, vgrid)
-        # leaves keep their (routing-dead) raw threshold slots encoded too,
-        # so the whole array is a codec fixed point
-        if lossless and not (
-            np.array_equal(threshold, tree.threshold) and np.array_equal(value, tree.value)
-        ):
-            lossless = False
-        clone = tree.copy()
-        clone.threshold = threshold
-        clone.value = value
-        new_trees.append(clone)
-    meta["lossless"] = lossless
-    return forest.with_trees(new_trees), meta
+    threshold = decode_field(encode_field(block.threshold, mode, tgrid), mode, tgrid)
+    value = decode_field(encode_field(block.value, mode, vgrid, rounding="nearest"), mode, vgrid)
+    meta["lossless"] = bool(
+        np.array_equal(threshold, block.threshold) and np.array_equal(value, block.value)
+    )
+    block.threshold[:] = threshold
+    block.value[:] = value
+    return meta

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.formats.encoding import THRESHOLD_MODES, NodeEncoding, apply_encoding, resolve_width_bits
-from repro.trees.flat import FlatForest
+from repro.formats.encoding import THRESHOLD_MODES, NodeEncoding, encode_block, resolve_width_bits
+from repro.trees.flat import NodeBlock
 from repro.trees.forest import Forest
 from repro.trees.tree import DecisionTree
 
@@ -122,8 +122,8 @@ def heap_positions(tree: DecisionTree) -> tuple[np.ndarray, np.ndarray]:
     root is ``(0, 0)`` and the children of ``(l, s)`` are ``(l+1, 2s)``
     and ``(l+1, 2s+1)``.
     """
-    flat = FlatForest.build([tree])
-    return flat.depth, flat.slot
+    levels = NodeBlock.from_trees([tree]).walk()
+    return levels.depth, levels.slot
 
 
 @dataclass
@@ -131,31 +131,50 @@ class ForestLayout:
     """A forest laid out in simulated GPU memory.
 
     Attributes:
-        forest: the forest in *layout order* (trees permuted, children
-            possibly swapped).  Prediction semantics are preserved.
+        block: the forest-wide node block in layout order (trees
+            permuted, children possibly swapped); its trees are views into
+            it and prediction semantics are preserved.
         record: node record layout (determines ``S_node``).
         tree_order: original tree index stored at each layout position.
-        node_address: per layout tree, int64 array mapping node id to its
-            byte address within the forest allocation.
         level_base: byte offset of each level's slot-group region.
         level_slots: number of heap slots allocated per level.
         total_bytes: size of the whole allocation, including NULL holes.
         format_name: ``"reorg"`` or ``"adaptive"``.
     """
 
-    forest: Forest
+    block: NodeBlock
     record: NodeRecordLayout
     tree_order: list[int]
-    node_address: list[np.ndarray]
     level_base: np.ndarray
     level_slots: np.ndarray
     total_bytes: int
     format_name: str
     metadata: dict = field(default_factory=dict)
+    _address: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def address(self) -> np.ndarray:
+        """Byte address of every block node within the forest allocation,
+        derived from the block's depths and heap slots on first use."""
+        if self._address is None:
+            walk, size = self.block.walk(), self.node_size
+            tree = self.block.tree_index()
+            self._address = self.level_base[walk.depth] + (walk.slot * self.n_trees + tree) * size
+        return self._address
+
+    @property
+    def forest(self) -> Forest:
+        """The forest in layout order (the block's trees)."""
+        return self.block.forest
+
+    @property
+    def node_address(self) -> list[np.ndarray]:
+        """Per layout tree, the addresses of its nodes (views)."""
+        return np.split(self.address, self.block.offsets[1:-1])
 
     @property
     def n_trees(self) -> int:
-        return self.forest.n_trees
+        return self.block.n_trees
 
     @property
     def node_size(self) -> int:
@@ -167,13 +186,12 @@ class ForestLayout:
 
     def addresses_for(self, tree_pos: int, node_ids: np.ndarray) -> np.ndarray:
         """Byte addresses of ``node_ids`` within layout tree ``tree_pos``."""
-        return self.node_address[tree_pos][node_ids]
+        return self.address[self.block.offsets[tree_pos] + np.asarray(node_ids)]
 
     def occupancy(self) -> float:
         """Fraction of allocated node records actually holding a node."""
-        stored = sum(tree.n_nodes for tree in self.forest.trees)
         allocated = int(self.level_slots.sum()) * self.n_trees
-        return stored / allocated if allocated else 0.0
+        return self.block.n_nodes / allocated if allocated else 0.0
 
 
 def build_interleaved_layout(
@@ -182,7 +200,6 @@ def build_interleaved_layout(
     tree_order: list[int] | None,
     format_name: str,
     encoding=None,
-    flat: FlatForest | None = None,
 ) -> ForestLayout:
     """Shared constructor for level-major interleaved layouts.
 
@@ -199,21 +216,18 @@ def build_interleaved_layout(
             the stored codec, and the codec metadata is recorded under
             ``metadata["node_encoding"]``.  ``record`` should then be
             ``select_node_record(forest, ..., encoding)``.
-        flat: ``forest``'s flat arrays (conversion stage 1's output),
-            whose depths and heap positions place every node; built here
-            when omitted.
     """
-    encoding_meta = None
-    if encoding is not None:
-        resolve_width_bits(forest, encoding.width_bits)  # capacity check
-        forest, encoding_meta = apply_encoding(forest, encoding)
     if tree_order is None:
         tree_order = list(range(forest.n_trees))
-    laid_out = forest.reordered(tree_order)
-    if flat is None:
-        flat = FlatForest.build(forest)
-    n_trees = laid_out.n_trees
-    level, slot = flat.depth, flat.slot
+    if encoding is not None:
+        resolve_width_bits(forest, encoding.width_bits)  # capacity check
+    # The layout's block: its final trees in storage order, which the
+    # layout's trees then view (and see the encoding's floats through).
+    block = NodeBlock.from_trees(forest.reordered(tree_order), views=True)
+    metadata = {} if encoding is None else {"node_encoding": encode_block(block, encoding)}
+    n_trees = block.n_trees
+    walk = block.walk()
+    level, slot = walk.depth, walk.slot
     n_levels = 1 + int(level.max())
     level_slots = np.zeros(n_levels, dtype=np.int64)
     np.maximum.at(level_slots, level, slot + 1)
@@ -222,21 +236,13 @@ def build_interleaved_layout(
     level_base = np.zeros(n_levels, dtype=np.int64)
     np.cumsum(level_bytes[:-1], out=level_base[1:])
     total_bytes = int(level_base[-1] + level_bytes[-1])
-    stored_at = np.empty(n_trees, dtype=np.int64)
-    stored_at[tree_order] = np.arange(n_trees)
-    address = level_base[level] + (slot * n_trees + stored_at[flat.tree_of]) * size
-    # Per-tree copies: the layout outlives the forest-wide buffer.
-    node_address = [address[flat.offsets[t] : flat.offsets[t + 1]].copy() for t in tree_order]
-    layout = ForestLayout(
-        forest=laid_out,
+    return ForestLayout(
+        block=block,
         record=record,
         tree_order=list(tree_order),
-        node_address=node_address,
         level_base=level_base,
         level_slots=level_slots,
         total_bytes=total_bytes,
         format_name=format_name,
+        metadata=metadata,
     )
-    if encoding_meta is not None:
-        layout.metadata["node_encoding"] = encoding_meta
-    return layout

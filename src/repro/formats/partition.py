@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.layout import ForestLayout
-from repro.trees.flat import FlatForest
 
 __all__ = ["PartitionError", "partition_trees", "cached_partition", "tree_work"]
 
@@ -37,19 +36,20 @@ def tree_work(layout: ForestLayout) -> np.ndarray:
     """
     cached = layout.metadata.get("_tree_work")
     if cached is None:
-        flat = FlatForest.build(layout.forest)
-        bounds = zip(flat.offsets[:-1], flat.offsets[1:])
-        cached = np.array([float(flat.node_prob[a:b].sum()) for a, b in bounds])
+        offsets, node_prob = layout.block.offsets, layout.block.walk(True).node_prob
+        bounds = zip(offsets[:-1], offsets[1:])
+        cached = np.array([float(node_prob[a:b].sum()) for a, b in bounds])
         layout.metadata["_tree_work"] = cached
     return cached
 
 
 def _slot_profiles(layout: ForestLayout) -> list[np.ndarray]:
     """Per layout tree, the heap slots it uses on each of its levels."""
-    flat = FlatForest.build(layout.forest)
-    depths = np.maximum.reduceat(flat.depth, flat.offsets[:-1])
-    profiles = np.zeros((flat.n_trees, int(depths.max()) + 1), dtype=np.int64)
-    np.maximum.at(profiles, (flat.tree_of, flat.depth), flat.slot + 1)
+    block = layout.block
+    walk = block.walk()
+    depths = np.maximum.reduceat(walk.depth, block.offsets[:-1])
+    profiles = np.zeros((block.n_trees, int(depths.max()) + 1), dtype=np.int64)
+    np.maximum.at(profiles, (block.tree_index(), walk.depth), walk.slot + 1)
     return [profiles[t, : d + 1] for t, d in enumerate(depths.tolist())]
 
 

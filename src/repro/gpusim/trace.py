@@ -118,62 +118,31 @@ class FlatForest:
 
 
 def flatten_layout(layout: ForestLayout) -> FlatForest:
-    """Build (and cache on the layout) the flat traversal arrays."""
+    """Build (and cache on the layout) the flat traversal arrays: views
+    of the layout's node block, plus the interleaved child pairs and the
+    forest-wide bitset offsets derived from it."""
     cached = layout.metadata.get("_flat")
     if cached is not None:
         return cached
-    forest = layout.forest
-    trees = forest.trees
-    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
-    offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    group = None
-    if forest.n_classes > 1:
-        group = np.concatenate(
-            [np.full(t.n_nodes, t.group, dtype=np.int64) for t in trees]
-        )
-    cat_offset = cat_count = cat_bits = None
-    if forest.has_categorical:
-        # Per-tree bitset pools concatenate into one; each tree's offsets
-        # shift by the running pool length (-1 stays -1 for numeric nodes).
-        offs, counts, pools = [], [], []
-        pool_base = 0
-        for t in trees:
-            if t.cat_offset is None:
-                offs.append(np.full(t.n_nodes, -1, dtype=np.int64))
-                counts.append(np.zeros(t.n_nodes, dtype=np.int32))
-            else:
-                shifted = t.cat_offset.copy()
-                shifted[shifted >= 0] += pool_base
-                offs.append(shifted)
-                counts.append(t.cat_count)
-                pools.append(t.cat_bits)
-                pool_base += t.cat_bits.shape[0]
-        cat_offset = np.concatenate(offs)
-        cat_count = np.concatenate(counts)
-        cat_bits = (
-            np.concatenate(pools) if pools else np.zeros(0, dtype=np.uint32)
-        )
+    block, forest = layout.block, layout.forest
+    cat_offset = block.global_cat_offset()
     flat = FlatForest(
-        offsets=offsets,
-        feature=np.concatenate([t.feature for t in trees]),
-        threshold=np.concatenate([t.threshold for t in trees]),
-        child=np.stack(
-            [np.concatenate([t.right for t in trees]), np.concatenate([t.left for t in trees])],
-            axis=1,
-        ).reshape(-1),
-        value=np.concatenate([t.value for t in trees]),
-        default_left=np.concatenate([t.default_left for t in trees]),
-        flip=np.concatenate([t.flip for t in trees]),
-        is_leaf=np.concatenate([t.is_leaf for t in trees]),
-        address=np.concatenate(layout.node_address),
+        offsets=block.offsets,
+        feature=block.feature,
+        threshold=block.threshold,
+        child=np.stack([block.local_right, block.local_left], axis=1).reshape(-1),
+        value=block.value,
+        default_left=block.default_left,
+        flip=block.flip,
+        is_leaf=block.is_leaf,
+        address=layout.address,
         n_attributes=forest.n_attributes,
         node_size=layout.node_size,
-        group=group,
+        group=block.group[block.tree_index()] if forest.n_classes > 1 else None,
         n_groups=forest.n_classes,
         cat_offset=cat_offset,
-        cat_count=cat_count,
-        cat_bits=cat_bits,
+        cat_count=None if cat_offset is None else block.cat_count,
+        cat_bits=block.cat_bits,
     )
     layout.metadata["_flat"] = flat
     return flat

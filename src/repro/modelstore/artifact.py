@@ -13,13 +13,11 @@ width-sized) into one file, and loading it hands
 with zero conversion work.
 
 Whatever record a layout simulates, its nodes are stored packed (paper
-section 4.3, ``encode_node_adaptive``): per tree, ``words`` (fid + flags
-in the narrowest 8/16/32-bit word that holds the forest's fids) and
-``tfield``/``vfield`` (thresholds and leaf values in the record's
-threshold mode), then ``left``, ``right``, ``visit_count``, the bitset
-sections of categorical trees, and ``address``.
+section 4.3, ``encode_node_adaptive``), as the layout's forest-wide node
+block (:class:`~repro.trees.flat.NodeBlock`): one section per field for
+the whole forest, in tree-storage order.
 
-File format (all integers little-endian)::
+File format, version 5 (all integers little-endian)::
 
     8 bytes   magic  b"TAHOEPK\\0"
     4 bytes   u32 header length H
@@ -28,7 +26,19 @@ File format (all integers little-endian)::
               LayoutCache key), forest + layout scalars, and a section
               table of ``[name, dtype, length, crc32]`` rows in file order
     4 bytes   u32 crc32 of the H header bytes
-    ...       the sections, back to back, each a little-endian ndarray
+    ...       the sections, back to back, each a little-endian ndarray:
+              tree_nodes, tree_groups (per tree); words (fid + flags in
+              the narrowest word holding the forest's fids), tfield and
+              vfield (in the record's threshold mode), left, right
+              (tree-local), visit_count, address (per node); cat_words
+              (per tree, -1 without bitsets), cat_offset, cat_count,
+              cat_bits (only when some tree has bitsets); tree_order,
+              level_base, level_slots
+
+A load is a fixed number of crc32-checked reads, one
+:func:`~repro.formats.encoding.unpack_node_words`, one
+:func:`~repro.formats.encoding.decode_field` per float field and one
+validation pass; the layout's trees are read-only views into the block.
 
 The header stores the **source** forest's fingerprint (the forest as it
 looked *before* conversion), so the packed layout can be published into a
@@ -48,8 +58,9 @@ import numpy as np
 
 from repro.formats import encoding as codec
 from repro.formats.layout import ForestLayout, NodeRecordLayout
+from repro.trees.flat import NodeBlock
 from repro.trees.forest import Forest
-from repro.trees.tree import DecisionTree
+from repro.trees.tree import LEAF, check_structure
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -62,17 +73,19 @@ __all__ = [
 ]
 
 ARTIFACT_MAGIC = b"TAHOEPK\x00"
-#: The one version this build writes and reads.  v4 stores every layout's
-#: nodes as packed words plus float fields and checksums the header;
-#: older files must be repacked.
-ARTIFACT_VERSION = 4
+#: The one version this build writes and reads.  v5 stores the layout's
+#: node block one section per field for the whole forest; older files
+#: (v4's per-tree sections included) must be repacked.
+ARTIFACT_VERSION = 5
 
 _PREFIX = len(ARTIFACT_MAGIC) + 4
 
-#: Per-tree structural sections, after the node words and float fields.
-_STRUCT_FIELDS = (("left", "int32"), ("right", "int32"), ("visit_count", "int64"))
-#: Optional per-tree categorical sections (written only when present).
-_CAT_FIELDS = (("cat_offset", "int64"), ("cat_count", "int32"), ("cat_bits", "uint32"))
+#: Per-node sections after the node words and float fields.
+_NODE_FIELDS = (
+    ("left", "int32"), ("right", "int32"), ("visit_count", "int64"), ("address", "int64")
+)
+#: Optional bitset sections (written only when some tree has bitsets).
+_CAT_FIELDS = (("cat_offset", "int64"), ("cat_count", "int32"))
 _WORD_DTYPES = ("uint8", "uint16", "uint32")
 
 #: Required header keys and their exact JSON types (``bool`` is no
@@ -81,7 +94,7 @@ _HEADER_SCHEMA = {
     "artifact_version": int, "engine": str, "spec_name": str, "conversion_key": list,
     "source_fingerprint": str, "sections": list,
     "forest": {
-        "n_trees": int, "tree_nodes": list, "tree_groups": list, "metadata": dict,
+        "n_trees": int, "metadata": dict,
         "n_classes": int, "n_attributes": int, "task": str, "aggregation": str,
         "base_score": float, "learning_rate": float, "name": str,
     },
@@ -119,12 +132,7 @@ def _check_header(header: dict) -> NodeRecordLayout:
     fmeta, rmeta = header["forest"], header["layout"]["record"]
     checks = (
         (header["engine"] in ("tahoe", "fil"), "engine must be tahoe or fil"),
-        (
-            fmeta["n_trees"] == len(fmeta["tree_nodes"]) == len(fmeta["tree_groups"]),
-            "forest.n_trees disagrees with forest.tree_nodes / forest.tree_groups",
-        ),
-        (all(type(v) is int and v > 0 for v in fmeta["tree_nodes"]), "bad forest.tree_nodes"),
-        (all(type(v) is int and v >= 0 for v in fmeta["tree_groups"]), "bad forest.tree_groups"),
+        (fmeta["n_trees"] > 0, "forest.n_trees must be positive"),
         (
             rmeta["attr_bytes"] in (1, 2, 4)
             and (rmeta["flags_bytes"], rmeta["threshold_mode"]) in _RECORD_FORMS,
@@ -205,7 +213,8 @@ class _SectionReader:
         if zlib.crc32(chunk) != crc:
             raise ArtifactError(f"section {name!r} failed its crc32 check")
         self._unread.discard(name)
-        return np.frombuffer(chunk, dtype=dtype).astype(dtype.newbyteorder("="))
+        # A read-only view of the file's bytes on little-endian hosts.
+        return np.frombuffer(chunk, dtype=dtype).astype(dtype.newbyteorder("="), copy=False)
 
     def check_all_read(self) -> None:
         if self._unread:
@@ -255,28 +264,37 @@ def pack_layout(
         source_fingerprint: ``Forest.fingerprint()`` of the forest as it
             was *before* conversion — the content half of the cache key.
     """
-    forest, record = layout.forest, layout.record
+    forest, record, block = layout.forest, layout.record, layout.block
     mode = record.threshold_mode
     # The disk word holds the forest's largest fid, whatever the record
     # width: a legacy-a1 record is sized by distinct-attribute count.
     encoding = codec.NodeEncoding(codec.resolve_width_bits(forest), mode)
     tgrid, vgrid = _grids(layout.metadata, mode)
+    nodes = {name: getattr(block, name) for name in ("feature", "threshold", "value")}
+    nodes.update(left=block.local_left, right=block.local_right)
+    nodes.update(cat_offset=block.cat_offset, cat_count=block.cat_count, address=layout.address)
+    try:
+        _check_block(block.offsets, nodes, block.cat_words, block.cat_bits, forest.n_attributes)
+    except ValueError as exc:
+        raise ArtifactError(f"cannot pack a layout that would not load: {exc}") from exc
     writer = _SectionWriter()
-    for i, tree in enumerate(forest.trees):
-        # The forest's floats are already the codec's decoded images
-        # (decode-at-build), so this re-encode is a bit-exact fixed
-        # point: load_packed reproduces the arrays exactly.
-        writer.add(f"tree{i}/words", codec.pack_node_words(tree, encoding), encoding.word_dtype)
-        for name, values, grid, rounding in (
-            ("tfield", tree.threshold, tgrid, "ceil"),
-            ("vfield", tree.value, vgrid, "nearest"),
-        ):
-            field = codec.encode_field(values, mode, grid, rounding=rounding)
-            writer.add(f"tree{i}/{name}", field, encoding.field_dtype)
-        fields = _STRUCT_FIELDS + (_CAT_FIELDS if tree.cat_offset is not None else ())
-        for name, dtype in fields:
-            writer.add(f"tree{i}/{name}", getattr(tree, name), dtype)
-        writer.add(f"tree{i}/address", layout.node_address[i], np.int64)
+    writer.add("tree_nodes", np.diff(block.offsets), np.int64)
+    writer.add("tree_groups", block.group, np.int64)
+    writer.add("words", codec.pack_node_words(block, encoding), encoding.word_dtype)
+    # The forest's floats are already the codec's decoded images
+    # (decode-at-build), so this re-encode is a bit-exact fixed point:
+    # load_packed reproduces the arrays exactly.
+    writer.add("tfield", codec.encode_field(block.threshold, mode, tgrid), encoding.field_dtype)
+    vfield = codec.encode_field(block.value, mode, vgrid, rounding="nearest")
+    writer.add("vfield", vfield, encoding.field_dtype)
+    nodes["visit_count"] = block.visit_count
+    for name, dtype in _NODE_FIELDS:
+        writer.add(name, nodes[name], dtype)
+    if block.cat_words is not None:
+        writer.add("cat_words", block.cat_words, np.int64)
+        for name, dtype in _CAT_FIELDS:
+            writer.add(name, nodes[name], dtype)
+        writer.add("cat_bits", block.cat_bits, np.uint32)
     writer.add("tree_order", np.asarray(layout.tree_order), np.int64)
     writer.add("level_base", layout.level_base, np.int64)
     writer.add("level_slots", layout.level_slots, np.int64)
@@ -290,8 +308,6 @@ def pack_layout(
         "source_fingerprint": source_fingerprint,
         "forest": {
             "n_trees": forest.n_trees,
-            "tree_nodes": [tree.n_nodes for tree in forest.trees],
-            "tree_groups": [tree.group for tree in forest.trees],
             "metadata": _json_safe_metadata(forest.metadata),
             # coerced to the schema's types, e.g. an integral base_score
             **{k: forest_types[k](getattr(forest, k)) for k in _FOREST_SCALARS},
@@ -355,12 +371,14 @@ def load_packed(path: str | Path) -> "PackedModel":
 
     The header and every section are crc32-checked, the header is held to
     its schema, and every section must be read, so a damaged file never
-    loads as a different layout.  Tree validation is skipped: the arrays
-    were valid when written and are checksummed on the way back in.
+    loads as a different layout.  The node block is then validated in
+    one vectorised pass (:func:`_check_block`), so a file whose checksums
+    were recomputed over bad arrays is refused too.
 
     Raises:
         ArtifactError: bad magic, another version, truncation, a checksum
-            mismatch, or a header that does not describe the file.
+            mismatch, a header that does not describe the file, or a node
+            block that is not a valid forest.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _PREFIX or raw[: len(ARTIFACT_MAGIC)] != ARTIFACT_MAGIC:
@@ -393,34 +411,35 @@ def load_packed(path: str | Path) -> "PackedModel":
         tgrid, vgrid = _grids(lmeta["metadata"], mode)
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path} lacks the {mode} quantisation grids: {exc}") from exc
-    reader = _SectionReader(raw[header_end + 4 :], header["sections"])
+    reader = _SectionReader(memoryview(raw)[header_end + 4 :], header["sections"])
     field = codec.NodeEncoding(8, mode).field_dtype.name  # set by the mode alone
 
-    trees, node_address = [], []
-    for i, (n, group) in enumerate(zip(fmeta["tree_nodes"], fmeta["tree_groups"])):
-        words = reader.get(f"tree{i}/words", *_WORD_DTYPES, n=n)
-        node = codec.unpack_node_words(words, codec.NodeEncoding(8 * words.itemsize, mode))
-        fields = _STRUCT_FIELDS + (_CAT_FIELDS if reader.has(f"tree{i}/cat_offset") else ())
-        arrays = {
-            name: reader.get(f"tree{i}/{name}", dtype, n=None if name == "cat_bits" else n)
-            for name, dtype in fields
-        }
-        threshold = codec.decode_field(reader.get(f"tree{i}/tfield", field, n=n), mode, tgrid)
-        value = codec.decode_field(reader.get(f"tree{i}/vfield", field, n=n), mode, vgrid)
-        node_address.append(reader.get(f"tree{i}/address", "int64", n=n))
-        trees.append(
-            DecisionTree(
-                feature=node["feature"],
-                threshold=threshold,
-                value=value,
-                default_left=node["default_left"],
-                flip=node["flip"],
-                group=group,
-                validate_on_init=False,
-                **arrays,
-            )
-        )
     n_trees = fmeta["n_trees"]
+    sizes = reader.get("tree_nodes", "int64")
+    if sizes.shape[0] != n_trees:
+        raise ArtifactError(
+            f"{path} header forest.n_trees = {n_trees} disagrees with its "
+            f"{sizes.shape[0]} tree sizes"
+        )
+    words = reader.get("words", *_WORD_DTYPES)
+    n = words.shape[0]
+    if (sizes <= 0).any() or int(sizes.sum()) != n:
+        raise ArtifactError(f"{path} tree sizes do not sum to its {n} nodes")
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    group = reader.get("tree_groups", "int64", n=n_trees)
+    nodes = codec.unpack_node_words(words, codec.NodeEncoding(8 * words.itemsize, mode))
+    del nodes["is_leaf"]
+    nodes["threshold"] = codec.decode_field(reader.get("tfield", field, n=n), mode, tgrid)
+    nodes["value"] = codec.decode_field(reader.get("vfield", field, n=n), mode, vgrid)
+    for name, dtype in _NODE_FIELDS:
+        nodes[name] = reader.get(name, dtype, n=n)
+    address = nodes.pop("address")
+    cat_words = cat_bits = None
+    if reader.has("cat_words"):
+        cat_words = reader.get("cat_words", "int64", n=n_trees)
+        for name, dtype in _CAT_FIELDS:
+            nodes[name] = reader.get(name, dtype, n=n)
+        cat_bits = reader.get("cat_bits", "uint32")
     tree_order = reader.get("tree_order", "int64", n=n_trees).tolist()
     level_base = reader.get("level_base", "int64")
     level_slots = reader.get("level_slots", "int64", n=level_base.size)
@@ -431,19 +450,25 @@ def load_packed(path: str | Path) -> "PackedModel":
         level_base[-1] + level_slots[-1] * n_trees * record.node_bytes
     ):
         raise ArtifactError(f"{path} total_bytes disagrees with its levels and record")
+    for arr in (*nodes.values(), group, cat_bits):
+        if arr is not None:
+            arr.flags.writeable = False
     try:
-        forest = Forest(
-            trees=trees,
+        _check_block(offsets, nodes, cat_words, cat_bits, fmeta["n_attributes"])
+        block = NodeBlock.from_arrays(offsets, group, nodes, cat_bits, cat_words)
+        block.walk()  # every node reachable from its root
+        block.forest = Forest(
+            trees=block.trees,
             metadata=dict(fmeta["metadata"]),
             **{k: fmeta[k] for k in _FOREST_SCALARS},
         )
     except ValueError as exc:
         raise ArtifactError(f"{path} describes an invalid forest: {exc}") from exc
     layout = ForestLayout(
-        forest=forest,
+        block=block,
         record=record,
         tree_order=tree_order,
-        node_address=node_address,
+        _address=address,
         level_base=level_base,
         level_slots=level_slots,
         total_bytes=lmeta["total_bytes"],
@@ -451,6 +476,27 @@ def load_packed(path: str | Path) -> "PackedModel":
         metadata=dict(lmeta["metadata"]),
     )
     return PackedModel(header=header, layout=layout, path=Path(path))
+
+
+def _check_block(offsets, nodes: dict, cat_words, cat_bits, n_attributes: int) -> None:
+    """Validate a whole node block in one vectorised pass: every tree is
+    a tree (:func:`~repro.trees.tree.check_structure`), decision nodes
+    split on a feature below ``n_attributes`` at a finite threshold,
+    leaf values are finite, and the bitset pools add up."""
+    if cat_words is not None and (
+        (cat_words < -1).any() or int(np.maximum(cat_words, 0).sum()) != cat_bits.shape[0]
+    ):
+        raise ValueError("tree bitset pool sizes do not add up to cat_bits")
+    leaf = nodes["feature"] == LEAF
+    check_structure(
+        offsets, nodes["feature"], nodes["left"], nodes["right"],
+        nodes.get("cat_offset"), nodes.get("cat_count"), cat_words,
+        checks=[
+            (~leaf & (nodes["feature"] >= n_attributes), f"splits on a feature >= {n_attributes}"),
+            (~leaf & ~np.isfinite(nodes["threshold"]), "has a non-finite threshold"),
+            (leaf & ~np.isfinite(nodes["value"]), "has a non-finite leaf value"),
+        ],
+    )
 
 
 @dataclass
@@ -495,12 +541,8 @@ class PackedModel:
         return self.layout.record.encoding_label
 
     def section_sizes(self) -> dict[str, int]:
-        """On-disk bytes per section kind (``tree{i}/x`` summed over trees)."""
-        sizes: dict[str, int] = {}
-        for name, _, length, _ in self.header["sections"]:
-            kind = name.split("/", 1)[-1]
-            sizes[kind] = sizes.get(kind, 0) + length
-        return sizes
+        """On-disk bytes per section (one section per forest-wide field)."""
+        return {name: length for name, _, length, _ in self.header["sections"]}
 
     def resolve_spec(self):
         """Find the artifact's GPU spec among the known presets."""

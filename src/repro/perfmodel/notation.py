@@ -136,10 +136,10 @@ class HardwareParams:
 
 
 def cached_tree_depths(layout: ForestLayout) -> np.ndarray:
-    """Per-tree depths, memoised on the layout (BFS once per tree)."""
+    """Per-tree depths from the layout's node block, memoised."""
     depths = layout.metadata.get("_tree_depths")
     if depths is None:
-        depths = layout.forest.tree_depths().astype(np.float64)
+        depths = layout.block.tree_depths().astype(np.float64)
         layout.metadata["_tree_depths"] = depths
     return depths
 

@@ -104,9 +104,8 @@ def rank_strategies(
             predict_splitting_shared_forest(sample, fp, hw, layout=layout),
         ]
         # Splitting additionally requires every single tree to fit.
-        biggest_tree = max(
-            t.n_nodes for t in layout.forest.trees
-        ) * layout.node_size
+        offsets = layout.block.offsets
+        biggest_tree = int((offsets[1:] - offsets[:-1]).max()) * layout.node_size
         for p in predictions:
             if p.strategy == "splitting_shared_forest" and biggest_tree > hw.shared_capacity:
                 p.applicable = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trees.flat import FlatForest
+from repro.trees.flat import NodeBlock
 from repro.trees.tree import DecisionTree
 
 __all__ = ["Forest"]
@@ -73,17 +73,21 @@ class Forest:
             raise ValueError(f"unknown task {self.task!r}")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
-        for t, tree in enumerate(self.trees):
-            used = tree.feature[tree.feature >= 0]
-            if used.size and used.max() >= self.n_attributes:
-                raise ValueError(
-                    f"tree {t} references attribute {int(used.max())} "
-                    f">= n_attributes={self.n_attributes}"
-                )
-            if tree.group >= self.n_classes:
-                raise ValueError(
-                    f"tree {t} has group {tree.group} >= n_classes={self.n_classes}"
-                )
+        # One pass over the whole forest; the first bad tree is reported.
+        ends = np.cumsum([tree.n_nodes for tree in self.trees])
+        features = np.concatenate([tree.feature for tree in self.trees])
+        wide = np.flatnonzero(features >= self.n_attributes)[:1]
+        t_wide = int(np.searchsorted(ends, wide[0], side="right")) if wide.size else self.n_trees
+        over = np.array([tree.group for tree in self.trees]) >= self.n_classes
+        t_group = int(np.argmax(over)) if over.any() else self.n_trees
+        if t_wide < self.n_trees and t_wide <= t_group:
+            raise ValueError(
+                f"tree {t_wide} references attribute {int(self.trees[t_wide].feature.max())} "
+                f">= n_attributes={self.n_attributes}"
+            )
+        if t_group < self.n_trees:
+            group = self.trees[t_group].group
+            raise ValueError(f"tree {t_group} has group {group} >= n_classes={self.n_classes}")
 
     @property
     def n_trees(self) -> int:
@@ -102,8 +106,7 @@ class Forest:
 
     def tree_depths(self) -> np.ndarray:
         """Depth of every tree, from one pass over the whole forest."""
-        flat = FlatForest.build(self)
-        return np.maximum.reduceat(flat.depth, flat.offsets[:-1])
+        return NodeBlock.from_trees(self).tree_depths()
 
     @property
     def tree_class(self) -> np.ndarray:

@@ -42,7 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DecisionTree", "LEAF", "Levels", "edge_probabilities", "level_pass"]
+__all__ = [
+    "DecisionTree", "LEAF", "Levels", "check_structure", "edge_probabilities", "level_pass"
+]
 
 #: Sentinel used in ``feature``/``left``/``right`` for leaves.
 LEAF = -1
@@ -79,6 +81,11 @@ class Levels(NamedTuple):
     position: np.ndarray
     node_prob: np.ndarray | None
 
+    @property
+    def slot(self) -> np.ndarray:
+        """In-level slot: the heap position without its top bit."""
+        return self.position - np.left_shift(1, self.depth.astype(np.int64))
+
 
 def level_pass(
     left: np.ndarray,
@@ -109,17 +116,71 @@ def level_pass(
             raise ValueError("child pointers form a cycle")
         levels.append(frontier)
         kids = np.stack([left[frontier], right[frontier]], axis=1).ravel()
-        keep = kids != LEAF
-        kids = kids[keep].astype(np.int64)
-        par = np.repeat(frontier, 2)[keep]
-        is_right = np.tile(np.array([False, True]), frontier.size)[keep]
+        slot = np.flatnonzero(kids != LEAF)  # 2 * (index in frontier) + is_right
+        kids = kids[slot].astype(np.int64)
+        par = frontier[slot >> 1]
+        is_right = slot & 1
         parent[kids] = par
-        depth[kids] = depth[par] + 1
+        depth[kids] = len(levels)
         position[kids] = 2 * position[par] + is_right
         if node_prob is not None:
             node_prob[kids] = node_prob[par] * np.where(is_right, p_right[par], p_left[par])
         frontier = kids
     return Levels(levels, parent, depth, position, node_prob)
+
+
+def check_structure(
+    offsets: np.ndarray,
+    feature: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    cat_offset: np.ndarray | None = None,
+    cat_count: np.ndarray | None = None,
+    cat_words: np.ndarray | None = None,
+    checks: list | None = None,
+) -> None:
+    """Check the tree invariants of a block of trees in one pass.
+
+    Tree ``t`` owns nodes ``offsets[t]:offsets[t + 1]``, with tree-local
+    children.  Leaves have no children or bitsets; decision nodes split
+    on a feature >= 0 and both their children lie inside their tree;
+    every node but the roots has exactly one parent; a bitset has at
+    least one word and ends inside its tree's pool of ``cat_words[t]``
+    words.  ``checks`` adds ``(mask, problem)`` pairs tested last.
+    Raises ``ValueError`` naming the first bad node.
+    """
+    sizes = np.diff(offsets)
+    tree_of = np.repeat(np.arange(sizes.shape[0]), sizes)
+    base = offsets[tree_of]
+    local = np.arange(feature.shape[0]) - base
+    leaf, inner = feature == LEAF, feature != LEAF
+    # As unsigned, a negative child is out of range too.
+    size = sizes[tree_of].astype(np.uint64)
+    outside = (left.astype(np.uint64) >= size) | (right.astype(np.uint64) >= size)
+    inside = inner & ~outside
+    parents = np.bincount(
+        np.concatenate([(left + base)[inside], (right + base)[inside]]), minlength=base.shape[0]
+    )
+    parents[offsets[:-1]] += 1  # a root counts as its own parent
+    problems = [
+        (leaf & ((left != LEAF) | (right != LEAF)), "is a leaf with children"),
+        (inner & outside, "has an out-of-range child"),
+        (inner & ((left == local) | (right == local)), "is its own child"),
+        (inner & (feature < 0), "is a decision node with a negative feature index"),
+    ]
+    if cat_words is not None:
+        cat = cat_offset >= 0
+        problems += [
+            (cat & leaf, "is a leaf carrying a categorical bitset"),
+            (cat & (cat_count < 1), "is a categorical node without bitset words"),
+            (cat & (cat_offset + cat_count > cat_words[tree_of]), "has a bitset past its pool"),
+        ]
+    problems += [(parents != 1, "is not reached from exactly one parent"), *(checks or [])]
+    for mask, problem in problems:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            tree = int(tree_of[bad[0]])
+            raise ValueError(f"tree {tree} node {int(bad[0] - offsets[tree])} {problem}")
 
 
 @dataclass
@@ -186,13 +247,6 @@ class DecisionTree:
     def has_categorical(self) -> bool:
         """True when any node tests bitset membership."""
         return self.cat_offset is not None and bool((self.cat_offset >= 0).any())
-
-    @property
-    def is_categorical(self) -> np.ndarray:
-        """Boolean mask of categorical decision nodes."""
-        if self.cat_offset is None:
-            return np.zeros(self.n_nodes, dtype=bool)
-        return self.cat_offset >= 0
 
     def cat_member(self, nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Bitset membership of ``int(vals)`` at categorical ``nodes``.
@@ -355,42 +409,22 @@ class DecisionTree:
                 raise ValueError(f"array {name} has length {length}, expected {n}")
         if self.group < 0:
             raise ValueError(f"tree group must be >= 0, got {self.group}")
+        cats = {}
         if self.cat_offset is not None:
-            cat = self.cat_offset >= 0
-            if (cat & self.is_leaf).any():
-                raise ValueError("leaf nodes cannot carry categorical bitsets")
-            if (self.cat_count[cat] < 1).any():
-                raise ValueError("categorical nodes need at least one bitset word")
-            ends = self.cat_offset[cat] + self.cat_count[cat]
-            if cat.any() and int(ends.max()) > self.cat_bits.shape[0]:
-                raise ValueError("categorical bitset extends past cat_bits pool")
-        is_leaf = self.is_leaf
-        lo, hi = self.left, self.right
-        decision = ~is_leaf
-        nodes = np.arange(n, dtype=np.int32)
-        checks = (
-            (is_leaf & ((lo != LEAF) | (hi != LEAF)), "leaf {node} has children ({lo}, {hi})"),
-            (
-                # As unsigned, a negative child is out of range too.
-                decision & ((lo.view(np.uint32) >= n) | (hi.view(np.uint32) >= n)),
-                "node {node} has out-of-range child ({lo}, {hi})",
-            ),
-            (decision & ((lo == nodes) | (hi == nodes)), "node {node} is its own child"),
-            (decision & (self.feature < 0), "decision node {node} has negative feature index"),
-        )
-        failing = np.logical_or.reduce([mask for mask, _ in checks])
-        if failing.any():
-            node = int(np.argmax(failing))
-            message = next(msg for mask, msg in checks if mask[node])
-            raise ValueError(message.format(node=node, lo=int(lo[node]), hi=int(hi[node])))
-        # Every non-root node must be reachable exactly once (tree, not DAG).
-        children = np.concatenate([lo[decision], hi[decision]])
-        seen = np.bincount(children, minlength=n)
-        if seen[0] != 0:
-            raise ValueError("root has a parent")
-        bad = np.nonzero(seen[1:] != 1)[0] + 1
-        if bad.size:
-            raise ValueError(f"nodes {bad.tolist()} are not reachable exactly once")
+            cats = dict(
+                cat_offset=self.cat_offset,
+                cat_count=self.cat_count,
+                cat_words=np.array([self.cat_bits.shape[0]]),
+            )
+        check_structure(np.array([0, n]), self.feature, self.left, self.right, **cats)
+
+    @classmethod
+    def view(cls, **arrays) -> "DecisionTree":
+        """A tree over arrays that already hold the right dtypes (slices of
+        a validated node block), built without coercion or validation."""
+        tree = cls.__new__(cls)
+        tree.__dict__.update(arrays, validate_on_init=False)
+        return tree
 
     @staticmethod
     def single_leaf(value: float, visit_count: int = 1) -> "DecisionTree":

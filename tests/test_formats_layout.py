@@ -123,7 +123,11 @@ class TestInterleavedLayout:
             small_forest, NodeRecordLayout(), order, "test"
         )
         assert layout.tree_order == order
-        assert layout.forest.trees[0] is small_forest.trees[-1]
+        # Layout trees are views into the layout's node block.
+        first, last = layout.forest.trees[0], small_forest.trees[-1]
+        for name in ("feature", "threshold", "left", "right", "value", "flip"):
+            np.testing.assert_array_equal(getattr(first, name), getattr(last, name))
+        assert np.shares_memory(first.feature, layout.block.feature)
 
     def test_addresses_for_accessor(self, small_forest):
         layout = build_reorg_layout(small_forest)

@@ -129,6 +129,15 @@ class TestRoundTrip:
         with pytest.raises(ArtifactError, match="engine kind"):
             pack_forest(small_forest, p100, tmp_path / "x.tahoe", engine="treelite")
 
+    def test_section_count_does_not_grow_with_trees(self, small_forest, p100, tmp_path):
+        # One section per forest-wide field: a load is a fixed number of reads.
+        counts = set()
+        for n_trees in (1, small_forest.n_trees):
+            forest = small_forest.with_trees(small_forest.trees[:n_trees])
+            header = pack_forest(forest, p100, tmp_path / f"{n_trees}.tahoe").header
+            counts.add(len(header["sections"]))
+        assert counts == {12}
+
     def test_runtime_metadata_not_packed(self, packed_path):
         header = load_packed(packed_path).header
         assert not any(k.startswith("_") for k in header["layout"]["metadata"])
@@ -233,6 +242,15 @@ class TestIntegrity:
         with pytest.raises(ArtifactError, match="repack"):
             load_packed(old)
 
+    def test_v4_file_rejected(self, packed_path, tmp_path):
+        # v4 stored one set of sections per tree; its files must be repacked.
+        header, body = _split(packed_path.read_bytes())
+        header["artifact_version"] = 4
+        old = tmp_path / "v4.tahoe"
+        old.write_bytes(_join(header, body))
+        with pytest.raises(ArtifactError, match="repack"):
+            load_packed(old)
+
     def test_spec_mismatch_rejected(self, packed_path):
         from repro.gpusim.specs import GPU_SPECS
 
@@ -326,7 +344,7 @@ def test_round_trip_matrix(matrix_inputs, p100, tmp_path, wide, engine, kwargs):
         # A 1-byte record index over fids that need 16-bit disk words.
         assert built.record.encoding_label == "legacy-a1"
     word_dtypes = {
-        dtype for name, dtype, *_ in loaded.header["sections"] if name.endswith("/words")
+        dtype for name, dtype, *_ in loaded.header["sections"] if name == "words"
     }
     assert word_dtypes == {"uint16" if wide else "uint8"}  # narrowest fit, every record
 
@@ -348,6 +366,27 @@ def _rewrite(path, mutate):
     header, body = _split(path.read_bytes())
     mutate(header)
     path.write_bytes(_join(header, body))
+    return path
+
+
+def _rewrite_section(path, name, mutate):
+    """Apply ``mutate`` to a copy of section ``name``'s array, then write
+    it back with its section crc32 and the header crc32 recomputed."""
+    header, body = _split(path.read_bytes())
+    offset = 0
+    for row in header["sections"]:
+        if row[0] == name:
+            break
+        offset += row[2]
+    else:
+        raise KeyError(name)
+    _, dtype, length, _ = row
+    arr = np.frombuffer(body[offset : offset + length], dtype=np.dtype(dtype).newbyteorder("<"))
+    arr = arr.copy()
+    mutate(arr)
+    data = arr.tobytes()
+    row[3] = zlib.crc32(data)
+    path.write_bytes(_join(header, body[:offset] + data + body[offset + length :]))
     return path
 
 
@@ -383,8 +422,10 @@ class TestHeaderValidation:
             load_packed(packed_path)
 
     def test_tree_nodes_edit_rejected(self, packed_path):
-        _rewrite(packed_path, lambda h: h["forest"]["tree_nodes"].__setitem__(0, 3))
-        with pytest.raises(ArtifactError, match="wrong length"):
+        # v5 keeps tree sizes in a section: a re-checksummed edit must
+        # still be caught, since the sizes no longer sum to the nodes.
+        _rewrite_section(packed_path, "tree_nodes", lambda a: a.__setitem__(0, 3))
+        with pytest.raises(ArtifactError, match="sum to"):
             load_packed(packed_path)
 
     @pytest.mark.parametrize("key,value", [("attr_bytes", 2), ("flags_bytes", 0)])
@@ -422,6 +463,69 @@ class TestHeaderValidation:
             load_packed(packed_path)
 
 
+class TestBlockValidation:
+    """Bad node arrays under recomputed checksums: the one-pass block
+    validation refuses them instead of loading a wrong forest."""
+
+    @pytest.fixture()
+    def block(self, packed_path):
+        return load_packed(packed_path).layout.block
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold(self, packed_path, block, bad):
+        node = int(np.flatnonzero(~block.is_leaf)[3])
+        _rewrite_section(packed_path, "tfield", lambda a: a.__setitem__(node, bad))
+        with pytest.raises(ArtifactError, match="non-finite threshold"):
+            load_packed(packed_path)
+
+    def test_non_finite_leaf_value(self, packed_path, block):
+        node = int(np.flatnonzero(block.is_leaf)[2])
+        _rewrite_section(packed_path, "vfield", lambda a: a.__setitem__(node, np.nan))
+        with pytest.raises(ArtifactError, match="non-finite leaf value"):
+            load_packed(packed_path)
+
+    def test_child_outside_its_tree(self, packed_path, block):
+        t = 1
+        node = int(block.offsets[t] + np.flatnonzero(~block.trees[t].is_leaf)[0])
+        size = block.trees[t].n_nodes
+        _rewrite_section(packed_path, "left", lambda a: a.__setitem__(node, size))
+        with pytest.raises(ArtifactError, match="out-of-range child"):
+            load_packed(packed_path)
+
+    def test_node_with_two_parents(self, packed_path, block):
+        node = int(np.flatnonzero(~block.is_leaf)[0])
+        left = int(block.local_left[node])
+        _rewrite_section(packed_path, "right", lambda a: a.__setitem__(node, left))
+        with pytest.raises(ArtifactError, match="exactly one parent"):
+            load_packed(packed_path)
+
+    def test_feature_beyond_n_attributes(self, packed_path, block):
+        node = int(np.flatnonzero(~block.is_leaf)[0])
+        n_attributes = load_packed(packed_path).layout.forest.n_attributes
+
+        def widen(words):
+            # Keep the flag bits; the fid is the low 5 bits of an 8-bit word.
+            words[node] = (int(words[node]) & ~0x1F) | n_attributes
+
+        _rewrite_section(packed_path, "words", widen)
+        with pytest.raises(ArtifactError, match=f"feature >= {n_attributes}"):
+            load_packed(packed_path)
+
+    def test_trees_are_read_only_views(self, packed_path):
+        layout = load_packed(packed_path).layout
+        tree = layout.forest.trees[2]
+        assert np.shares_memory(tree.left, layout.block.local_left)
+        for name in ("feature", "threshold", "left", "right", "value", "visit_count"):
+            assert not getattr(tree, name).flags.writeable, name
+
+    def test_pack_refuses_a_layout_that_would_not_load(self, small_forest, p100, tmp_path):
+        forest = small_forest.copy()
+        tree = forest.trees[0]
+        tree.threshold[int(np.flatnonzero(~tree.is_leaf)[0])] = np.inf
+        with pytest.raises(ArtifactError, match="non-finite threshold"):
+            pack_forest(forest, p100, tmp_path / "inf.tahoe")
+
+
 _WRONG_TYPES = (None, True, 7, 2.5, "x", [1], {"a": 1})
 
 
@@ -434,7 +538,6 @@ def _schema_paths(header):
         [("forest", k) for k in header["forest"]],
         [("layout", k) for k in header["layout"]],
         [("layout", "record", k) for k in header["layout"]["record"]],
-        [("forest", "tree_nodes", i) for i in range(len(header["forest"]["tree_nodes"]))],
         [("sections", i, k) for i, row in enumerate(header["sections"]) for k in range(len(row))],
     ]
 
@@ -450,7 +553,6 @@ _RENUMBERABLE = {
 def _renumberable(path):
     return (
         path in _RENUMBERABLE
-        or (len(path) == 3 and path[:2] == ("forest", "tree_nodes"))
         or (len(path) == 3 and path[0] == "sections" and path[2] in (2, 3))  # length, crc32
     )
 
