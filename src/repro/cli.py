@@ -373,7 +373,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.benchdiff import bench_envelope
     from repro.obs.exporters import jsonable, write_serving_trace
     from repro.serving import (
-        PolicyConfig,
         SchedulerConfig,
         SLOConfig,
         TahoeServer,
@@ -427,7 +426,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         spec,
         packed=packed,
         scheduler=scheduler,
-        policy=PolicyConfig(slo=slo),
+        slo=slo,
         layout_cache=cache,
     )
     if packed is not None:

@@ -3,7 +3,7 @@
 Tahoe's conversion pipeline (probability fetch → node rearrangement →
 similarity ordering → adaptive format build) runs *online*, every time an
 engine starts — acceptable in the paper's single-process experiments,
-wasteful in a serving fleet where the same forest boots on many replicas.
+wasteful in deployment, where the same forest boots on many replicas.
 PACSET makes the case for persisting the optimised layout itself; this
 module applies that to Tahoe's format: pack the **finished**
 :class:`~repro.formats.layout.ForestLayout` (trees already rearranged and
@@ -58,9 +58,8 @@ import numpy as np
 
 from repro.formats import encoding as codec
 from repro.formats.layout import ForestLayout, NodeRecordLayout
-from repro.trees.flat import NodeBlock
+from repro.trees.flat import NodeBlock, check_block
 from repro.trees.forest import Forest
-from repro.trees.tree import LEAF, check_structure
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -274,7 +273,7 @@ def pack_layout(
     nodes.update(left=block.local_left, right=block.local_right)
     nodes.update(cat_offset=block.cat_offset, cat_count=block.cat_count, address=layout.address)
     try:
-        _check_block(block.offsets, nodes, block.cat_words, block.cat_bits, forest.n_attributes)
+        block.check(forest.n_attributes)
     except ValueError as exc:
         raise ArtifactError(f"cannot pack a layout that would not load: {exc}") from exc
     writer = _SectionWriter()
@@ -372,7 +371,7 @@ def load_packed(path: str | Path) -> "PackedModel":
     The header and every section are crc32-checked, the header is held to
     its schema, and every section must be read, so a damaged file never
     loads as a different layout.  The node block is then validated in
-    one vectorised pass (:func:`_check_block`), so a file whose checksums
+    one vectorised pass (:func:`~repro.trees.flat.check_block`), so a file whose checksums
     were recomputed over bad arrays is refused too.
 
     Raises:
@@ -454,7 +453,7 @@ def load_packed(path: str | Path) -> "PackedModel":
         if arr is not None:
             arr.flags.writeable = False
     try:
-        _check_block(offsets, nodes, cat_words, cat_bits, fmeta["n_attributes"])
+        check_block(offsets, nodes, cat_words, cat_bits, fmeta["n_attributes"])
         block = NodeBlock.from_arrays(offsets, group, nodes, cat_bits, cat_words)
         block.walk()  # every node reachable from its root
         block.forest = Forest(
@@ -476,27 +475,6 @@ def load_packed(path: str | Path) -> "PackedModel":
         metadata=dict(lmeta["metadata"]),
     )
     return PackedModel(header=header, layout=layout, path=Path(path))
-
-
-def _check_block(offsets, nodes: dict, cat_words, cat_bits, n_attributes: int) -> None:
-    """Validate a whole node block in one vectorised pass: every tree is
-    a tree (:func:`~repro.trees.tree.check_structure`), decision nodes
-    split on a feature below ``n_attributes`` at a finite threshold,
-    leaf values are finite, and the bitset pools add up."""
-    if cat_words is not None and (
-        (cat_words < -1).any() or int(np.maximum(cat_words, 0).sum()) != cat_bits.shape[0]
-    ):
-        raise ValueError("tree bitset pool sizes do not add up to cat_bits")
-    leaf = nodes["feature"] == LEAF
-    check_structure(
-        offsets, nodes["feature"], nodes["left"], nodes["right"],
-        nodes.get("cat_offset"), nodes.get("cat_count"), cat_words,
-        checks=[
-            (~leaf & (nodes["feature"] >= n_attributes), f"splits on a feature >= {n_attributes}"),
-            (~leaf & ~np.isfinite(nodes["threshold"]), "has a non-finite threshold"),
-            (leaf & ~np.isfinite(nodes["value"]), "has a non-finite leaf value"),
-        ],
-    )
 
 
 @dataclass

@@ -42,16 +42,26 @@ onto the tree's ``cat_offset``/``cat_count``/``cat_bits`` arrays and a
 sample goes left exactly when its truncated integer category is a
 member of the node's set (NaN follows the default path, negative or
 out-of-range codes are non-members).
+
+Malformed input fails here, at the boundary, with a
+:class:`ModelImportError`: parallel node arrays must agree in length, a
+dump that declares its feature width may not split past it, and the
+imported forest must pass the same one-pass block check
+(:func:`~repro.trees.flat.check_block`) that ``load_packed`` applies to
+a ``.tahoe`` artifact — so a cold import and a packed load refuse the
+same forests.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from repro.trees.flat import NodeBlock
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
 
@@ -80,13 +90,46 @@ class ModelImportError(ValueError):
     """A model file/object could not be interpreted."""
 
 
-def _leq_to_lt(threshold: float) -> np.float32:
-    """Map an ``x <= t`` split onto our ``x < t'`` predicate exactly.
+def _parses(source: str):
+    """Decorate an importer so that a parse failure on malformed
+    ``source`` input (a missing key, a value of the wrong type or range,
+    an array too short for the ids that index it) raises
+    :class:`ModelImportError`."""
+
+    def decorate(importer):
+        @functools.wraps(importer)
+        def wrapper(*args, **kwargs):
+            try:
+                return importer(*args, **kwargs)
+            except ModelImportError:
+                raise
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+                raise ModelImportError(
+                    f"malformed {source} model: {type(exc).__name__}: {exc}"
+                ) from exc
+
+        return wrapper
+
+    return decorate
+
+
+def _check_lengths(where: str, n: int, **arrays) -> None:
+    """Refuse parallel node arrays whose lengths are not ``n``."""
+    bad = {k: len(v) for k, v in arrays.items() if v is not None and len(v) != n}
+    if bad:
+        raise ModelImportError(f"{where}: expected {n} entries per array, got {bad}")
+
+
+def _leq_to_lt(threshold) -> np.ndarray:
+    """Map ``x <= t`` splits onto our ``x < t'`` predicate exactly.
 
     ``t' = nextafter(float32(t), +inf)``: the smallest float32 above
     ``float32(t)``, so ``x < t'`` ⇔ ``x <= float32(t)`` for float32 x.
+    A non-finite ``float32(t)`` is kept as it is, for the block check to
+    refuse (``nextafter`` would turn ``-inf`` into a finite threshold).
     """
-    return np.nextafter(np.float32(threshold), np.float32(np.inf))
+    t = np.asarray(threshold, dtype=np.float32)
+    return np.where(np.isfinite(t), np.nextafter(t, np.float32(np.inf)), t)
 
 
 def _subtree_leaf_counts(left: list[int], right: list[int]) -> list[int]:
@@ -113,6 +156,7 @@ def _subtree_leaf_counts(left: list[int], right: list[int]) -> list[int]:
 # ----------------------------------------------------------------------
 # XGBoost — native save_model JSON
 # ----------------------------------------------------------------------
+@_parses("XGBoost JSON")
 def from_xgboost_json(
     payload: dict, *, n_attributes: int | None = None, name: str = "xgboost"
 ) -> Forest:
@@ -159,15 +203,24 @@ def from_xgboost_json(
     trees = []
     for tree_ix, raw in enumerate(trees_raw):
         left = np.asarray(raw["left_children"], dtype=np.int32)
+        hess = raw.get("sum_hessian")
+        _check_lengths(
+            f"XGBoost tree {tree_ix}",
+            left.shape[0],
+            right_children=raw["right_children"],
+            split_indices=raw["split_indices"],
+            split_conditions=raw["split_conditions"],
+            default_left=raw.get("default_left"),
+            sum_hessian=hess,
+        )
         right = np.asarray(raw["right_children"], dtype=np.int32)
-        split_idx = np.asarray(raw["split_indices"], dtype=np.int64)
+        split_idx = np.asarray(raw["split_indices"], dtype=np.int32)
         cond = np.asarray(raw["split_conditions"], dtype=np.float32)
         is_leaf = left == -1
         feature = np.where(is_leaf, LEAF, split_idx).astype(np.int32)
         threshold = np.where(is_leaf, np.float32(0.0), cond).astype(np.float32)
         value = np.where(is_leaf, cond, np.float32(0.0)).astype(np.float32)
         default = np.asarray(raw.get("default_left", np.ones(left.shape[0])), dtype=bool)
-        hess = raw.get("sum_hessian")
         if hess is not None:
             visit = np.maximum(1, np.round(np.asarray(hess, dtype=np.float64))).astype(
                 np.int64
@@ -188,12 +241,11 @@ def from_xgboost_json(
                 group=int(tree_info[tree_ix]) if n_classes > 1 else 0,
             )
         )
-    if not trees:
-        raise ModelImportError("XGBoost model contains no trees")
-    n_attrs = _resolve_width(trees, n_attributes, n_features)
-    return Forest(
-        trees=trees,
-        n_attributes=n_attrs,
+    return _imported_forest(
+        "XGBoost",
+        trees,
+        n_attributes,
+        n_features,
         n_classes=n_classes,
         task=task,
         aggregation="sum",
@@ -207,6 +259,7 @@ def from_xgboost_json(
 # ----------------------------------------------------------------------
 # XGBoost — get_dump(dump_format="json") per-tree dumps
 # ----------------------------------------------------------------------
+@_parses("XGBoost dump")
 def from_xgboost_dump(
     dumps: list, *, n_attributes: int | None = None, name: str = "xgboost"
 ) -> Forest:
@@ -268,10 +321,11 @@ def from_xgboost_dump(
                 visit_count=visit,
             )
         )
-    n_attrs = _resolve_width(trees, n_attributes, 0)
-    return Forest(
-        trees=trees,
-        n_attributes=n_attrs,
+    return _imported_forest(
+        "XGBoost dump",
+        trees,
+        n_attributes,
+        0,
         task="classification",
         aggregation="sum",
         base_score=0.0,
@@ -284,6 +338,7 @@ def from_xgboost_dump(
 # ----------------------------------------------------------------------
 # LightGBM — save_model text format
 # ----------------------------------------------------------------------
+@_parses("LightGBM text")
 def from_lightgbm_text(
     text: str, *, n_attributes: int | None = None, name: str = "lightgbm"
 ) -> Forest:
@@ -340,8 +395,14 @@ def from_lightgbm_text(
     for tree_ix, section in enumerate(tree_sections):
         group = tree_ix % n_classes if n_classes > 1 else 0
         num_leaves = int(section.get("num_leaves", "1"))
-        leaf_value = floats(section, "leaf_value") or [0.0]
+        leaf_value = floats(section, "leaf_value")
         leaf_count = ints(section, "leaf_count")
+        _check_lengths(
+            f"LightGBM tree {tree_ix} (num_leaves={num_leaves})",
+            num_leaves,
+            leaf_value=leaf_value,
+            leaf_count=leaf_count or None,
+        )
         if num_leaves == 1:
             stump = DecisionTree.single_leaf(
                 leaf_value[0], visit_count=leaf_count[0] if leaf_count else 1
@@ -360,6 +421,16 @@ def from_lightgbm_text(
         cat_boundaries = ints(section, "cat_boundaries")
         cat_threshold = ints(section, "cat_threshold")
         n = n_internal + num_leaves
+        _check_lengths(
+            f"LightGBM tree {tree_ix} ({n_internal} splits)",
+            n_internal,
+            split_feature=split_feature,
+            threshold=raw_threshold,
+            left_child=left_child,
+            right_child=right_child,
+            decision_type=decision_type,
+            internal_count=internal_count or None,
+        )
 
         def child_id(c: int) -> int:
             return c if c >= 0 else n_internal + (-c - 1)
@@ -425,14 +496,15 @@ def from_lightgbm_text(
                 else None,
             )
         )
-    n_attrs = _resolve_width(trees, n_attributes, n_features)
     metadata = {"source_format": "lightgbm-text", "objective": objective}
     if objective.startswith("multiclassova"):
         # One-vs-all trains independent sigmoid heads, not a softmax.
         metadata["multiclass_link"] = "ovr"
-    return Forest(
-        trees=trees,
-        n_attributes=n_attrs,
+    return _imported_forest(
+        "LightGBM",
+        trees,
+        n_attributes,
+        n_features,
         n_classes=n_classes,
         task=task,
         aggregation="sum",
@@ -585,6 +657,7 @@ def _sklearn_gb_base_score(model, is_classifier: bool) -> float:
     return 0.0
 
 
+@_parses("sklearn-export")
 def from_sklearn_export(
     payload: dict, *, n_attributes: int | None = None, name: str = "sklearn"
 ) -> Forest:
@@ -597,8 +670,16 @@ def from_sklearn_export(
     is_gb = model_type.startswith("gradient_boosting")
     n_classes = int(payload.get("n_classes", 1) or 1)
     trees = []
-    for raw in payload["trees"]:
+    for tree_ix, raw in enumerate(payload["trees"]):
         cl = np.asarray(raw["children_left"], dtype=np.int32)
+        _check_lengths(
+            f"sklearn-export tree {tree_ix}",
+            cl.shape[0],
+            **{
+                k: raw[k]
+                for k in ("children_right", "feature", "threshold", "value", "n_node_samples")
+            },
+        )
         cr = np.asarray(raw["children_right"], dtype=np.int32)
         feat = np.asarray(raw["feature"], dtype=np.int32)
         thresh = np.asarray(raw["threshold"], dtype=np.float64)
@@ -606,11 +687,9 @@ def from_sklearn_export(
         samples = np.asarray(raw["n_node_samples"], dtype=np.int64)
         is_leaf = cl == -1
         # sklearn splits are `x <= threshold` → left; shift to our `<`.
-        threshold = np.where(
-            is_leaf,
-            np.float32(0.0),
-            np.nextafter(thresh.astype(np.float32), np.float32(np.inf)),
-        ).astype(np.float32)
+        threshold = np.where(is_leaf, np.float32(0.0), _leq_to_lt(thresh)).astype(
+            np.float32
+        )
         trees.append(
             DecisionTree(
                 feature=np.where(is_leaf, LEAF, feat).astype(np.int32),
@@ -623,12 +702,11 @@ def from_sklearn_export(
                 group=int(raw.get("group", 0)),
             )
         )
-    if not trees:
-        raise ModelImportError("sklearn-export payload contains no trees")
-    n_attrs = _resolve_width(trees, n_attributes, int(payload.get("n_features", 0)))
-    return Forest(
-        trees=trees,
-        n_attributes=n_attrs,
+    return _imported_forest(
+        "sklearn-export",
+        trees,
+        n_attributes,
+        int(payload.get("n_features", 0)),
         n_classes=n_classes,
         task="classification" if is_classifier else "regression",
         aggregation="sum" if is_gb else "mean",
@@ -732,22 +810,33 @@ def _sniff_text(text: str) -> str:
     )
 
 
+def _imported_forest(
+    source: str, trees: list[DecisionTree], requested: int | None, declared: int, **kwargs
+) -> Forest:
+    """The imported :class:`Forest` at its resolved width, once its node
+    block passes :func:`~repro.trees.flat.check_block` — the check
+    ``load_packed`` applies to a ``.tahoe`` artifact."""
+    if not trees:
+        raise ModelImportError(f"{source} model contains no trees")
+    width = _resolve_width(trees, requested, declared)
+    NodeBlock.from_trees(trees).check(width)
+    return Forest(trees=trees, n_attributes=width, **kwargs)
+
+
 def _resolve_width(
     trees: list[DecisionTree], requested: int | None, declared: int
 ) -> int:
-    """Final ``n_attributes``: max of what the trees use, what the dump
-    declares, and what the caller requests."""
+    """Final ``n_attributes``: the width the dump declares (what the trees
+    use when it declares none), widened to what the caller requests.  A
+    split past a declared width is left for the block check to refuse."""
     used = 0
     for tree in trees:
         idx = tree.feature[tree.feature >= 0]
         if idx.size:
             used = max(used, int(idx.max()) + 1)
-    width = max(used, declared, 1)
-    if requested is not None:
-        if requested < used:
-            raise ModelImportError(
-                f"n_attributes={requested} is narrower than the model "
-                f"(features up to index {used - 1} are used)"
-            )
-        width = max(width, requested)
-    return width
+    if requested is not None and requested < used:
+        raise ModelImportError(
+            f"n_attributes={requested} is narrower than the model "
+            f"(features up to index {used - 1} are used)"
+        )
+    return max(declared or used, requested or 0, 1)

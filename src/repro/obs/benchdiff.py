@@ -3,9 +3,12 @@
 Every ``BENCH_*.json`` the repo writes — the figure/table benchmarks and
 ``repro serve --bench`` — wraps its payload in one envelope carrying the
 provenance a regression harness needs: a run id, the git sha, a UTC
-timestamp, and a scenario key identifying *what* was measured (dataset,
-GPU, knobs).  Two artifacts with the same scenario key are comparable;
-everything else about the envelope is bookkeeping.
+timestamp, a scenario key identifying *what* was measured (dataset,
+GPU, knobs), and the environment it was measured in (Python and numpy
+versions, whether numba is present, CPU count).  Two artifacts with the
+same scenario key are comparable; the diff says so in one line when
+their environments differ, and everything else about the envelope is
+bookkeeping.
 
 ``repro bench diff OLD NEW`` (:func:`diff_payloads` under the hood)
 flattens both payloads to dotted numeric leaves and classifies each
@@ -28,12 +31,17 @@ clean; an injected 20 % latency regression exits nonzero.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
+import platform
 import subprocess
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "ENVELOPE_VERSION",
@@ -103,7 +111,8 @@ _INFO_TOKENS = (
 
 
 def run_metadata(scenario: str) -> dict:
-    """The envelope's provenance block: run id, git sha, timestamp, key."""
+    """The envelope's provenance block: run id, git sha, timestamp, key
+    and environment."""
     try:
         sha = (
             subprocess.run(
@@ -122,6 +131,12 @@ def run_metadata(scenario: str) -> dict:
         "git_sha": sha,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "scenario": scenario,
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "numba": importlib.util.find_spec("numba") is not None,
+            "cpu_count": os.cpu_count(),
+        },
     }
 
 
@@ -232,6 +247,7 @@ class BenchDiff:
     removed: list[str] = field(default_factory=list)
     compared: int = 0
     scenario_mismatch: tuple[str, str] | None = None
+    env_mismatch: tuple[dict, dict] | None = None
 
     @property
     def ok(self) -> bool:
@@ -249,6 +265,7 @@ class BenchDiff:
             "scenario_mismatch": list(self.scenario_mismatch)
             if self.scenario_mismatch
             else None,
+            "env_mismatch": list(self.env_mismatch) if self.env_mismatch else None,
         }
 
 
@@ -332,6 +349,10 @@ def diff_envelopes(
     new_key = new.get("run", {}).get("scenario") or new.get("benchmark", "")
     if old_key and new_key and old_key != new_key:
         diff.scenario_mismatch = (old_key, new_key)
+    old_env = old.get("run", {}).get("env")
+    new_env = new.get("run", {}).get("env")
+    if old_env and new_env and old_env != new_env:
+        diff.env_mismatch = (old_env, new_env)
     return diff
 
 
@@ -350,6 +371,14 @@ def format_diff(diff: BenchDiff, *, verbose: bool = False) -> str:
             f"WARNING: scenario keys differ ({old_key!r} vs {new_key!r}) — "
             "these runs may not be comparable"
         )
+    if diff.env_mismatch:
+        old_env, new_env = diff.env_mismatch
+        changed = ", ".join(
+            f"{k} {old_env.get(k)} -> {new_env.get(k)}"
+            for k in sorted(old_env.keys() | new_env.keys())
+            if old_env.get(k) != new_env.get(k)
+        )
+        lines.append(f"NOTE: the runs' environments differ ({changed})")
     lines.append(
         f"compared {diff.compared} metrics: "
         f"{len(diff.regressions)} regression(s), "

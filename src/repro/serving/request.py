@@ -25,7 +25,6 @@ __all__ = [
     "REJECTED_DEADLINE",
     "REJECTED_INVALID",
     "REJECTED_QUEUE_FULL",
-    "REJECTED_SHARD_OVERLOADED",
     "InferenceRequest",
     "InferenceResponse",
     "ServingError",
@@ -34,7 +33,6 @@ __all__ = [
 #: Error codes (the only values ``ServingError.code`` takes).
 REJECTED_QUEUE_FULL = "queue_full"
 REJECTED_DEADLINE = "deadline_exceeded"
-REJECTED_SHARD_OVERLOADED = "shard_overloaded"
 #: The request's sample block does not fit the served model (wrong
 #: dimensionality or column count) — refused at admission.
 REJECTED_INVALID = "invalid_request"
@@ -68,12 +66,9 @@ class InferenceRequest:
         trace_id: identifier every stage span of this request is tagged
             with; derived from ``request_id`` when not supplied, so
             traces are stable across reruns of a deterministic workload.
-        model: logical model name the request targets; ``None`` means
-            the server's (or router's) default.  The fleet router's
-            per-model mode dispatches on it.
         user: simulated-population user id the request belongs to
-            (``None`` for anonymous traffic) — lets fleet analyses
-            attribute load to the user-population model's heavy hitters.
+            (``None`` for anonymous traffic) — lets analyses attribute
+            load to the user-population model's heavy hitters.
         kind: ``"predict"`` (the default) or ``"explain"`` — explain
             requests ask for exact SHAP attributions instead of
             predictions.  The scheduler coalesces kind-homogeneous
@@ -86,7 +81,6 @@ class InferenceRequest:
     arrival_time: float
     deadline: float | None = None
     trace_id: str | None = None
-    model: str | None = None
     user: int | None = None
     kind: str = KIND_PREDICT
     n_samples: int = field(init=False, repr=False, compare=False)

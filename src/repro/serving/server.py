@@ -64,7 +64,7 @@ from repro.obs.report import RunReport
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.notation import HardwareParams
 from repro.perfmodel.selector import rank_strategies
-from repro.serving.api import PolicyConfig, SchedulerConfig, materialize_workload
+from repro.serving.api import SchedulerConfig, materialize_workload
 from repro.serving.request import (
     ENGINE_ERROR,
     REJECTED_DEADLINE,
@@ -152,10 +152,6 @@ class TahoeServer:
         spec: GPU model every replica runs on.
         scheduler: micro-batch mechanism knobs
             (:class:`~repro.serving.api.SchedulerConfig`).
-        policy: service policy (:class:`~repro.serving.api.PolicyConfig`);
-            its ``slo`` member replaces the deprecated ``slo=`` kwarg
-            (admission/autoscale members are consumed by the fleet
-            router, not here).
         config: engine configuration shared by every replica.
         hardware: pre-measured hardware parameters (measured once here
             otherwise and shared across the pool).
@@ -182,7 +178,6 @@ class TahoeServer:
         spec: GPUSpec | None = None,
         *,
         scheduler: SchedulerConfig | None = None,
-        policy: PolicyConfig | None = None,
         config: TahoeConfig | None = None,
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
@@ -197,11 +192,6 @@ class TahoeServer:
         if (forest is None) == (packed is None):
             raise TypeError("TahoeServer takes exactly one of forest= or packed=")
         self.config = scheduler if scheduler is not None else SchedulerConfig()
-        self.policy = policy if policy is not None else PolicyConfig()
-        if policy is not None and policy.slo is not None:
-            if slo is not None:
-                raise TypeError("pass slo via policy= or the slo= kwarg, not both")
-            slo = policy.slo
         self.spec = spec
         self.engine_config = config if config is not None else TahoeConfig()
         hardware = hardware or measure_hardware_parameters(spec)
@@ -445,11 +435,6 @@ class TahoeServer:
     def queue_depth(self) -> int:
         """Requests currently queued (not yet coalesced into a batch)."""
         return len(self._queue)
-
-    @property
-    def queued_samples(self) -> int:
-        """Samples currently queued awaiting coalescing."""
-        return self._queued_samples
 
     def submit(self, request: InferenceRequest) -> InferenceResponse | None:
         """Admit one request at its arrival time.

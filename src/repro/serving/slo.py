@@ -29,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["SLOConfig", "SLOMonitor", "window_quantile"]
+__all__ = ["SLOConfig", "SLOMonitor"]
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,8 @@ class SLOConfig:
         return out
 
 
-def window_quantile(values: list[float], q: float) -> float:
-    """Nearest-rank quantile of a small window (exact).
-
-    Shared by the SLO monitor and the fleet autoscaler — both evaluate
-    rolling-window percentiles on the same footing.
-    """
+def _window_quantile(values: list[float], q: float) -> float:
+    """Nearest-rank quantile of a small window (exact)."""
     if not values:
         return 0.0
     ordered = sorted(values)
@@ -155,9 +151,9 @@ class SLOMonitor:
         failed = sum(1 for row in rows if not row[3])
         return {
             "requests": n,
-            "latency_p95": window_quantile(ok_latencies, 0.95),
-            "latency_p99": window_quantile(ok_latencies, 0.99),
-            "queue_wait_p95": window_quantile(ok_waits, 0.95),
+            "latency_p95": _window_quantile(ok_latencies, 0.95),
+            "latency_p99": _window_quantile(ok_latencies, 0.99),
+            "queue_wait_p95": _window_quantile(ok_waits, 0.95),
             "error_rate": (failed / n) if n else 0.0,
         }
 

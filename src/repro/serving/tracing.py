@@ -28,20 +28,6 @@ Stages (fixed vocabulary, one Chrome track each in the exporter):
     splitting batch predictions back into per-request responses;
     free on the simulated clock, so zero-length at completion.
 
-Fleet responses (:class:`~repro.serving.fleet.router.TahoeRouter`) add
-two router-side stages around the shard's own spans:
-
-``router``
-    the routing decision — zero-length at arrival (dispatch is free on
-    the simulated clock); its args record the chosen shard, or the
-    fan-out width / rejection code.
-``grouped_reduction``
-    router-side summation of forest-shard partials — zero-length at
-    completion, args record the part count.  Only present in forest
-    mode, where the trace carries the *slowest* shard's spans (the ones
-    on the critical path), so fleet spans still tile
-    ``[arrival, completion]`` even though sibling shards overlapped.
-
 Rejected requests get a degenerate trace — ``queue_wait`` up to the
 rejection decision plus a zero-length ``response_fanout`` carrying the
 error code — so every response is explainable, not only successes.

@@ -22,12 +22,43 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.trees.tree import LEAF, DecisionTree, Levels, edge_probabilities, level_pass
+from repro.trees.tree import (
+    LEAF,
+    DecisionTree,
+    Levels,
+    check_structure,
+    edge_probabilities,
+    level_pass,
+)
 
 if TYPE_CHECKING:  # forest.py imports this module
     from repro.trees.forest import Forest
 
-__all__ = ["FlatForest", "NodeBlock"]
+__all__ = ["FlatForest", "NodeBlock", "check_block"]
+
+def check_block(offsets, nodes: dict, cat_words, cat_bits, n_attributes: int) -> None:
+    """Validate a whole node block in one vectorised pass: every tree is
+    a tree (:func:`~repro.trees.tree.check_structure`), decision nodes
+    split on a feature below ``n_attributes`` at a finite threshold,
+    leaf values are finite, and the bitset pools add up.  ``nodes`` maps
+    ``feature``, ``threshold``, ``value``, tree-local ``left``/``right``
+    (and ``cat_offset``/``cat_count`` with ``cat_words``) to arrays.
+    Raises ``ValueError`` naming the first bad node."""
+    if cat_words is not None and (
+        (cat_words < -1).any() or int(np.maximum(cat_words, 0).sum()) != cat_bits.shape[0]
+    ):
+        raise ValueError("tree bitset pool sizes do not add up to cat_bits")
+    leaf = nodes["feature"] == LEAF
+    check_structure(
+        offsets, nodes["feature"], nodes["left"], nodes["right"],
+        nodes.get("cat_offset"), nodes.get("cat_count"), cat_words,
+        checks=[
+            (~leaf & (nodes["feature"] >= n_attributes), f"splits on a feature >= {n_attributes}"),
+            (~leaf & ~np.isfinite(nodes["threshold"]), "has a non-finite threshold"),
+            (leaf & ~np.isfinite(nodes["value"]), "has a non-finite leaf value"),
+        ],
+    )
+
 
 #: Per-node arrays every tree has, under their DecisionTree names (the
 #: block keeps ``left``/``right`` as ``local_left``/``local_right``).
@@ -158,6 +189,15 @@ class NodeBlock:
                 flip=self.flip[a:b], group=g, **cats,
             ))
         return trees
+
+    def check(self, n_attributes: int) -> None:
+        """:func:`check_block` over this block's arrays."""
+        nodes = dict(
+            feature=self.feature, threshold=self.threshold, value=self.value,
+            left=self.local_left, right=self.local_right,
+            cat_offset=self.cat_offset, cat_count=self.cat_count,
+        )
+        check_block(self.offsets, nodes, self.cat_words, self.cat_bits, n_attributes)
 
     @property
     def n_trees(self) -> int:

@@ -29,6 +29,9 @@ class TestEnvelope:
         assert len(run["run_id"]) == 12
         assert run["git_sha"]
         assert "T" in run["timestamp"]
+        env = run["env"]
+        assert env["python"].count(".") == 2 and env["numpy"]
+        assert isinstance(env["numba"], bool) and env["cpu_count"] >= 1
 
     def test_run_ids_are_unique(self):
         a = bench_envelope("x", {})
@@ -127,6 +130,17 @@ class TestDiff:
         assert diff.ok
         assert diff.scenario_mismatch == ("serving/a", "serving/b")
         assert "WARNING" in format_diff(diff)
+
+    def test_env_mismatch_is_one_line_and_changes_no_verdict(self):
+        old = bench_envelope("serving", {"latency_s": 1.0}, scenario="s")
+        new = bench_envelope("serving", {"latency_s": 2.0}, scenario="s")
+        assert diff_envelopes(old, new).env_mismatch is None
+        new["run"]["env"] = dict(old["run"]["env"], numba=not old["run"]["env"]["numba"])
+        diff = diff_envelopes(old, new)
+        assert not diff.ok and len(diff.regressions) == 1
+        notes = [line for line in format_diff(diff).splitlines() if "environments" in line]
+        assert len(notes) == 1 and "numba" in notes[0]
+        assert diff.to_dict()["env_mismatch"] == [old["run"]["env"], new["run"]["env"]]
 
     def test_cross_time_domain_refused(self):
         old = bench_envelope(

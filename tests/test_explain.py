@@ -364,38 +364,6 @@ class TestServingExplain:
                 request_id=0, X=test_X[0], arrival_time=0.0, kind="interpret"
             )
 
-    def test_fleet_forest_mode_explains(self, small_forest, p100, test_X):
-        from repro.serving import InferenceRequest, SchedulerConfig
-        from repro.serving.fleet import TahoeRouter
-
-        sched = SchedulerConfig(n_engines=1, max_wait=1e-3, max_batch=256)
-        reqs = [
-            InferenceRequest(
-                request_id=i,
-                X=test_X[i][None, :],
-                arrival_time=i * 1e-5,
-                kind="explain",
-            )
-            for i in range(8)
-        ]
-        router = TahoeRouter(
-            small_forest, p100, n_shards=3, mode="forest", scheduler=sched
-        )
-        result = router.run(reqs)
-        engine = TahoeEngine(small_forest, p100)
-        assert len(result.responses) == 8
-        for r in result.responses:
-            assert r.ok
-            single = engine.explain(test_X[r.request_id][None, :])
-            np.testing.assert_allclose(
-                r.attributions, single.attributions, rtol=1e-9, atol=1e-12
-            )
-            np.testing.assert_allclose(r.base_values, single.base_values, rtol=1e-9)
-            np.testing.assert_allclose(
-                r.predictions, single.predictions, rtol=1e-9, atol=1e-12
-            )
-            assert [s.stage for s in r.trace.spans][-1] == "grouped_reduction"
-
 
 class TestPathSet:
     def test_counts_and_caching(self, small_forest):

@@ -1,12 +1,17 @@
 """Importer semantics: foreign split/leaf/missing conventions must map
 exactly onto our ``x < threshold``/``default_left`` trees."""
 
+import functools
 import json
 import math
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.modelstore import (
     ModelImportError,
@@ -451,3 +456,177 @@ class TestImportModelSniffing:
     def test_n_attributes_too_narrow_rejected(self):
         with pytest.raises(ModelImportError, match="narrower"):
             import_model(FIXTURES / "xgboost_model.json", n_attributes=2)
+
+
+# ----------------------------------------------------------------------
+# Malformed input: every mutation is refused or changes nothing
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Mutation:
+    """One edit of one node array of one fixture tree: ``set`` entry
+    ``node`` to ``value``, or ``drop``/``append`` the array's last entry."""
+
+    fixture: str
+    tree: int
+    key: str
+    op: str = "set"
+    node: int = 0
+    value: object = None
+
+
+_FIXTURE_FILES = tuple(sorted(p.name for p in FIXTURES.iterdir()))
+
+#: Node arrays by the role a mutation plays on them, per format.
+_ROLES = {
+    "xgboost": dict(
+        length=("left_children", "right_children", "split_indices", "split_conditions",
+                "default_left", "sum_hessian"),
+        child=("left_children", "right_children"),
+        non_finite=("split_conditions",),  # thresholds and leaf values alike
+        feature=("split_indices",),
+    ),
+    "lightgbm": dict(
+        length=("split_feature", "threshold", "decision_type", "left_child", "right_child",
+                "leaf_value", "leaf_count", "internal_count"),
+        child=("left_child", "right_child"),
+        non_finite=("threshold", "leaf_value"),
+        feature=("split_feature",),
+    ),
+    "sklearn": dict(
+        length=("children_left", "children_right", "feature", "threshold", "value",
+                "n_node_samples"),
+        child=("children_left", "children_right"),
+        non_finite=("threshold", "value"),
+        feature=("feature",),
+    ),
+}
+
+#: NaN, both infinities, and a float64 that overflows float32.
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"), 1e39)
+
+#: Malformed inputs the importers must refuse, each with the problem its
+#: error names.
+_PROBES = [
+    (Mutation("xgboost_model.json", 0, "split_conditions", value=float("nan")),
+     "non-finite threshold"),
+    (Mutation("xgboost_model.json", 0, "split_conditions", node=7, value=float("inf")),
+     "non-finite leaf value"),
+    (Mutation("xgboost_model.json", 0, "split_indices", value=10**6), "feature >= 16"),
+    (Mutation("xgboost_model.json", 0, "right_children", op="drop"), "right_children"),
+    (Mutation("lightgbm_model.txt", 0, "threshold", value=float("nan")),
+     "non-finite threshold"),
+    (Mutation("lightgbm_model.txt", 0, "num_leaves", value=9), "num_leaves=9"),
+]
+
+
+def _lgb_lines(fixture: str) -> tuple[list[str], dict]:
+    """The fixture's lines and the line number of every ``(tree, key)``."""
+    lines = (FIXTURES / fixture).read_text().splitlines()
+    index, tree = {}, -1
+    for i, line in enumerate(lines):
+        if line.startswith("Tree="):
+            tree += 1
+        elif tree >= 0 and "=" in line:
+            index[(tree, line.partition("=")[0])] = i
+    return lines, index
+
+
+def _json_trees(fixture: str, payload: dict) -> list[dict]:
+    if fixture.startswith("xgboost"):
+        return payload["learner"]["gradient_booster"]["model"]["trees"]
+    return payload["trees"]
+
+
+@functools.cache
+def _tree_arrays(fixture: str) -> list[dict]:
+    """Every tree's node arrays, by key, as the fixture stores them."""
+    if fixture.startswith("lightgbm"):
+        lines, index = _lgb_lines(fixture)
+        trees: list[dict] = []
+        for (tree, key), i in index.items():
+            if tree == len(trees):
+                trees.append({})
+            trees[tree][key] = lines[i].partition("=")[2].split()
+        return trees
+    return _json_trees(fixture, json.loads((FIXTURES / fixture).read_text()))
+
+
+def _edit(array: list, m: Mutation, convert=lambda v: v) -> None:
+    if m.op == "drop":
+        array.pop()
+    elif m.op == "append":
+        array.append(array[-1])
+    else:
+        array[m.node] = convert(m.value)
+
+
+def _import_mutated(m: Mutation):
+    if m.fixture.startswith("lightgbm"):
+        lines, index = _lgb_lines(m.fixture)
+        i = index[(m.tree, m.key)]
+        key, _, raw = lines[i].partition("=")
+        tokens = raw.split()
+        _edit(tokens, m, str)
+        lines[i] = f"{key}={' '.join(tokens)}"
+        return from_lightgbm_text("\n".join(lines) + "\n")
+    payload = json.loads((FIXTURES / m.fixture).read_text())
+    _edit(_json_trees(m.fixture, payload)[m.tree][m.key], m)
+    importer = from_xgboost_json if m.fixture.startswith("xgboost") else from_sklearn_export
+    return importer(payload)
+
+
+@functools.cache
+def _unmutated(fixture: str):
+    return import_model(FIXTURES / fixture)
+
+
+@st.composite
+def mutations(draw) -> Mutation:
+    fixture = draw(st.sampled_from(_FIXTURE_FILES))
+    lightgbm = fixture.startswith("lightgbm")
+    arrays = _tree_arrays(fixture)
+    tree = draw(st.integers(0, len(arrays) - 1))
+    role = draw(st.sampled_from(["length", "child", "non_finite", "feature"]))
+    roles = _ROLES[fixture.split("_")[0]]
+    key = draw(st.sampled_from([k for k in roles[role] if k in arrays[tree]]))
+    if role == "length":
+        return Mutation(fixture, tree, key, op=draw(st.sampled_from(["drop", "append"])))
+    n = len(arrays[tree][key])
+    node = draw(st.integers(0, n - 1))
+    if role == "non_finite":
+        value = draw(st.sampled_from(_NON_FINITE))
+    elif role == "feature":
+        width = _unmutated(fixture).n_attributes
+        value = draw(st.integers(width, 2**31 - 1) | st.just(2**40))
+    else:
+        # A LightGBM tree with n splits has 2n + 1 nodes; leaf j is -(j + 1).
+        size = 2 * n + 1 if lightgbm else n
+        dangling = st.integers(size, 2**31 - 1)
+        if lightgbm:
+            dangling |= st.integers(-(2**31), -(n + 2))
+        value = draw(st.just(node) | dangling)  # a self loop or a dangling id
+    return Mutation(fixture, tree, key, node=node, value=value)
+
+
+def _with_probes(test):
+    for mutation, _ in _PROBES:
+        test = example(mutation)(test)
+    return test
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("mutation, problem", _PROBES)
+    def test_probe_is_refused(self, mutation, problem):
+        with pytest.raises(ModelImportError, match=re.escape(problem)):
+            _import_mutated(mutation)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @_with_probes
+    @given(mutations())
+    def test_mutation_is_refused_or_harmless(self, mutation):
+        try:
+            forest = _import_mutated(mutation)
+        except ModelImportError:
+            return
+        assert forest.fingerprint() == _unmutated(mutation.fixture).fingerprint()

@@ -160,7 +160,7 @@ class TestWallLayers:
 
 class TestFoldedAdmissionCounters:
     def test_direct_submits_fold_on_run(self, small_forest, p100, cache, test_X):
-        """The fleet router's path: ``submit`` now, ``run()`` later."""
+        """The incremental path: ``submit`` now, ``run()`` later."""
         server = native_server(small_forest, p100, cache)
         for req in one_row_requests(test_X, 7):
             server.submit(req)

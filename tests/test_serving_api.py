@@ -1,5 +1,5 @@
-"""The unified serving surface: Server/Workload protocols and the
-SchedulerConfig/PolicyConfig split."""
+"""The serving surface: the Workload protocol, SchedulerConfig and the
+incremental submit/run loop of TahoeServer."""
 
 from __future__ import annotations
 
@@ -7,37 +7,20 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AutoscaleConfig,
     BurstWorkload,
     PoissonWorkload,
-    PolicyConfig,
-    SLOConfig,
     SchedulerConfig,
-    Server,
     TahoeServer,
     UserPopulationWorkload,
     Workload,
     make_workload,
 )
 from repro.serving.api import materialize_workload
-from repro.serving.fleet import TahoeRouter
 
 
 @pytest.fixture(scope="module")
 def sched():
     return SchedulerConfig(max_wait=1e-3, max_batch=64)
-
-
-class TestServerProtocol:
-    def test_tahoe_server_is_a_server(self, small_forest, p100, sched):
-        assert isinstance(TahoeServer(small_forest, p100, scheduler=sched), Server)
-
-    def test_router_is_a_server(self, small_forest, p100, sched):
-        router = TahoeRouter(small_forest, p100, n_shards=2, scheduler=sched)
-        assert isinstance(router, Server)
-
-    def test_a_list_is_not_a_server(self):
-        assert not isinstance([], Server)
 
 
 class TestWorkloadProtocol:
@@ -92,27 +75,11 @@ class TestConfigSplit:
         SchedulerConfig(max_batch=32)
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_slo_moves_into_policy(self, small_forest, p100):
-        slo = SLOConfig(latency_p95=1e-3)
-        server = TahoeServer(small_forest, p100, policy=PolicyConfig(slo=slo))
-        assert server.slo is not None
-        with pytest.raises(TypeError, match="slo"):
-            TahoeServer(small_forest, p100, policy=PolicyConfig(slo=slo), slo=slo)
-
     def test_scheduler_validation(self):
         with pytest.raises(ValueError):
             SchedulerConfig(n_engines=0)
         with pytest.raises(ValueError):
             SchedulerConfig(max_queue=0)
-
-    def test_autoscale_needs_an_objective(self):
-        with pytest.raises(ValueError, match="objective"):
-            AutoscaleConfig()
-
-    def test_autoscale_hysteresis_defaults(self):
-        cfg = AutoscaleConfig(scale_up_latency_p95=4e-3, scale_up_queue_depth=100)
-        assert cfg.down_latency == pytest.approx(1e-3)
-        assert cfg.down_queue_depth == pytest.approx(25.0)
 
 
 class TestIncrementalRun:
