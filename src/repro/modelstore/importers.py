@@ -132,6 +132,17 @@ def _leq_to_lt(threshold) -> np.ndarray:
     return np.where(np.isfinite(t), np.nextafter(t, np.float32(np.inf)), t)
 
 
+def _visit_counts(where: str, stats) -> np.ndarray:
+    """XGBoost ``sum_hessian`` / ``cover`` as visit counts, rounded and
+    floored at 1.  A non-finite, negative or int64-overflowing statistic
+    is refused: its cast would skew the layout's edge probabilities."""
+    stats = np.asarray(stats, dtype=np.float64)
+    bad = ~((stats >= 0) & (stats < 2.0**63))  # NaN fails both
+    if bad.any():
+        raise ModelImportError(f"{where}: visit statistic {stats[bad][0]} is not a count")
+    return np.maximum(1, np.round(stats)).astype(np.int64)
+
+
 def _subtree_leaf_counts(left: list[int], right: list[int]) -> list[int]:
     """Leaves under each node — the visit-count fallback when a dump
     carries no sample statistics (uniform leaf-mass assumption)."""
@@ -222,9 +233,7 @@ def from_xgboost_json(
         value = np.where(is_leaf, cond, np.float32(0.0)).astype(np.float32)
         default = np.asarray(raw.get("default_left", np.ones(left.shape[0])), dtype=bool)
         if hess is not None:
-            visit = np.maximum(1, np.round(np.asarray(hess, dtype=np.float64))).astype(
-                np.int64
-            )
+            visit = _visit_counts(f"XGBoost tree {tree_ix} sum_hessian", hess)
         else:
             visit = np.asarray(
                 _subtree_leaf_counts(left.tolist(), right.tolist()), dtype=np.int64
@@ -270,7 +279,7 @@ def from_xgboost_dump(
     if not isinstance(dumps, list) or not dumps:
         raise ModelImportError("XGBoost dump must be a non-empty list of tree dicts")
     trees = []
-    for raw in dumps:
+    for tree_ix, raw in enumerate(dumps):
         if isinstance(raw, str):
             raw = json.loads(raw)
         feature, threshold, left, right = [], [], [], []
@@ -307,7 +316,7 @@ def from_xgboost_dump(
 
         grow(raw)
         if any(cover):
-            visit = np.maximum(1, np.round(np.asarray(cover))).astype(np.int64)
+            visit = _visit_counts(f"XGBoost dump tree {tree_ix} cover", cover)
         else:
             visit = np.asarray(_subtree_leaf_counts(left, right), dtype=np.int64)
         trees.append(

@@ -23,10 +23,12 @@ metric by its name:
   machines, and identity-class values (counts of requests offered,
   schema versions).  Changes are reported but never fail the diff.
 
-Noise awareness is two-fold: relative changes under ``rel_threshold``
+Noise awareness is three-fold: relative changes under ``rel_threshold``
 are ignored, as are absolute deltas under ``abs_floor`` (float jitter on
-near-zero metrics).  Two runs of the same deterministic benchmark diff
-clean; an injected 20 % latency regression exits nonzero.
+near-zero metrics) and changes inside a metric's recorded spread (a
+``<metric>_iqr`` on both sides, relative to each side's value).  Two
+runs of the same deterministic benchmark diff clean; an injected 20 %
+latency regression exits nonzero.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ _INFO_TOKENS = (
     "n_samples",
     "batch_size",
     "config.",
+    "_iqr",  # a metric's recorded spread, not a measurement
 )
 
 
@@ -279,8 +282,9 @@ def diff_payloads(
     """Compare two flattened payloads with noise-aware thresholds.
 
     A metric must move by more than ``rel_threshold`` relative *and*
-    more than ``abs_floor`` absolute to count; which direction counts as
-    a regression follows :func:`classify_metric`.
+    more than ``abs_floor`` absolute to count, and more than either
+    side's relative ``<metric>_iqr`` when both record one; which
+    direction counts as a regression follows :func:`classify_metric`.
     """
     old_flat = flatten_numeric(old)
     new_flat = flatten_numeric(new)
@@ -298,7 +302,11 @@ def diff_payloads(
         if abs(delta) <= abs_floor:
             continue
         rel = abs(delta) / abs(o) if o != 0.0 else float("inf")
-        if rel <= rel_threshold:
+        noise = rel_threshold
+        iqr = path + "_iqr"
+        if iqr in old_flat and iqr in new_flat and o and n:
+            noise = max(noise, abs(old_flat[iqr] / o), abs(new_flat[iqr] / n))
+        if rel <= noise:
             continue
         direction = classify_metric(path)
         change = MetricChange(path=path, direction=direction, old=o, new=n)

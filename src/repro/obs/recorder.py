@@ -1,14 +1,20 @@
 """The :class:`RunRecorder` — the glue the engines drive.
 
-One recorder accompanies one engine.  It owns a tracer and a metrics
-registry, accumulates conversion / selection / batch records as the
-engine works, and assembles the :class:`~repro.obs.report.RunReport`
-artifact on demand.  With both tracing and metrics disabled it degrades
-to a handful of cheap list appends, so engines can keep it wired in
-unconditionally.
+One recorder accompanies one engine, or one server and its engine
+replicas.  It owns a tracer and a metrics registry, accumulates
+conversion / selection / batch records as the engine works, and
+assembles the :class:`~repro.obs.report.RunReport` artifact on demand.
+With both tracing and metrics disabled it degrades to a handful of
+cheap appends, so engines can keep it wired in unconditionally.  Its
+memory does not grow with the work it records: batch records and
+selector decisions are windows of the most recent
+:data:`MAX_REPORT_RECORDS`, while its counters, histograms and
+calibration tracker cover everything.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro.obs.drift import CalibrationTracker
 from repro.obs.metrics import MetricsRegistry
@@ -21,7 +27,14 @@ from repro.obs.report import (
 )
 from repro.obs.trace import Tracer, use_tracer
 
-__all__ = ["RunRecorder"]
+__all__ = ["MAX_REPORT_RECORDS", "MAX_REPORT_TRACES", "RunRecorder"]
+
+#: Cap on per-request traces a serving report carries (the responses
+#: themselves always carry their own trace regardless).
+MAX_REPORT_TRACES = 2000
+#: Batch records and selector decisions a recorder keeps; a report
+#: notes in ``meta`` how many older ones it dropped.
+MAX_REPORT_RECORDS = 1000
 
 
 class RunRecorder:
@@ -45,8 +58,9 @@ class RunRecorder:
         self.metrics_enabled = metrics
         self.calibration = CalibrationTracker()
         self.conversions: list[ConversionRecord] = []
-        self.decisions: list[SelectorDecision] = []
-        self.batches: list[BatchRecord] = []
+        self.decisions: deque[SelectorDecision] = deque(maxlen=MAX_REPORT_RECORDS)
+        self.batches: deque[BatchRecord] = deque(maxlen=MAX_REPORT_RECORDS)
+        self._n_decisions = self._n_batches = 0
 
     def activate(self):
         """Install this recorder's tracer as the current one (ctx mgr)."""
@@ -90,6 +104,7 @@ class RunRecorder:
             candidates=candidates,
         )
         self.decisions.append(decision)
+        self._n_decisions += 1
         self.metrics.counter(f"selector.chosen.{chosen.name}").inc()
         return decision
 
@@ -97,6 +112,7 @@ class RunRecorder:
         """Adopt one executed ``StrategyResult``; closes its decision."""
         record = BatchRecord.from_result(index, result)
         self.batches.append(record)
+        self._n_batches += 1
         if decision is not None:
             decision.simulated_time = record.simulated_time
             ratio = decision.prediction_ratio
@@ -140,6 +156,12 @@ class RunRecorder:
         if self.tracer.enabled:
             meta.setdefault("n_spans", len(self.tracer.spans))
             meta.setdefault("spans_dropped", self.tracer.dropped)
+        for name, kept, seen in (
+            ("batches", self.batches, self._n_batches),
+            ("decisions", self.decisions, self._n_decisions),
+        ):
+            if seen > len(kept):
+                meta.setdefault(f"{name}_dropped", seen - len(kept))
         return RunReport(
             engine=engine,
             gpu=gpu,
@@ -154,12 +176,3 @@ class RunRecorder:
             calibration=self.calibration.summary(),
             meta=meta,
         )
-
-    def reset(self) -> None:
-        """Forget everything recorded so far (tracer epoch restarts)."""
-        self.tracer.reset()
-        self.metrics.reset()
-        self.calibration = CalibrationTracker()
-        self.conversions.clear()
-        self.decisions.clear()
-        self.batches.clear()

@@ -52,7 +52,7 @@ class ServingError:
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceRequest:
     """One client request: a small block of samples with a deadline.
 
@@ -98,7 +98,7 @@ class InferenceRequest:
         self.n_samples = int(self.X.shape[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceResponse:
     """The server's answer to one :class:`InferenceRequest`.
 
@@ -139,7 +139,3 @@ class InferenceResponse:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def latency(self) -> float:
-        return self.completion_time - self.arrival_time

@@ -58,8 +58,7 @@ from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.gpusim.specs import GPUSpec
 from repro.modelstore.registry import ModelRegistry, ModelVersion
-from repro.obs.drift import CalibrationTracker
-from repro.obs.recorder import RunRecorder
+from repro.obs.recorder import MAX_REPORT_TRACES, RunRecorder
 from repro.obs.report import RunReport
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.notation import HardwareParams
@@ -79,10 +78,6 @@ from repro.serving.tracing import RequestTrace, StageSpan
 from repro.trees.forest import Forest
 
 __all__ = ["SchedulerConfig", "ServingResult", "TahoeServer"]
-
-#: Cap on per-request traces carried into a RunReport (the responses
-#: themselves always carry their own trace regardless).
-MAX_REPORT_TRACES = 2000
 
 #: Wall-clock layers of the serving loop, each accumulated into a
 #: ``serving.wall.<layer>_seconds`` counter next to ``run_seconds``:
@@ -108,7 +103,8 @@ class ServingResult:
     """Outcome of one :meth:`TahoeServer.run` call.
 
     Attributes:
-        responses: one per submitted request, submission order.
+        responses: one per request this run resolved, by request id.
+            The result owns them: the server keeps no reference.
         summary: JSON-ready aggregate statistics (latency quantiles,
             batch-size histogram, rejection/deadline counters, cache).
             Built on first read from what the run froze at its end, so
@@ -135,14 +131,6 @@ class ServingResult:
             self._summary = self._summary()
         return self._summary
 
-    @property
-    def completed(self) -> list[InferenceResponse]:
-        return [r for r in self.responses if r.ok]
-
-    @property
-    def rejected(self) -> list[InferenceResponse]:
-        return [r for r in self.responses if not r.ok]
-
 
 class TahoeServer:
     """Micro-batching front end over a pool of Tahoe engine replicas.
@@ -155,7 +143,9 @@ class TahoeServer:
         config: engine configuration shared by every replica.
         hardware: pre-measured hardware parameters (measured once here
             otherwise and shared across the pool).
-        recorder: serving-telemetry sink (fresh one otherwise).
+        recorder: telemetry sink shared by the server and every engine
+            replica it builds, so each served micro-batch is recorded
+            once (fresh one from ``config.obs`` otherwise).
         layout_cache: converted-layout cache; shared across the pool so
             the forest converts exactly once (and across servers, so a
             restart with an unchanged forest skips conversion entirely).
@@ -197,7 +187,10 @@ class TahoeServer:
         hardware = hardware or measure_hardware_parameters(spec)
         self.hardware = hardware
         self.layout_cache = layout_cache if layout_cache is not None else LayoutCache()
-        self.recorder = recorder if recorder is not None else RunRecorder()
+        obs = self.engine_config.obs
+        self.recorder = recorder if recorder is not None else RunRecorder(
+            tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
+        )
         self.registry = registry if registry is not None else ModelRegistry()
         self.model_name = model_name
         # Model-store state: staged pools by version, pending swap times.
@@ -239,9 +232,12 @@ class TahoeServer:
         self._queued_samples = 0
         self._engine_free = [0.0] * self.config.n_engines
         self._next_engine = 0
-        self._batch_index = 0
         self._batch_sizes: TallyCounter = TallyCounter()
         self._clock = 0.0
+        # The only per-request history the cumulative summary needs.
+        self._first_arrival = float("inf")
+        self._last_arrival = self._last_completion = float("-inf")
+        # Responses resolved since the last run(), which takes them all.
         self._responses: list[InferenceResponse] = []
         self._pending: list[InferenceRequest] = []
         self._row_shape = self._model_row_shape()
@@ -273,6 +269,12 @@ class TahoeServer:
         """A full replica pool for ``version`` — the expensive part of a
         deployment, run off the hot path by :meth:`stage`."""
         cls = engine_class(version.engine_kind, self.config.backend)
+        shared = dict(
+            config=self.engine_config,
+            hardware=self.hardware,
+            recorder=self.recorder,
+            layout_cache=self.layout_cache,
+        )
         if version.layout is not None:
             # Packed artifact: zero conversion.  The first replica
             # publishes the layout under its source cache key; the rest
@@ -282,22 +284,11 @@ class TahoeServer:
                     version.layout,
                     self.spec,
                     cache_key=version.cache_key if i == 0 else None,
-                    config=self.engine_config,
-                    hardware=self.hardware,
-                    layout_cache=self.layout_cache,
+                    **shared,
                 )
                 for i in range(self.config.n_engines)
             ]
-        return [
-            cls(
-                version.forest,
-                self.spec,
-                config=self.engine_config,
-                hardware=self.hardware,
-                layout_cache=self.layout_cache,
-            )
-            for _ in range(self.config.n_engines)
-        ]
+        return [cls(version.forest, self.spec, **shared) for _ in range(self.config.n_engines)]
 
     def stage(
         self,
@@ -446,7 +437,7 @@ class TahoeServer:
         arrival completes.  Returns the structured rejection response
         when the request is malformed or admission fails; ``None`` when
         the request is queued — its response is produced by a later
-        dispatch and collected by :meth:`run`.
+        dispatch and handed out by the next :meth:`run`.
         """
         queue = self._queue
         arrival = request.arrival_time
@@ -454,6 +445,10 @@ class TahoeServer:
             self._flush_due(arrival)
         if arrival > self._clock:
             self._clock = arrival
+        if arrival < self._first_arrival:
+            self._first_arrival = arrival
+        if arrival > self._last_arrival:
+            self._last_arrival = arrival
         self._arrival_depths.append(len(queue))
         if request.X.shape[1:] != self._row_shape:
             return self._refuse(
@@ -491,14 +486,15 @@ class TahoeServer:
         Requests are processed in arrival order.  With ``until=None``
         the queue drains fully; otherwise the clock stops at ``until``
         (due flushes applied, later arrivals held for the next call).
-        Returns one response per request this call resolved (successes
-        and structured rejections alike); the result's ``summary`` is
-        built when first read.
+        Returns one response per request resolved since the previous
+        call (successes and structured rejections alike, including
+        requests queued by a direct :meth:`submit`, but not a refusal
+        :meth:`submit` already returned); the result owns them.  Its
+        ``summary`` is built when first read.
         """
         wall = self._wall
         t_start = time.perf_counter()
         dispatched = self._dispatch_seconds()
-        mark = len(self._responses)
         requests = self._pending + materialize_workload(workload, until)
         self._pending = []
         requests.sort(key=attrgetter("arrival_time"))
@@ -506,7 +502,9 @@ class TahoeServer:
             if until is not None and req.arrival_time > until:
                 self._pending.append(req)
                 continue
-            self.submit(req)
+            refused = self.submit(req)
+            if refused is not None:
+                self._responses.append(refused)
         t_admitted = time.perf_counter()
         wall["admission"] += max(
             0.0, t_admitted - t_start - (self._dispatch_seconds() - dispatched)
@@ -520,8 +518,8 @@ class TahoeServer:
             self._flush_due(until)
             self._clock = max(self._clock, until)
         t_result = time.perf_counter()
-        responses = self._responses[mark:]
-        summary = partial(_summarize, responses, self._freeze())
+        responses, self._responses = self._responses, []
+        summary = partial(_summarize, self._freeze(), responses)
         run_report = None
         if report:
             summary = summary()
@@ -618,13 +616,8 @@ class TahoeServer:
             live = []
             for req, gone in zip(batch, expired.tolist()):
                 if gone:
-                    self._refuse(
-                        req,
-                        now,
-                        REJECTED_DEADLINE,
-                        f"deadline {req.deadline:.6f}s passed before dispatch "
-                        f"at {now:.6f}s",
-                    )
+                    detail = f"deadline {req.deadline:.6f}s passed before dispatch at {now:.6f}s"
+                    self._responses.append(self._refuse(req, now, REJECTED_DEADLINE, detail))
                 else:
                     live.append(req)
             deadlines = deadlines[~expired]
@@ -645,8 +638,9 @@ class TahoeServer:
         except Exception as exc:  # one failed batch never takes the run down
             wall["engine"] += time.perf_counter() - t1
             detail = f"{type(exc).__name__}: {exc}"
-            for req in live:
-                self._refuse(req, now, ENGINE_ERROR, detail)
+            self._responses.extend(
+                self._refuse(req, now, ENGINE_ERROR, detail) for req in live
+            )
             return
         t2 = time.perf_counter()
         wall["engine"] += t2 - t1
@@ -657,6 +651,8 @@ class TahoeServer:
         service = result.total_time
         completion = start + service
         self._engine_free[g] = completion
+        if completion > self._last_completion:
+            self._last_completion = completion
         # Kernel/reduction split for the stage spans: the engine's
         # breakdown attributes the reduction tail of each simulated batch.
         t_reduce = 0.0
@@ -674,9 +670,6 @@ class TahoeServer:
         self._batch_sizes[n_rows] += 1
         metrics.counter("serving.batches_total").inc()
         metrics.counter("serving.samples_total").inc(n_rows)
-        for strategy_result in result.batches:
-            self.recorder.record_batch(self._batch_index, strategy_result)
-            self._batch_index += 1
         label = self._active_version.label
         self._served_by_version[label] += n_live
         for stage, value in (
@@ -776,35 +769,30 @@ class TahoeServer:
     def _refuse(
         self, req: InferenceRequest, now: float, code: str, detail: str
     ) -> InferenceResponse:
-        """Answer ``req`` with a structured error at ``now``: counted,
-        traced, and fed to the SLO monitor."""
+        """Answer ``req`` with a structured error at ``now``: counted, fed
+        to the SLO monitor, and traced as the time it spent queued (zero
+        when refused at admission) plus a zero-length fan-out span
+        carrying the code.  The caller delivers it."""
         self.recorder.metrics.counter(_REFUSAL_COUNTERS[code]).inc()
-        response = InferenceResponse(
+        if self.slo is not None:
+            self.slo.observe(now=now, ok=False)
+        trace = None
+        if self.config.request_tracing:
+            trace = RequestTrace(
+                trace_id=req.trace_id,
+                request_id=req.request_id,
+                spans=[
+                    StageSpan("queue_wait", req.arrival_time, now),
+                    StageSpan("response_fanout", now, now, {"rejected": code}),
+                ],
+            )
+        return InferenceResponse(
             request_id=req.request_id,
             predictions=None,
             arrival_time=req.arrival_time,
             completion_time=now,
             error=ServingError(code, detail),
-            trace=self._reject_trace(req, now, code),
-        )
-        self._responses.append(response)
-        if self.slo is not None:
-            self.slo.observe(now=now, ok=False)
-        return response
-
-    def _reject_trace(self, req: InferenceRequest, now: float, code: str):
-        """Degenerate trace for a rejected request: the time it spent
-        queued (zero for queue-full rejections) plus a zero-length
-        fan-out span carrying the rejection code."""
-        if not self.config.request_tracing:
-            return None
-        return RequestTrace(
-            trace_id=req.trace_id,
-            request_id=req.request_id,
-            spans=[
-                StageSpan("queue_wait", req.arrival_time, now),
-                StageSpan("response_fanout", now, now, {"rejected": code}),
-            ],
+            trace=trace,
         )
 
     # ------------------------------------------------------------------
@@ -818,55 +806,64 @@ class TahoeServer:
     def summary(self, responses: list[InferenceResponse] | None = None) -> dict:
         """JSON-ready aggregate of a serving run.
 
-        Defaults to every response this server has produced; pass an
-        explicit window (e.g. one :meth:`run` call's responses) to
-        scope the per-response fields — counters and histograms read
-        the cumulative metrics regardless.
+        With no argument, cumulative: read from counters, histograms and
+        the first and last arrival and last completion times (the server
+        keeps no responses).  An explicit window (e.g. one :meth:`run`
+        call's responses) scopes the request counts and rates; counters
+        and histograms read the cumulative metrics regardless.
         """
-        if responses is None:
-            responses = list(self._responses)
-        return _summarize(responses, self._freeze())
+        return _summarize(self._freeze(), responses)
 
     def _freeze(self) -> dict:
-        """Everything :func:`_summarize` reads besides the responses,
+        """Everything :func:`_summarize` reads besides a response window,
         copied now so later runs cannot change it: counter values,
-        histogram copies, and the scheduler and model state."""
+        histogram copies, the cumulative window, and the scheduler and
+        model state."""
         self._fold()
         metrics = self.recorder.metrics
-        counters = {
-            code: metrics.counter(name).value
-            for code, name in (
-                ("rejected_queue_full", "serving.rejected.queue_full"),
-                ("rejected_deadline", "serving.rejected.deadline"),
-                ("deadline_misses", "serving.deadline_misses"),
-                ("swaps", "serving.model_swaps"),
-            )
-        }
-        # Failure counters are registered only once a failure happened.
-        for code, name in (
-            ("rejected_invalid", _REFUSAL_COUNTERS[REJECTED_INVALID]),
-            ("engine_errors", _REFUSAL_COUNTERS[ENGINE_ERROR]),
-        ):
+
+        def count(name: str) -> int:  # registered only once one happened
             counter = metrics.get(name)
-            counters[code] = counter.value if counter is not None else 0
+            return int(counter.value) if counter is not None else 0
+
+        requests, completed = count("serving.requests_total"), count("serving.completed")
         return {
+            "window": (
+                requests,
+                completed,
+                count("serving.samples_total"),
+                self._last_completion - self._first_arrival if completed else 0.0,
+                self._last_arrival - self._first_arrival if requests else 0.0,
+            ),
             "latency": metrics.histogram("serving.request_latency_seconds").copy(),
             "queue_wait": metrics.histogram("serving.queue_wait_seconds").copy(),
-            "batches": metrics.histogram("serving.batch_size").count,
-            "counters": counters,
-            "target_batch": self.target_batch,
-            "n_engines": len(self.engines),
-            "backend": self.config.backend,
-            "time_domain": self.engines[0].time_domain,
+            # Final summary fields, in the summary's order.
+            "head": {
+                "rejected_queue_full": int(metrics.counter("serving.rejected.queue_full").value),
+                "rejected_deadline": int(metrics.counter("serving.rejected.deadline").value),
+                "rejected_invalid": count(_REFUSAL_COUNTERS[REJECTED_INVALID]),
+                "engine_errors": count(_REFUSAL_COUNTERS[ENGINE_ERROR]),
+                "deadline_misses": int(metrics.counter("serving.deadline_misses").value),
+                "batches": metrics.histogram("serving.batch_size").count,
+                "target_batch": self.target_batch,
+                "n_engines": len(self.engines),
+                "backend": self.config.backend,
+                "time_domain": self.engines[0].time_domain,
+            },
             "slo": self.slo.summary() if self.slo is not None else None,
             "batch_sizes": dict(self._batch_sizes),
-            "active": self._active_version.label,
-            "staged": sorted(self._staged),
-            "swap_events": list(self.swap_events),
-            "served_by_version": dict(self._served_by_version),
+            "model": {
+                "active": self._active_version.label,
+                "staged": sorted(self._staged),
+                "swaps": int(metrics.counter("serving.model_swaps").value),
+                "swap_events": list(self.swap_events),
+                "served_by_version": {
+                    k: int(v) for k, v in sorted(self._served_by_version.items())
+                },
+            },
             "layout_cache": self.layout_cache.stats(),
             "conversions": [
-                (e.conversion_stats.cache_hit, e.conversion_stats.total)
+                {"cache_hit": e.conversion_stats.cache_hit, "total_s": e.conversion_stats.total}
                 for e in self.engines
             ],
         }
@@ -896,9 +893,10 @@ class TahoeServer:
         """Assemble serving telemetry into a :class:`RunReport`.
 
         When ``responses`` are given (and tracing is on) the first
-        :data:`MAX_REPORT_TRACES` request traces ride along in
-        ``meta["request_traces"]``; the SLO summary and the engine
-        pool's merged calibration drift are folded in regardless.
+        :data:`~repro.obs.recorder.MAX_REPORT_TRACES` request traces
+        ride along in ``meta["request_traces"]``; the SLO summary is
+        folded in regardless.  Batch records, selector decisions and
+        calibration drift come from the recorder the engine pool shares.
         """
         self._fold()
         meta = dict(meta)
@@ -914,55 +912,38 @@ class TahoeServer:
                 meta["request_traces_dropped"] = dropped
         if self.slo is not None:
             meta["slo"] = self.slo.summary()
-        report = self.recorder.build_report(
+        return self.recorder.build_report(
             engine="tahoe-serving", gpu=self.spec.name, **meta
         )
-        # The selector decisions happen inside each replica's own
-        # recorder; fold their calibration residuals into one pool view.
-        merged = CalibrationTracker(warn=False)
-        merged.merge(self.recorder.calibration)
-        for engine in self.engines:
-            merged.merge(engine.recorder.calibration)
-        report.calibration = merged.summary()
-        return report
 
 
-def _summarize(responses: list[InferenceResponse], frozen: dict) -> dict:
-    """The summary dict of :meth:`TahoeServer.summary` from a window of
-    responses and the state :meth:`TahoeServer._freeze` captured."""
+def _summarize(frozen: dict, responses: list[InferenceResponse] | None = None) -> dict:
+    """The summary dict of :meth:`TahoeServer.summary` from the state
+    :meth:`TahoeServer._freeze` captured, over ``responses`` when given."""
     latency = frozen["latency"]
     queue_wait = frozen["queue_wait"]
-    counters = frozen["counters"]
-    completed = [r for r in responses if r.ok]
-    makespan = offered_span = 0.0
-    if completed:
-        first = min(r.arrival_time for r in completed)
-        last = max(r.completion_time for r in completed)
-        makespan = last - first
-    if responses:
-        offered_span = max(r.arrival_time for r in responses) - min(
-            r.arrival_time for r in responses
-        )
-    n_samples = int(sum(r.predictions.shape[0] for r in completed))
+    n_requests, n_completed, n_samples, makespan, offered_span = frozen["window"]
+    if responses is not None:
+        completed = [r for r in responses if r.ok]
+        n_requests, n_completed = len(responses), len(completed)
+        n_samples = int(sum(r.predictions.shape[0] for r in completed))
+        makespan = offered_span = 0.0
+        if completed:
+            first = min(r.arrival_time for r in completed)
+            makespan = max(r.completion_time for r in completed) - first
+        if responses:
+            arrivals = [r.arrival_time for r in responses]
+            offered_span = max(arrivals) - min(arrivals)
     lat_p50, lat_p95, lat_p99 = latency.quantiles((0.5, 0.95, 0.99))
     wait_p50, wait_p95, wait_p99 = queue_wait.quantiles((0.5, 0.95, 0.99))
     return {
-        "requests": len(responses),
-        "completed": len(completed),
-        "rejected_queue_full": int(counters["rejected_queue_full"]),
-        "rejected_deadline": int(counters["rejected_deadline"]),
-        "rejected_invalid": int(counters["rejected_invalid"]),
-        "engine_errors": int(counters["engine_errors"]),
-        "deadline_misses": int(counters["deadline_misses"]),
-        "batches": frozen["batches"],
-        "target_batch": frozen["target_batch"],
-        "n_engines": frozen["n_engines"],
-        "backend": frozen["backend"],
-        "time_domain": frozen["time_domain"],
-        "offered_qps": (len(responses) / offered_span)
+        "requests": n_requests,
+        "completed": n_completed,
+        **frozen["head"],
+        "offered_qps": (n_requests / offered_span)
         if offered_span > 0
         else float("inf"),
-        "achieved_qps": (len(completed) / makespan) if makespan > 0 else float("inf"),
+        "achieved_qps": (n_completed / makespan) if makespan > 0 else float("inf"),
         "achieved_samples_per_s": (n_samples / makespan)
         if makespan > 0
         else float("inf"),
@@ -984,18 +965,7 @@ def _summarize(responses: list[InferenceResponse], frozen: dict) -> dict:
         "batch_size_histogram": {
             str(k): int(v) for k, v in sorted(frozen["batch_sizes"].items())
         },
-        "model": {
-            "active": frozen["active"],
-            "staged": frozen["staged"],
-            "swaps": int(counters["swaps"]),
-            "swap_events": frozen["swap_events"],
-            "served_by_version": {
-                k: int(v) for k, v in sorted(frozen["served_by_version"].items())
-            },
-        },
+        "model": frozen["model"],
         "layout_cache": frozen["layout_cache"],
-        "conversions": [
-            {"cache_hit": cache_hit, "total_s": total_s}
-            for cache_hit, total_s in frozen["conversions"]
-        ],
+        "conversions": frozen["conversions"],
     }

@@ -72,6 +72,7 @@ class TestFlattenAndClassify:
         assert classify_metric("achieved_qps") == "higher"
         assert classify_metric("speedup.Higgs") == "higher"
         assert classify_metric("some_unknown_metric") == "info"
+        assert classify_metric("latency_s_iqr") == "info"
 
     def test_request_rate_is_tracked_while_request_counts_stay_info(self):
         assert classify_metric("scenarios.serve/x/n2000.requests_per_s") == "higher"
@@ -106,6 +107,20 @@ class TestDiff:
         new = {"latency_s": {"p95": 0.004 * 1.09}}
         assert diff_payloads(old, new, rel_threshold=0.10).ok
         assert not diff_payloads(old, new, rel_threshold=0.05).ok
+
+    def test_recorded_spread_widens_the_noise_band(self):
+        old = {"latency_s": 1.0, "latency_s_iqr": 0.05}
+        new = {"latency_s": 1.15, "latency_s_iqr": 0.2}
+        # +15 % sits inside the new run's relative IQR (0.2 / 1.15).
+        diff = diff_payloads(old, new)
+        assert diff.ok and not diff.improvements
+        assert [c.path for c in diff.info_changes] == ["latency_s_iqr"]
+        # The same move without a recorded spread, or with it on one
+        # side only, is held to rel_threshold.
+        assert not diff_payloads({"latency_s": 1.0}, {"latency_s": 1.15}).ok
+        assert not diff_payloads(old, {"latency_s": 1.15}).ok
+        # A move past the wider band still regresses.
+        assert not diff_payloads(old, {"latency_s": 1.3, "latency_s_iqr": 0.2}).ok
 
     def test_abs_floor_swallows_float_jitter(self):
         diff = diff_payloads({"error_rate": 0.0}, {"error_rate": 1e-12})

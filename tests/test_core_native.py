@@ -260,5 +260,5 @@ class TestHardwareRanking:
     ):
         engine = NativeEngine(small_forest, p100)
         engine.predict(test_X, batch_size=17)
-        assert engine.recorder.decisions == []
+        assert len(engine.recorder.decisions) == 0
         assert len(engine.recorder.batches) > 1

@@ -160,6 +160,13 @@ class TestXGBoostDump:
         forest = from_xgboost_dump([json.dumps(self.DUMP[0])])
         assert forest.n_trees == 1
 
+    @pytest.mark.parametrize("cover", [float("nan"), float("inf"), -2.0, 1e39])
+    def test_bad_cover_is_refused(self, cover):
+        root = dict(self.DUMP[0], cover=4.0)
+        root["children"] = [dict(root["children"][0], cover=cover), root["children"][1]]
+        with pytest.raises(ModelImportError, match="cover: visit statistic"):
+            from_xgboost_dump([root])
+
 
 class TestLightGBM:
     TEXT = """tree
@@ -482,7 +489,8 @@ _ROLES = {
         length=("left_children", "right_children", "split_indices", "split_conditions",
                 "default_left", "sum_hessian"),
         child=("left_children", "right_children"),
-        non_finite=("split_conditions",),  # thresholds and leaf values alike
+        # Thresholds and leaf values alike, and the visit statistic.
+        non_finite=("split_conditions", "sum_hessian"),
         feature=("split_indices",),
     ),
     "lightgbm": dict(
@@ -516,6 +524,10 @@ _PROBES = [
     (Mutation("lightgbm_model.txt", 0, "threshold", value=float("nan")),
      "non-finite threshold"),
     (Mutation("lightgbm_model.txt", 0, "num_leaves", value=9), "num_leaves=9"),
+    (Mutation("xgboost_model.json", 0, "sum_hessian", node=1, value=float("nan")),
+     "sum_hessian: visit statistic nan is not a count"),
+    (Mutation("xgboost_model.json", 0, "sum_hessian", node=1, value=-3.0),
+     "sum_hessian: visit statistic -3.0 is not a count"),
 ]
 
 

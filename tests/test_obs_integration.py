@@ -7,7 +7,7 @@ import numpy as np
 from repro.core import ObsConfig, TahoeConfig, TahoeEngine
 from repro.gpusim.counters import LevelStats
 from repro.gpusim.report import format_run_report
-from repro.obs import load_report_json, write_report_json
+from repro.obs import load_report_json, recorder, write_report_json
 
 
 def test_predict_report_records_one_decision_per_batch(small_forest, test_X, p100):
@@ -33,6 +33,21 @@ def test_predict_report_records_one_decision_per_batch(small_forest, test_X, p10
             "splitting_shared_forest",
         }
     assert sum(d.batch_size for d in report.decisions) == test_X.shape[0]
+
+
+def test_report_window_counts_what_it_dropped(small_forest, test_X, p100, monkeypatch):
+    monkeypatch.setattr(recorder, "MAX_REPORT_RECORDS", 4)
+    engine = TahoeEngine(small_forest, p100)
+    report = engine.predict(test_X[:40], batch_size=4, report=True).report
+    # The most recent four of ten batches and decisions are kept ...
+    assert [b.index for b in report.batches] == [6, 7, 8, 9]
+    assert [d.batch_index for d in report.decisions] == [6, 7, 8, 9]
+    assert report.meta["batches_dropped"] == report.meta["decisions_dropped"] == 6
+    # ... while the aggregates cover all ten.
+    counters = report.metrics["counters"]
+    assert counters["batches_total"] == 10 and counters["samples_total"] == 40
+    assert report.metrics["histograms"]["batch_time_seconds"]["count"] == 10
+    assert report.calibration["n_decisions"] == 10
 
 
 def test_report_covers_conversion_stages_and_traffic(small_forest, test_X, p100):

@@ -4,12 +4,16 @@ the serving loop's wall time splits into measured layers."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import LayoutCache
 from repro.gpusim.counters import TrafficCounters
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.recorder import MAX_REPORT_RECORDS
 from repro.serving import InferenceRequest, SchedulerConfig, TahoeServer
 from repro.serving.server import WALL_LAYERS
 
@@ -156,6 +160,55 @@ class TestWallLayers:
         once = server.wall_layers()["run_s"]
         server.run(one_row_requests(test_X, 10, first_id=10, start=1.0))
         assert server.wall_layers()["run_s"] > once > 0
+
+
+class TestBoundedState:
+    """What a server keeps does not grow with the requests it served:
+    responses leave with the run() that resolved them, and batch records
+    are a fixed window beside exact counters."""
+
+    @staticmethod
+    def serve(server, X, first_id, n, chunk=500):
+        """``n`` one-row requests through ``run()`` calls of ``chunk``,
+        keeping no result."""
+        for start in range(first_id, first_id + n, chunk):
+            result = server.run(
+                one_row_requests(X, chunk, first_id=start, start=start * 1e-4, spacing=1e-4)
+            )
+            assert len(result.responses) == chunk
+        del result
+
+    def test_retained_heap_does_not_grow_with_requests(
+        self, small_forest, p100, cache, test_X
+    ):
+        # Four rows per batch: the first stage alone fills the record window.
+        server = native_server(small_forest, p100, cache, target_batch=4)
+        self.serve(server, test_X, 0, 5_000)
+        # Trace only the second stage: what it allocated and still holds.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            self.serve(server, test_X, 5_000, 20_000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert server.summary()["completed"] == 25_000
+        assert retained < 1 << 20
+
+    def test_report_window_says_what_it_dropped(self, small_forest, p100, cache, test_X):
+        n = MAX_REPORT_RECORDS + 150
+        server = native_server(small_forest, p100, cache, target_batch=1)
+        result = server.run(one_row_requests(test_X, n, spacing=1e-4), report=True)
+        report = result.report
+        counters = report.metrics["counters"]
+        # Counters and histograms stay exact; the records are a window.
+        assert result.summary["batches"] == counters["serving.batches_total"] == n
+        assert counters["batches_total"] == counters["samples_total"] == n
+        assert report.metrics["histograms"]["batch_time_seconds"]["count"] == n
+        assert len(report.batches) == MAX_REPORT_RECORDS
+        assert report.meta["batches_dropped"] == n - MAX_REPORT_RECORDS
+        assert "decisions_dropped" not in report.meta
 
 
 class TestFoldedAdmissionCounters:

@@ -114,6 +114,21 @@ class TestInvalidRequests:
         assert result.summary["rejected_invalid"] == result.summary["engine_errors"] == 0
 
 
+class TestResponseOwnership:
+    def test_responses_dispatched_inside_submit_reach_the_next_run(
+        self, small_forest, p100, cache, test_X
+    ):
+        server = make_server(small_forest, p100, cache, target_batch=2)
+        # Request 1 fills a batch of two: submit() dispatches it.
+        queued = [server.submit(InferenceRequest(i, test_X[i], i * 1e-6)) for i in range(3)]
+        assert queued == [None, None, None]
+        result = server.run()
+        assert [r.request_id for r in result.responses] == [0, 1, 2]
+        assert all(r.ok for r in result.responses)
+        assert server.summary()["requests"] == server.summary()["completed"] == 3
+        assert server.run().responses == []
+
+
 class TestEngineErrors:
     def test_fault_fails_only_its_batch(self, small_forest, p100, cache, test_X, reference):
         server = make_server(small_forest, p100, cache, max_wait=1e-3)
@@ -174,22 +189,34 @@ def test_every_request_gets_exactly_one_response(
         small_forest, p100, cache, target_batch=data.draw(st.sampled_from([2, 8, 64]))
     )
     poison_engines(server)
-    requests = []
+    # Each request goes in through a direct submit() or a run() call;
+    # the run() calls come in order of arrival, every few requests.
+    direct = data.draw(st.lists(st.booleans(), min_size=len(mix), max_size=len(mix)))
+    responses, batch = [], []
     for i, (kind, X, t) in enumerate(mix):
         if kind in ("valid", "poison"):
             rows = test_X[X].copy()
             if kind == "poison":
                 rows[-1, 0] = POISON
             X = rows
-        requests.append(InferenceRequest(i, X, t))
-    result = server.run(requests)
-    ids = [r.request_id for r in result.responses]
+        request = InferenceRequest(i, X, t)
+        if direct[i]:
+            responses += server.run(batch, until=t).responses
+            batch = []
+            refused = server.submit(request)
+            if refused is not None:
+                responses.append(refused)
+        else:
+            batch.append(request)
+    responses += server.run(batch).responses
+    responses.sort(key=lambda r: r.request_id)
+    ids = [r.request_id for r in responses]
     assert ids == list(range(len(mix)))
     # An engine error completes at its batch's dispatch time.
     poisoned_batches = {
-        r.completion_time for (kind, _, _), r in zip(mix, result.responses) if kind == "poison"
+        r.completion_time for (kind, _, _), r in zip(mix, responses) if kind == "poison"
     }
-    for (kind, X, _), response in zip(mix, result.responses):
+    for (kind, X, _), response in zip(mix, responses):
         assert_tiles(response)
         if kind in ("wide", "narrow", "3d"):
             assert response.error.code == REJECTED_INVALID
@@ -201,7 +228,7 @@ def test_every_request_gets_exactly_one_response(
             # A valid request fails only beside a poisoned one.
             assert response.error.code == ENGINE_ERROR
             assert response.completion_time in poisoned_batches
-    summary = result.summary
+    summary = server.summary()
     assert summary["requests"] == len(mix)
     assert (
         summary["completed"] + summary["rejected_invalid"] + summary["engine_errors"]
