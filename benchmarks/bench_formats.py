@@ -12,7 +12,8 @@ and records:
   footprint per encoding (the ≥ 20 % reduction claim),
 * simulated forest traffic — global-memory bytes fetched and
   transactions for node fetches, straight from the gpusim counters,
-* simulated predict time, and the wall clock of the simulated run,
+* simulated predict time, and the wall clock of the simulated run
+  (median and IQR over repeated calls, through ``common.measure``),
 * the section-6 encoding ranking
   (:func:`~repro.perfmodel.rank_node_encodings`) next to the measured
   numbers, so the selector's predicted-bytes-moved ordering can be
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -57,6 +57,8 @@ FULL_DATASETS = ["HOCK", "cifar10", "ijcnn1", "phishing", "letter"]
 #: Node-array shrink the packed family must deliver on at least one
 #: forest (best packed width vs the 32-bit word), per the issue gate.
 REDUCTION_GATE = 0.20
+#: Timed predict calls per encoding (median and IQR).
+QUICK_REPEATS, FULL_REPEATS = 3, 5
 
 
 def _forest_traffic(result) -> dict:
@@ -74,25 +76,27 @@ def _forest_traffic(result) -> dict:
     }
 
 
-def _run_tahoe(forest, spec, X, config) -> tuple[dict, np.ndarray]:
+def _run_tahoe(forest, spec, X, config, repeats) -> tuple[dict, np.ndarray]:
     engine = TahoeEngine(forest, spec, config=config)
-    t0 = time.perf_counter()
+    # The first call also probes the layout's coalescing rates; the wall
+    # clock is the median of the calls after it.
     result = engine.predict(X)
-    wall = time.perf_counter() - t0
+    wall = common.measure(lambda: engine.predict(X), repeats)
     layout = engine.layout
     row = {
         "encoding": layout.record.encoding_label,
         "node_bytes": int(layout.record.node_bytes),
         "total_bytes": int(layout.total_bytes),
         "simulated_time": float(result.total_time),
-        "wall_s": float(wall),
+        "wall_s": wall.median,
+        "wall_s_iqr": wall.iqr,
         "strategies": sorted(set(result.strategies_used)),
         "traffic": _forest_traffic(result),
     }
     return row, result.predictions
 
 
-def sweep_dataset(name: str, spec, limit: int | None) -> dict:
+def sweep_dataset(name: str, spec, limit: int | None, repeats: int) -> dict:
     """Baseline + every feasible packed width on one fig-5 forest."""
     trained = common.workload(name)
     forest = trained.forest
@@ -100,12 +104,12 @@ def sweep_dataset(name: str, spec, limit: int | None) -> dict:
     max_fid = max_attribute_index(forest)
     widths = [w for w in sorted(WIDTH_BITS, reverse=True) if max_fid < (1 << (w - 3))]
 
-    baseline_row, baseline_preds = _run_tahoe(forest, spec, X, TahoeConfig())
+    baseline_row, baseline_preds = _run_tahoe(forest, spec, X, TahoeConfig(), repeats)
     encodings = {}
     mismatches = []
     for bits in widths:
         row, preds = _run_tahoe(
-            forest, spec, X, TahoeConfig(node_width=bits, threshold_mode="f32")
+            forest, spec, X, TahoeConfig(node_width=bits, threshold_mode="f32"), repeats
         )
         row["bit_identical"] = bool(np.array_equal(preds, baseline_preds))
         if not row["bit_identical"]:
@@ -168,10 +172,11 @@ def main(argv: list[str] | None = None) -> int:
     spec = common.bench_spec(GPU)
     datasets = QUICK_DATASETS if args.quick else FULL_DATASETS
     limit = 256 if args.quick else 1024
+    repeats = QUICK_REPEATS if args.quick else FULL_REPEATS
 
     sweeps = {}
     for name in datasets:
-        sweeps[name] = sweep_dataset(name, spec, limit)
+        sweeps[name] = sweep_dataset(name, spec, limit, repeats)
         s = sweeps[name]
         print(
             f"  {name}: best {s['best_packed']} "
@@ -184,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         "time_domain": "simulated",
         "gpu": spec.name,
         "quick": bool(args.quick),
+        "repeats": repeats,
         "threshold_mode": "f32",
         "datasets": sweeps,
         "cross_engine_identity": {"dataset": datasets[-1], "engines": identity},

@@ -13,7 +13,7 @@ The paper quantifies Tahoe's conversion costs:
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 
@@ -42,28 +42,22 @@ def run_conversion_overhead(dataset="Higgs"):
     }
 
 
-def run_similarity_comparison(dataset="aloi", repeat=1):
-    """SimHash+LSH vs pairwise comparison wall-clock."""
+def run_similarity_comparison(dataset="aloi", repeats=3):
+    """SimHash+LSH vs pairwise comparison wall-clock (median and IQR)."""
     forest = rearrange_forest_nodes(common.workload(dataset).forest)
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        similarity_tree_order(forest, method="lsh")
-    t_lsh = (time.perf_counter() - t0) / repeat
-    t0 = time.perf_counter()
-    similarity_tree_order(forest, method="pairwise")
-    t_pairwise = time.perf_counter() - t0
-    return {"lsh": t_lsh, "pairwise": t_pairwise, "n_trees": forest.n_trees}
+    out = {"n_trees": forest.n_trees, "repeats": repeats}
+    for method in ("lsh", "pairwise"):
+        out[method] = common.measure(partial(similarity_tree_order, forest, method=method), repeats)
+    return out
 
 
-def run_model_evaluation_cost(dataset="Higgs", repeat=200):
+def run_model_evaluation_cost(dataset="Higgs", repeats=200):
+    """One ``rank_strategies`` call's wall-clock (median and IQR)."""
     layout = common.adaptive_layout(dataset)
     spec = common.bench_spec("P100")
     hw = measure_hardware_parameters(spec)
     rank_strategies(layout, 1000, spec, hw)  # warm caches
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        rank_strategies(layout, 1000, spec, hw)
-    return (time.perf_counter() - t0) / repeat
+    return common.measure(lambda: rank_strategies(layout, 1000, spec, hw), repeats)
 
 
 def run_memory_saving():
@@ -100,11 +94,16 @@ def test_sec74_conversion_stages(benchmark):
 
 def test_sec74_similarity_speedup(benchmark):
     data = benchmark.pedantic(run_similarity_comparison, rounds=1, iterations=1)
-    speedup = data["pairwise"] / data["lsh"]
+    lsh, pairwise = data["lsh"], data["pairwise"]
+    speedup = pairwise.median / lsh.median
     report = common.format_table(
-        f"Section 7.4: similarity detection on {data['n_trees']} trees",
-        ["method", "wall-clock (s)"],
-        [["SimHash + LSH", data["lsh"]], ["pairwise comparison", data["pairwise"]]],
+        f"Section 7.4: similarity detection on {data['n_trees']} trees "
+        f"(median of {data['repeats']} runs)",
+        ["method", "wall-clock (s)", "IQR (s)"],
+        [
+            ["SimHash + LSH", lsh.median, lsh.iqr],
+            ["pairwise comparison", pairwise.median, pairwise.iqr],
+        ],
     )
     report += f"\nspeedup: {speedup:.1f}x (paper: >37x for the similarity part)\n"
     common.write_result("sec74_similarity_speedup", report)
@@ -112,7 +111,8 @@ def test_sec74_similarity_speedup(benchmark):
 
 
 def test_sec74_model_evaluation_negligible(benchmark):
-    per_eval = benchmark.pedantic(run_model_evaluation_cost, rounds=1, iterations=1)
+    timing = benchmark.pedantic(run_model_evaluation_cost, rounds=1, iterations=1)
+    per_eval = timing.median
     layout = common.adaptive_layout("Higgs")
     spec = common.bench_spec("P100")
     from repro.strategies import SharedDataStrategy
@@ -124,7 +124,8 @@ def test_sec74_model_evaluation_negligible(benchmark):
         "Section 7.4: performance-model evaluation cost",
         ["quantity", "seconds"],
         [
-            ["model evaluation (all four strategies, host wall-clock)", per_eval],
+            ["model evaluation (all four strategies, host wall-clock median)", per_eval],
+            ["  its IQR", timing.iqr],
             ["one simulated inference (per sample)", per_sample],
             ["model evaluations per batch", 1],
         ],

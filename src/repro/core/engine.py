@@ -96,6 +96,10 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
     return layout, stats
 
 
+#: Layout metadata keys the coalescing probe fills.
+_PROBED_RATES = {"coa_rate", "coa_rate_direct"}
+
+
 class TahoeEngine(LayoutEngine):
     """Tree structure-aware adaptive inference engine.
 
@@ -165,24 +169,32 @@ class TahoeEngine(LayoutEngine):
         raise RuntimeError("no applicable explain strategy for this batch")
 
     def _probe_coalescing(self, X: np.ndarray, rows: np.ndarray) -> None:
-        """Measure the layout's forest-read coalescing rate (COA_rate).
+        """Measure the layout's forest-read coalescing rates (COA_rate).
 
         Algorithm 1 line 2 lists COA_rate among the trained-forest inputs;
-        a 32-sample probe trace on the real layout measures it once per
+        a 32-sample probe on the real layout measures it once per
         conversion, and the performance models use it in place of the
-        paper's fixed "half bandwidth" assumption.
+        paper's fixed "half bandwidth" assumption.  The probe traces both
+        access patterns the models price: shared-data's tree-parallel
+        walk (``coa_rate``) and direct's sample-parallel walk
+        (``coa_rate_direct``).
         """
         from repro.formats.tree_rearrange import round_robin_assignment
-        from repro.gpusim.trace import trace_tree_parallel
+        from repro.gpusim.trace import trace_sample_parallel, trace_tree_parallel
 
         probe_rows = rows[: min(32, rows.shape[0])]
         assignments = round_robin_assignment(self.forest.n_trees, 64)
-        trace = trace_tree_parallel(
+        tree_parallel = trace_tree_parallel(
             self.layout, X, probe_rows, assignments, self.spec
         )
-        self.layout.metadata["coa_rate"] = max(
-            0.01, trace.counters.forest_global.load_efficiency
+        sample_parallel = trace_sample_parallel(
+            self.layout, X, probe_rows, np.arange(self.forest.n_trees), self.spec
         )
+        for key, trace in (("coa_rate", tree_parallel), ("coa_rate_direct", sample_parallel)):
+            # A rate the layout already carries (a packed artifact's) stays.
+            self.layout.metadata.setdefault(
+                key, max(0.01, trace.counters.forest_global.load_efficiency)
+            )
 
     def _run_batch(
         self, X, start, stop, batch_index, collect_level_stats, report
@@ -191,7 +203,7 @@ class TahoeEngine(LayoutEngine):
         with span(
             "engine.run_batch", category="engine", index=batch_index, batch=rows.shape[0]
         ):
-            if "coa_rate" not in self.layout.metadata:
+            if not _PROBED_RATES <= self.layout.metadata.keys():
                 with span("coalescing_probe", category="engine"):
                     self._probe_coalescing(X, rows)
             full_ranking = rank_strategies(
@@ -219,7 +231,7 @@ class TahoeEngine(LayoutEngine):
                 except StrategyNotApplicable:
                     continue
                 decision = self.recorder.record_decision(
-                    batch_index, int(rows.shape[0]), full_ranking, choice
+                    batch_index, int(rows.shape[0]), full_ranking, choice, terms=report
                 )
                 self.recorder.record_batch(batch_index, result, decision)
                 return result

@@ -21,7 +21,13 @@ import numpy as np
 
 from repro.formats.layout import ForestLayout
 
-__all__ = ["PartitionError", "partition_trees", "cached_partition", "tree_work"]
+__all__ = [
+    "PartitionError",
+    "partition_trees",
+    "cached_partition",
+    "cached_part_bytes",
+    "tree_work",
+]
 
 
 class PartitionError(Exception):
@@ -176,3 +182,29 @@ def cached_partition(
         # Drop the previous raise's frames so they never pile up.
         raise cached.with_traceback(None)
     return cached
+
+
+def cached_part_bytes(layout: ForestLayout, capacity: int) -> np.ndarray:
+    """Shared-memory bytes each part of ``cached_partition(layout,
+    capacity)`` stages.
+
+    Each part's size comes from the same interleaved-layout formula the
+    partitioner cuts by, so it equals the byte size of the part's own
+    interleaved layout.  Memoised beside the partition, so a caller
+    ranking strategies per batch pays for it once.
+
+    Raises:
+        PartitionError: as :func:`cached_partition`.
+    """
+    parts = cached_partition(layout, capacity)
+    cache = layout.metadata.setdefault("_part_bytes", {})
+    if capacity not in cache:
+        profiles = _slot_profiles(layout)
+        sizes = []
+        for part in parts:
+            merged = np.zeros(0, dtype=np.int64)
+            for pos in part:
+                merged = _merge_profile(merged, profiles[pos])
+            sizes.append(_segment_bytes(merged, len(part), layout.node_size))
+        cache[capacity] = np.array(sizes, dtype=np.int64)
+    return cache[capacity]

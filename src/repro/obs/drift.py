@@ -16,6 +16,11 @@ other way, the ranking could have flipped.  When the at-risk fraction
 exceeds ``ranking_risk_threshold`` over enough decisions, the tracker
 flags drift (and warns once): time to re-run the §6 microbenchmarks or
 recalibrate the hardware parameters.
+
+In a reported run every decision also carries its per-term split
+(predicted and simulated), and the summary gives the mean
+predicted/simulated ratio of each term per strategy, so a residual
+names the term it comes from.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ class _StrategyResiduals:
         "abs_rel_error",
         "at_risk",
         "with_margin",
+        "term_ratios",
     )
 
     def __init__(self) -> None:
@@ -51,6 +57,18 @@ class _StrategyResiduals:
         self.abs_rel_error = StreamingHistogram(growth=1.04, lo=1e-6, hi=1e3)
         self.at_risk = 0
         self.with_margin = 0
+        # term -> [sum of predicted/simulated, count]; reported runs only.
+        self.term_ratios: dict[str, list] = {}
+
+    def record_terms(self, predicted: dict, simulated: dict) -> None:
+        """Fold one decision's per-term ratios in (terms the simulator
+        spent no time on are skipped)."""
+        for term, value in predicted.items():
+            actual = simulated.get(term)
+            if actual:
+                acc = self.term_ratios.setdefault(term, [0.0, 0])
+                acc[0] += value / actual
+                acc[1] += 1
 
     def record(self, predicted: float, simulated: float, margin: float | None) -> None:
         self.n += 1
@@ -70,6 +88,10 @@ class _StrategyResiduals:
         self.abs_rel_error.merge(other.abs_rel_error)
         self.at_risk += other.at_risk
         self.with_margin += other.with_margin
+        for term, (total, count) in other.term_ratios.items():
+            acc = self.term_ratios.setdefault(term, [0.0, 0])
+            acc[0] += total
+            acc[1] += count
 
     def summary(self) -> dict:
         out = {
@@ -81,6 +103,10 @@ class _StrategyResiduals:
             "ranking_at_risk": self.at_risk,
             "decisions_with_margin": self.with_margin,
         }
+        if self.term_ratios:
+            out["mean_term_ratio"] = {
+                term: total / count for term, (total, count) in self.term_ratios.items()
+            }
         return out
 
 
@@ -147,6 +173,10 @@ class CalibrationTracker:
         if acc is None:
             acc = self._per_strategy[decision.chosen] = _StrategyResiduals()
         acc.record(predicted, simulated, self.decision_margin(decision))
+        predicted_terms = getattr(decision, "predicted_terms", None)
+        simulated_terms = getattr(decision, "simulated_terms", None)
+        if predicted_terms and simulated_terms:
+            acc.record_terms(predicted_terms, simulated_terms)
         if self.warn and not self._warned and self.drifted:
             self._warned = True
             warnings.warn(

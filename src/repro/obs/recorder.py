@@ -24,6 +24,7 @@ from repro.obs.report import (
     ConversionRecord,
     RunReport,
     SelectorDecision,
+    simulated_terms,
 )
 from repro.obs.trace import Tracer, use_tracer
 
@@ -86,22 +87,29 @@ class RunRecorder:
         ).set(record.total)
         return record
 
-    def record_decision(self, batch_index: int, batch_size: int, ranked, chosen):
+    def record_decision(
+        self, batch_index: int, batch_size: int, ranked, chosen, terms: bool = False
+    ):
         """Record one selector decision (Algorithm 1 lines 8–15).
 
         Args:
             ranked: the full ``rank_strategies`` output (candidates best
                 first, inapplicable ones with infinite prediction).
             chosen: the ``StrategyChoice`` actually executed.
+            terms: also keep the chosen prediction's per-term split,
+                which :meth:`record_batch` pairs with the simulated one
+                (engines pass it for reported runs only).
         """
         candidates = [CandidateRecord(**c.to_record()) for c in ranked]
         chosen_t = chosen.predicted_time
+        applicable = chosen_t != float("inf")
         decision = SelectorDecision(
             batch_index=batch_index,
             batch_size=batch_size,
             chosen=chosen.name,
-            predicted_time=None if chosen_t == float("inf") else float(chosen_t),
+            predicted_time=float(chosen_t) if applicable else None,
             candidates=candidates,
+            predicted_terms=chosen.prediction.terms() if terms and applicable else None,
         )
         self.decisions.append(decision)
         self._n_decisions += 1
@@ -115,6 +123,8 @@ class RunRecorder:
         self._n_batches += 1
         if decision is not None:
             decision.simulated_time = record.simulated_time
+            if decision.predicted_terms is not None:
+                decision.simulated_terms = simulated_terms(record.breakdown)
             ratio = decision.prediction_ratio
             if ratio is not None:
                 self.metrics.histogram(

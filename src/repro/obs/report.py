@@ -30,6 +30,7 @@ __all__ = [
     "ConversionRecord",
     "RunReport",
     "SelectorDecision",
+    "simulated_terms",
 ]
 
 #: Bump on breaking schema changes; ``RunReport.from_dict`` refuses
@@ -60,6 +61,29 @@ class CandidateRecord:
         return cls(**d)
 
 
+def simulated_terms(breakdown: dict) -> dict:
+    """A simulated breakdown (``ExecutionBreakdown.to_dict``) in the
+    model's terms.
+
+    The simulator's traversal time is the roofline of its bandwidth time
+    (global plus shared, stretched by imbalance) and its dependent-load
+    chain; like the model, it is split between ``t_gmem`` and ``t_smem``
+    in proportion to their bandwidth times.  ``t_chain`` is reported
+    as is.
+    """
+    t_global, t_shared = breakdown["t_global"], breakdown["t_shared"]
+    bandwidth = t_global + t_shared
+    scale = breakdown["t_traversal"] / bandwidth if bandwidth > 0 else 0.0
+    return {
+        "t_smem": t_shared * scale,
+        "t_gmem": t_global * scale,
+        "t_block_reduce": breakdown["t_block_reduce"],
+        "t_global_reduce": breakdown["t_global_reduce"],
+        "t_launch": breakdown["t_launch"],
+        "t_chain": breakdown["t_chain"],
+    }
+
+
 @dataclass
 class SelectorDecision:
     """One per-batch selection: every candidate's prediction, the chosen
@@ -67,7 +91,10 @@ class SelectorDecision:
 
     ``predicted_time`` is the chosen strategy's prediction, so
     ``predicted_time / simulated_time`` is the model's accuracy on
-    exactly the configuration it bet on.
+    exactly the configuration it bet on.  In a reported run,
+    ``predicted_terms`` / ``simulated_terms`` split both times into the
+    model's terms (:func:`simulated_terms`), so a residual names its
+    term; they stay ``None`` otherwise.
     """
 
     batch_index: int
@@ -76,6 +103,8 @@ class SelectorDecision:
     predicted_time: float | None = None
     simulated_time: float | None = None
     candidates: list[CandidateRecord] = field(default_factory=list)
+    predicted_terms: dict | None = None
+    simulated_terms: dict | None = None
 
     @property
     def prediction_ratio(self) -> float | None:
@@ -92,6 +121,8 @@ class SelectorDecision:
             "predicted_time": _none_if_inf(self.predicted_time),
             "simulated_time": _none_if_inf(self.simulated_time),
             "candidates": [c.to_dict() for c in self.candidates],
+            "predicted_terms": self.predicted_terms,
+            "simulated_terms": self.simulated_terms,
         }
 
     @classmethod

@@ -38,12 +38,15 @@ from repro.perfmodel.notation import (
 )
 
 __all__ = [
+    "TERMS",
     "PredictedTime",
     "choose_shared_data_tpb",
     "predict_shared_data",
     "predict_direct",
     "predict_shared_forest",
     "predict_splitting_shared_forest",
+    "SplitGeometry",
+    "splitting_geometry",
     "predict_explain_direct",
     "predict_explain_shared_paths",
     "expected_imbalance",
@@ -65,9 +68,19 @@ def _tree_parallel_tpb(n_trees: int, target_rounds: int = 4) -> int:
     return (tpb // _WARP) * _WARP
 
 
+#: The equation-1 terms a prediction sums, plus ``t_chain``.
+TERMS = ("t_smem", "t_gmem", "t_block_reduce", "t_global_reduce", "t_launch", "t_chain")
+
+
 @dataclass
 class PredictedTime:
-    """Model output for one strategy on one batch (seconds, per batch)."""
+    """Model output for one strategy on one batch (seconds, per batch).
+
+    ``t_chain`` is the latency roofline's dependent-load time.  Where it
+    binds, it is already folded into ``t_smem`` / ``t_gmem``, so it is
+    not part of ``total``; it is kept so calibration can tell a latency
+    residual from a bandwidth one.
+    """
 
     strategy: str
     t_smem: float
@@ -77,6 +90,11 @@ class PredictedTime:
     t_launch: float
     applicable: bool = True
     note: str = ""
+    t_chain: float = 0.0
+
+    def terms(self) -> dict[str, float]:
+        """The predicted time per :data:`TERMS` entry."""
+        return {name: float(getattr(self, name)) for name in TERMS}
 
     @property
     def total(self) -> float:
@@ -108,15 +126,17 @@ def expected_imbalance(layout: ForestLayout, threads_per_block: int) -> float:
     """Expected max/mean per-thread work under round-robin assignment.
 
     Per-tree work per sample is proportional to (depth + 1); the layout
-    fixes the assignment, so the stretch is deterministic.
+    fixes the assignment, so the stretch is deterministic, and it is
+    memoised on the layout per block size.
     """
-    work = cached_tree_depths(layout) + 1.0
-    assignment = round_robin_assignment(layout.forest.n_trees, threads_per_block)
-    per_thread = np.array([work[a].sum() for a in assignment])
-    mean = per_thread.mean()
-    if mean <= 0:
-        return 1.0
-    return max(1.0, float(per_thread.max() / mean))
+    cache = layout.metadata.setdefault("_imbalance", {})
+    if threads_per_block not in cache:
+        work = cached_tree_depths(layout) + 1.0
+        assignment = round_robin_assignment(layout.forest.n_trees, threads_per_block)
+        per_thread = np.array([work[a].sum() for a in assignment])
+        mean = per_thread.mean()
+        cache[threads_per_block] = 1.0 if mean <= 0 else max(1.0, float(per_thread.max() / mean))
+    return cache[threads_per_block]
 
 
 def choose_shared_data_tpb(
@@ -211,6 +231,7 @@ def predict_shared_data(
         t_block_reduce=t_reduce,
         t_global_reduce=0.0,
         t_launch=hw.launch_latency,
+        t_chain=t_chain,
     )
 
 
@@ -224,8 +245,10 @@ def predict_direct(
     bw_forest = (
         hw.bw_r_gmem_coa_hot if fp.s_forest <= hw.l2_capacity else hw.bw_r_gmem_coa
     )
+    # Forest reads at the rate the sample-parallel walk coalesces to:
+    # a warp's lanes share the upper levels' cache lines of each tree.
     t_gmem_s = (
-        walk * fp.s_node / (bw_forest * util * fp.coa_rate)
+        walk * fp.s_node / (bw_forest * util * fp.coa_rate_direct)
         + _attr_read_time(sample, fp, hw, util)
     )
     n_blocks = max(1, math.ceil(n / _TPB_CAP))
@@ -239,6 +262,7 @@ def predict_direct(
         t_block_reduce=0.0,
         t_global_reduce=0.0,
         t_launch=hw.launch_latency,
+        t_chain=t_chain,
     )
 
 
@@ -276,6 +300,7 @@ def predict_shared_forest(
         t_block_reduce=0.0,
         t_global_reduce=0.0,
         t_launch=hw.launch_latency,
+        t_chain=t_chain,
     )
 
 
@@ -324,6 +349,7 @@ def predict_explain_direct(n_batch: int, ps, hw: HardwareParams) -> PredictedTim
         t_block_reduce=0.0,
         t_global_reduce=0.0,
         t_launch=hw.launch_latency,
+        t_chain=t_chain,
     )
 
 
@@ -368,7 +394,64 @@ def predict_explain_shared_paths(n_batch: int, ps, hw: HardwareParams) -> Predic
         t_block_reduce=0.0,
         t_global_reduce=0.0,
         t_launch=hw.launch_latency,
+        t_chain=t_chain,
     )
+
+
+@dataclass(frozen=True)
+class SplitGeometry:
+    """How the splitting strategy lays a forest over thread blocks.
+
+    Attributes:
+        parts: part-blocks ``P``.
+        stretch: the heaviest part's expected work over the mean part's.
+        waves: rounds of resident blocks needed to run all ``P``.
+    """
+
+    parts: int
+    stretch: float
+    waves: int
+
+
+def splitting_geometry(
+    fp: ForestParams,
+    hw: HardwareParams,
+    layout: ForestLayout | None = None,
+    tpb: int = _TPB_CAP,
+) -> SplitGeometry:
+    """Part count, part imbalance and wave count of the splitting strategy.
+
+    With a layout available, the actual greedy partition supplies the
+    part count and the per-part work imbalance (parts with more trees
+    gate the kernel), and residency follows the bytes the parts really
+    stage, as the strategy sizes it.  Otherwise P is estimated as
+    ``ceil(S_forest / capacity)`` with every part filling shared memory.
+    """
+    parts = max(1, math.ceil(fp.s_forest / hw.shared_capacity))
+    stretch = 1.0
+    block_smem = hw.shared_capacity
+    if layout is not None:
+        from repro.formats.partition import (
+            PartitionError,
+            cached_part_bytes,
+            cached_partition,
+        )
+
+        try:
+            partition = cached_partition(layout, hw.shared_capacity)
+            part_bytes = cached_part_bytes(layout, hw.shared_capacity)
+        except PartitionError:
+            partition = None
+        if partition:
+            parts = len(partition)
+            block_smem = min(hw.shared_capacity, max(int(part_bytes.sum()) // parts, 1))
+            work = cached_tree_depths(layout) + 1.0
+            part_work = np.array([work[p].sum() for p in partition])
+            mean = part_work.mean()
+            if mean > 0:
+                stretch = max(1.0, float(part_work.max() / mean))
+    waves = math.ceil(parts / hw.concurrent_blocks(tpb, block_smem))
+    return SplitGeometry(parts=parts, stretch=stretch, waves=waves)
 
 
 def predict_splitting_shared_forest(
@@ -379,29 +462,13 @@ def predict_splitting_shared_forest(
 ) -> PredictedTime:
     """Equation 7: forest split over P blocks, one global reduction/batch.
 
-    With a layout available, the actual greedy partition supplies the
-    part count and the per-part work imbalance (parts with more trees
-    gate the kernel); otherwise P is estimated as
-    ``ceil(S_forest / capacity)``.
+    P, the part imbalance and the wave count come from
+    :func:`splitting_geometry`.
     """
     n = sample.n_batch
-    part_stretch = 1.0
-    p_parts = max(1, math.ceil(fp.s_forest / hw.shared_capacity))
-    if layout is not None:
-        from repro.formats.partition import PartitionError, cached_partition
-
-        try:
-            parts = cached_partition(layout, hw.shared_capacity)
-        except PartitionError:
-            parts = None
-        if parts:
-            p_parts = len(parts)
-            work = cached_tree_depths(layout) + 1.0
-            part_work = np.array([work[p].sum() for p in parts])
-            mean = part_work.mean()
-            if mean > 0:
-                part_stretch = max(1.0, float(part_work.max() / mean))
     tpb = _TPB_CAP
+    geometry = splitting_geometry(fp, hw, layout, tpb)
+    p_parts, part_stretch = geometry.parts, geometry.stretch
     n_threads = p_parts * tpb
     util = hw.gmem_utilization(max(n_threads, min(n, n_threads)))
     smem_util = hw.smem_utilization(p_parts)
@@ -415,11 +482,14 @@ def predict_splitting_shared_forest(
     # (samples per thread) x walk over that part's trees.  Small batches
     # leave a +-1-sample remainder across the block's threads; the busiest
     # thread sets the pace.
-    waves = math.ceil(p_parts / hw.concurrent_blocks(tpb, hw.shared_capacity))
     samples_per_thread = math.ceil(n / tpb)
     remainder_stretch = samples_per_thread * tpb / n if n else 1.0
     chain = (
-        samples_per_thread * fp.d_tree * (fp.n_trees / p_parts) * waves * part_stretch
+        samples_per_thread
+        * fp.d_tree
+        * (fp.n_trees / p_parts)
+        * geometry.waves
+        * part_stretch
     )
     t_chain = chain * hw.memory_latency
     t_flat = n * (t_smem_s + t_gmem_s)
@@ -433,5 +503,6 @@ def predict_splitting_shared_forest(
         t_block_reduce=0.0,
         t_global_reduce=t_g_redu,
         t_launch=hw.launch_latency,
+        t_chain=t_chain,
         note=f"P={p_parts}",
     )

@@ -50,8 +50,14 @@ class ForestParams:
         coa_rate: measured coalescing rate of forest reads under this
             layout (requested / fetched bytes).  Algorithm 1 line 2 lists
             ``COA_rate`` among the trained-forest inputs; the engine
-            probes it on the first batch.  Defaults to the paper's
-            assumption 1 ("half of the bandwidth"), i.e. 0.5.
+            probes it on the first batch with shared-data's tree-parallel
+            walk.  Defaults to the paper's assumption 1 ("half of the
+            bandwidth"), i.e. 0.5.
+        coa_rate_direct: the same rate under the direct strategy's
+            sample-parallel walk, measured by the same probe.  A warp
+            whose lanes walk one tree together shares the upper levels'
+            cache lines, so this rate is far higher than ``coa_rate``
+            on deep forests.  Defaults to 0.5 as well.
     """
 
     d_tree: float
@@ -61,6 +67,7 @@ class ForestParams:
     n_nodes: float
     s_forest: int
     coa_rate: float = 0.5
+    coa_rate_direct: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -160,5 +167,6 @@ def workload_params(layout: ForestLayout, n_batch: int) -> tuple[SampleParams, F
         n_nodes=layout.total_bytes / (forest.n_trees * layout.node_size),
         s_forest=layout.total_bytes,
         coa_rate=float(layout.metadata.get("coa_rate", 0.5)),
+        coa_rate_direct=float(layout.metadata.get("coa_rate_direct", 0.5)),
     )
     return sample, fp

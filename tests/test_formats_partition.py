@@ -7,6 +7,7 @@ from repro.formats import build_adaptive_layout
 from repro.formats.layout import build_interleaved_layout
 from repro.formats.partition import (
     PartitionError,
+    cached_part_bytes,
     cached_partition,
     partition_trees,
     tree_work,
@@ -74,6 +75,20 @@ class TestPartitionTrees:
     def test_oversized_tree_raises(self, layout):
         with pytest.raises(PartitionError):
             partition_trees(layout, 8)
+
+    @pytest.mark.parametrize("capacity", [2048, 4096])
+    def test_part_bytes_are_the_parts_layout_sizes(self, layout, capacity):
+        """What the splitting strategy stages per part, without building
+        the parts' layouts; memoised."""
+        forest = layout.forest
+        built = [
+            build_interleaved_layout(
+                forest.with_trees([forest.trees[p] for p in part]), layout.record, None, "part"
+            ).total_bytes
+            for part in cached_partition(layout, capacity)
+        ]
+        assert cached_part_bytes(layout, capacity).tolist() == built
+        assert cached_part_bytes(layout, capacity) is cached_part_bytes(layout, capacity)
 
     def test_cached_partition_memoised(self, layout):
         a = cached_partition(layout, 2048)

@@ -114,6 +114,31 @@ class TestTracker:
         assert per["mean_abs_rel_error"] == pytest.approx(0.1 / 1.1)
 
 
+    def test_term_ratios_name_the_residual(self):
+        tracker = CalibrationTracker(warn=False)
+        for sim_gmem in (2.0, 4.0):
+            d = decision(predicted=1.0, simulated=1.0, runner_up=2.0)
+            d.predicted_terms = {"t_gmem": 4.0, "t_smem": 1.0, "t_block_reduce": 0.5}
+            d.simulated_terms = {"t_gmem": sim_gmem, "t_smem": 1.0, "t_block_reduce": 0.0}
+            tracker.record(d)
+        tracker.record(decision(predicted=1.0, simulated=1.0, runner_up=2.0))
+        ratios = tracker.summary()["per_strategy"]["shared_data"]["mean_term_ratio"]
+        # A term the simulator spent no time on has no ratio.
+        assert ratios == {"t_gmem": pytest.approx(1.5), "t_smem": 1.0}
+        other = CalibrationTracker(warn=False)
+        d = decision(predicted=1.0, simulated=1.0)
+        d.predicted_terms, d.simulated_terms = {"t_gmem": 3.0}, {"t_gmem": 1.0}
+        other.record(d)
+        tracker.merge(other)
+        per = tracker.summary()["per_strategy"]["shared_data"]
+        assert per["mean_term_ratio"]["t_gmem"] == pytest.approx(2.0)
+
+    def test_no_term_ratios_without_terms(self):
+        tracker = CalibrationTracker(warn=False)
+        tracker.record(decision(predicted=1.0, simulated=1.1, runner_up=2.0))
+        assert "mean_term_ratio" not in tracker.summary()["per_strategy"]["shared_data"]
+
+
 class TestEngineIntegration:
     def test_engine_report_carries_calibration(self, small_forest, p100, test_X):
         from repro.core import TahoeEngine
@@ -147,3 +172,30 @@ class TestEngineIntegration:
         result = server.run(reqs, report=True)
         calib = result.report.calibration
         assert calib["n_decisions"] == result.summary["batches"]
+
+    def test_reported_run_splits_decisions_into_terms(self, small_forest, p100, test_X):
+        from repro.core import TahoeEngine
+        from repro.perfmodel.models import TERMS
+
+        engine = TahoeEngine(small_forest, p100)
+        report = engine.predict(test_X, batch_size=90, report=True).report
+        for d in report.decisions:
+            assert set(d.predicted_terms) == set(TERMS)
+            assert set(d.simulated_terms) == set(TERMS)
+            # Both splits add up to their totals (t_chain is folded in).
+            predicted = sum(v for k, v in d.predicted_terms.items() if k != "t_chain")
+            simulated = sum(v for k, v in d.simulated_terms.items() if k != "t_chain")
+            assert predicted == pytest.approx(d.predicted_time)
+            assert simulated == pytest.approx(d.simulated_time)
+        for per in report.calibration["per_strategy"].values():
+            assert per["mean_term_ratio"]["t_launch"] == pytest.approx(1.0)
+
+    def test_unreported_run_records_no_terms(self, small_forest, p100, test_X):
+        from repro.core import TahoeEngine
+
+        engine = TahoeEngine(small_forest, p100)
+        engine.predict(test_X, batch_size=90)
+        assert all(d.predicted_terms is None for d in engine.recorder.decisions)
+        assert all(d.simulated_terms is None for d in engine.recorder.decisions)
+        for per in engine.recorder.calibration.summary()["per_strategy"].values():
+            assert "mean_term_ratio" not in per

@@ -17,7 +17,7 @@ from repro.perfmodel import (
     select_strategy,
     workload_params,
 )
-from repro.perfmodel.models import expected_imbalance
+from repro.perfmodel.models import expected_imbalance, splitting_geometry
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,36 @@ class TestModels:
         p = predict_splitting_shared_forest(sample, fp, small_hw)
         parts = int(p.note.split("=")[1])
         assert parts == math.ceil(fp.s_forest / 4096)
+
+    @pytest.mark.parametrize(
+        "compute,smem", [(1 / 16, 0.125), (1 / 56, 0.25), (1 / 56, 0.125)]
+    )
+    def test_splitting_wave_count_matches_strategy(
+        self, layout, test_X, monkeypatch, compute, smem
+    ):
+        """The model counts the waves the strategy launches: residency
+        follows the bytes the parts stage, not a full block of shared
+        memory per part."""
+        from repro.gpusim.specs import GPU_SPECS
+        from repro.strategies import splitting_shared_forest as module
+
+        spec = GPU_SPECS["P100"].scaled(compute=compute, shared_capacity=smem)
+        seen = {}
+        real = module.execution_time
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "execution_time", spy)
+        module.SplittingSharedForestStrategy().run(
+            layout, test_X, spec, sample_rows=np.arange(64)
+        )
+        strategy_waves = seen["chain_steps"] / seen["per_thread_steps"].max()
+        _, fp = workload_params(layout, 64)
+        geometry = splitting_geometry(fp, measure_hardware_parameters(spec), layout)
+        assert geometry.parts > 1
+        assert geometry.waves == strategy_waves
 
     def test_expected_imbalance_at_least_one(self, layout):
         assert expected_imbalance(layout, 32) >= 1.0
