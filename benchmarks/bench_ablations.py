@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 import common
-from repro.core import TahoeEngine
-from repro.formats import build_adaptive_layout, similarity_tree_order
+from repro.core import TahoeConfig, TahoeEngine, convert_forest
+from repro.formats import similarity_tree_order
 from repro.formats.node_rearrange import rearrange_forest_nodes
 from repro.perfmodel import validate_selection
 from repro.strategies import SharedDataStrategy
@@ -55,8 +55,8 @@ def run_variable_width(dataset="Higgs"):
     forest = common.workload(dataset).forest
     spec = common.bench_spec("P100")
     X = common.inference_X(dataset, 900)
-    narrow = build_adaptive_layout(forest)
-    wide = build_adaptive_layout(forest, variable_width=False)
+    narrow = convert_forest(forest, TahoeConfig())[0]
+    wide = convert_forest(forest, TahoeConfig(variable_width=False))[0]
     t_narrow = SharedDataStrategy().run(narrow, X, spec).time
     t_wide = SharedDataStrategy().run(wide, X, spec).time
     return {

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 import common
-from repro.core import FILEngine
-from repro.formats import build_adaptive_layout
+from repro.core import FILEngine, TahoeConfig, convert_forest
 from repro.strategies import SharedDataStrategy
 from repro.core.fil import fil_block_size
 from repro.core import TahoeEngine
@@ -41,10 +40,10 @@ def run_fig8(datasets=None):
 
         # Stage a: node rearrangement only (same strategy, same tpb as FIL).
         t_a = shared_data_time(
-            build_adaptive_layout(forest, tree_rearrangement=False)
+            convert_forest(forest, TahoeConfig(tree_rearrangement=False))[0]
         )
         # Stage b: + tree rearrangement.
-        t_b = shared_data_time(build_adaptive_layout(forest))
+        t_b = shared_data_time(convert_forest(forest, TahoeConfig())[0])
         # Stage c: + model-guided strategy selection (the full engine).
         t_c = TahoeEngine(forest, spec).predict(X).total_time
         s_a, s_b, s_c = fil_time / t_a, fil_time / t_b, fil_time / t_c

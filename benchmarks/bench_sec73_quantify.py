@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 import common
-from repro.core import FILEngine, TahoeEngine
+from repro.core import TahoeConfig, TahoeEngine, convert_forest
 from repro.formats import build_reorg_layout
 from repro.perfmodel import measure_hardware_parameters, rank_strategies
 from repro.strategies import ALL_STRATEGIES, StrategyNotApplicable
@@ -33,7 +33,6 @@ def run_coalescing(datasets=("Higgs", "SUSY", "covtype", "year", "aloi", "letter
     (reorg vs adaptive) differs.
     """
     from repro.core.fil import fil_block_size
-    from repro.formats import build_adaptive_layout
     from repro.strategies import SharedDataStrategy
 
     out = {}
@@ -51,9 +50,9 @@ def run_coalescing(datasets=("Higgs", "SUSY", "covtype", "year", "aloi", "letter
             # efficiency metric); the narrow records additionally shrink
             # requested bytes, which would confound the ratio.
             iso_r = strategy.run(
-                build_adaptive_layout(forest, variable_width=False), X, spec
+                convert_forest(forest, TahoeConfig(variable_width=False))[0], X, spec
             )
-            full_r = strategy.run(build_adaptive_layout(forest), X, spec)
+            full_r = strategy.run(convert_forest(forest, TahoeConfig())[0], X, spec)
             for r, effs, bws in ((fil_r, fil_eff, fil_bw), (iso_r, tahoe_eff, tahoe_bw)):
                 c = r.counters.forest_global
                 effs.append(c.load_efficiency)

@@ -60,10 +60,8 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 import common
-from repro.core import TahoeConfig, TahoeEngine
-from repro.core.engine import convert_forest
+from repro.core import TahoeConfig, TahoeEngine, convert_forest
 from repro.datasets import load_dataset, train_test_split
-from repro.formats import build_adaptive_layout
 from repro.formats.tree_rearrange import round_robin_assignment
 from repro.gpusim.specs import GPU_SPECS
 from repro.gpusim.trace import trace_sample_parallel, trace_tree_parallel
@@ -127,7 +125,7 @@ def run_scenarios(quick: bool) -> dict:
     spec = GPU_SPECS["P100"]
     engine = TahoeEngine(forest, spec)
     engine.predict(X[:50])  # warm layout caches and the COA probe
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     assignments = round_robin_assignment(forest.n_trees, 64)
     rows = np.arange(n, dtype=np.int64)
     trees = np.arange(forest.n_trees, dtype=np.int64)

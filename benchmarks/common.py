@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core import TahoeConfig, convert_forest
 from repro.datasets import DATASETS, DATASET_ORDER, load_dataset, train_test_split
-from repro.formats import build_adaptive_layout
 from repro.gpusim.specs import GPU_SPECS, GPUSpec
 from repro.trees.io import forest_from_dict, forest_to_dict
 from repro.trees.training import TrainedWorkload, train_forest_for_spec
@@ -137,7 +137,7 @@ def shared_capacity_scale() -> float:
 @functools.lru_cache(maxsize=None)
 def adaptive_layout(name: str):
     """Adaptive layout of the benchmark forest (cached per dataset)."""
-    return build_adaptive_layout(workload(name).forest)
+    return convert_forest(workload(name).forest, TahoeConfig())[0]
 
 
 @functools.lru_cache(maxsize=None)

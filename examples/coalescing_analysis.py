@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import GPU_SPECS
-from repro.formats import build_adaptive_layout, build_reorg_layout, round_robin_assignment
+from repro.core import TahoeConfig, convert_forest
+from repro.formats import build_reorg_layout, round_robin_assignment
 from repro.gpusim import trace_tree_parallel
 from repro.trees import train_forest_for_spec
 
@@ -55,7 +56,7 @@ def main() -> None:
     )
     analyse(build_reorg_layout(forest), X, spec, "FIL reorg format")
     analyse(
-        build_adaptive_layout(forest, variable_width=False), X, spec,
+        convert_forest(forest, TahoeConfig(variable_width=False))[0], X, spec,
         "Tahoe adaptive format (fixed-width records, coalescing isolated)",
     )
     print(

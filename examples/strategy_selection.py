@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import GPU_SPECS
-from repro.formats import build_adaptive_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.perfmodel import measure_hardware_parameters, rank_strategies
 from repro.trees import train_forest_for_spec
 
@@ -25,7 +25,7 @@ from repro.trees import train_forest_for_spec
 def sweep(dataset: str, scale: float, tree_scale: float) -> None:
     workload = train_forest_for_spec(dataset, scale=scale, tree_scale=tree_scale, seed=1)
     forest = workload.forest
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     spec = GPU_SPECS["P100"]
     hw = measure_hardware_parameters(spec)
     print(

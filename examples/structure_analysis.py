@@ -13,7 +13,7 @@ Run with::
 from __future__ import annotations
 
 from repro import GPU_SPECS, TahoeEngine
-from repro.formats import build_adaptive_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.trees import train_forest_for_spec
 from repro.trees.analysis import structure_profile
 
@@ -22,7 +22,7 @@ def profile(name: str, scale: float, tree_scale: float) -> None:
     workload = train_forest_for_spec(name, scale=scale, tree_scale=tree_scale, seed=6)
     forest = workload.forest
     info = structure_profile(forest)
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     spec = GPU_SPECS["P100"].scaled(compute=1 / 16)
     engine = TahoeEngine(forest, spec)
     strategy = engine.select_strategy_name(workload.split.n_test)

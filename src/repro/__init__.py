@@ -29,8 +29,6 @@ from repro.core import (
     EngineResult,
     FILEngine,
     LayoutCache,
-    MultiGPUResult,
-    MultiGPUTahoeEngine,
     ObsConfig,
     TahoeConfig,
     TahoeEngine,
@@ -51,8 +49,6 @@ __all__ = [
     "GPUSpec",
     "GPU_SPECS",
     "LayoutCache",
-    "MultiGPUResult",
-    "MultiGPUTahoeEngine",
     "ObsConfig",
     "TahoeConfig",
     "TahoeEngine",

@@ -40,9 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import ENGINE_KINDS, FILEngine, ObsConfig, TahoeConfig, TahoeEngine
+from repro.core import ENGINE_KINDS, FILEngine, ObsConfig, TahoeConfig, TahoeEngine, convert_forest
 from repro.datasets import DATASET_ORDER, DATASETS, load_dataset, train_test_split
-from repro.formats import build_adaptive_layout, build_reorg_layout
+from repro.formats import build_reorg_layout
 from repro.gpusim.specs import GPU_SPECS
 from repro.perfmodel import measure_hardware_parameters, rank_strategies
 from repro.trees import train_forest_for_spec
@@ -130,7 +130,7 @@ def _write_report(report, args: argparse.Namespace) -> None:
 def _cmd_convert(args: argparse.Namespace) -> int:
     forest, _ = _load_any_model(args.forest)
     reorg = build_reorg_layout(forest)
-    adaptive = build_adaptive_layout(forest)
+    adaptive = convert_forest(forest, TahoeConfig())[0]
     swaps = sum(int(t.flip.sum()) for t in adaptive.forest.trees)
     print(f"forest: {forest.n_trees} trees, {forest.n_nodes} nodes")
     print(f"reorg layout:    {reorg.total_bytes:>10} B (node size {reorg.node_size})")
@@ -178,7 +178,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
     forest, _ = _load_any_model(args.forest)
     spec = GPU_SPECS[args.gpu]
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     hw = measure_hardware_parameters(spec)
     for title, ranker in (
         (f"predicted batch time on {spec.name}, batch={args.batch}:", rank_strategies),

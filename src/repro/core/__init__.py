@@ -17,11 +17,12 @@
 * :class:`~repro.core.native.NativeEngine` — real vectorised execution
   of converted layouts on the host (wall-clock ``time_domain``), with an
   optional numba fast path.
-* :class:`~repro.core.multi.MultiGPUTahoeEngine` — data-parallel pool of
-  Tahoe replicas sharing one converted layout.
+* :func:`~repro.core.engine.convert_forest` — the one online conversion
+  pipeline (Algorithm 1 lines 5–7) from a forest and a
+  :class:`TahoeConfig` to the adaptive layout.
 * :class:`~repro.core.cache.LayoutCache` — converted-forest reuse, so
-  rebuilding an engine (or a replica) from an unchanged forest skips
-  the conversion pipeline.
+  rebuilding an engine (or a server replica) from an unchanged forest
+  skips the conversion pipeline.
 * :mod:`repro.core.metrics` — throughput / speedup / CV helpers used by
   every benchmark.
 * :func:`engine_class` — which engine class serves a packed format
@@ -40,10 +41,9 @@ from repro.core.base import (
 )
 from repro.core.cache import LayoutCache
 from repro.core.config import ObsConfig, TahoeConfig
-from repro.core.engine import TahoeEngine
+from repro.core.engine import TahoeEngine, convert_forest
 from repro.core.fil import FILEngine
 from repro.core.metrics import geometric_mean, speedup, throughput
-from repro.core.multi import MultiGPUResult, MultiGPUTahoeEngine
 from repro.core.native import NativeEngine
 
 #: Engine class per packed format (the ``engine`` of a ``.tahoe`` header).
@@ -71,11 +71,10 @@ __all__ = [
     "NativeEngine",
     "TIME_DOMAIN_SIMULATED",
     "TIME_DOMAIN_WALL",
-    "MultiGPUResult",
-    "MultiGPUTahoeEngine",
     "ObsConfig",
     "TahoeConfig",
     "TahoeEngine",
+    "convert_forest",
     "engine_class",
     "geometric_mean",
     "speedup",

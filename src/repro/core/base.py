@@ -1,8 +1,8 @@
 """The unified engine surface: one protocol, one result shape, one lifecycle.
 
 Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
-:class:`~repro.core.fil.FILEngine`, :class:`~repro.core.native.NativeEngine`
-and :class:`~repro.core.multi.MultiGPUTahoeEngine` — conforms to the
+:class:`~repro.core.fil.FILEngine` and
+:class:`~repro.core.native.NativeEngine` — conforms to the
 :class:`Engine` protocol:
 
 * construction is ``Engine(forest, spec, *, config=..., hardware=...,
@@ -15,7 +15,7 @@ and :class:`~repro.core.multi.MultiGPUTahoeEngine` — conforms to the
 * an empty inference batch raises ``ValueError("empty inference
   batch")`` instead of failing mid-batch.
 
-The three single-target engines share one lifecycle, :class:`LayoutEngine`
+The three engines share one lifecycle, :class:`LayoutEngine`
 (Algorithm 1): convert the forest on load behind the layout cache, ship
 the layout to the execution target, then run inference batch by batch.
 """

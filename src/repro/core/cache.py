@@ -3,9 +3,10 @@
 The online conversion pipeline (probability fetch, node rearrangement,
 similarity detection, format conversion, GPU copy) is deterministic in
 ``(forest, config)``: two engines built from the same forest with the
-same knobs produce byte-identical layouts.  Serving deployments build
-*many* engines from one forest — a replica per GPU, plus reconstruction
-on restart — so the cache keys finished :class:`ForestLayout` objects by
+same knobs produce byte-identical layouts.  Serving builds *many*
+engines from one forest — every replica of a
+:class:`~repro.serving.server.TahoeServer` pool, plus reconstruction on
+restart — so the cache keys finished :class:`ForestLayout` objects by
 ``(forest fingerprint, spec name, conversion config)`` and hands them
 back without re-running the pipeline.  A hit costs one content hash of
 the forest; :class:`~repro.core.base.ConversionStats` records it as
@@ -13,10 +14,9 @@ the forest; :class:`~repro.core.base.ConversionStats` records it as
 
 Layouts are immutable once built (engines only annotate
 ``layout.metadata`` with measurements like the COA probe, which are
-themselves layout-deterministic), so sharing one object between replicas
-is safe — and is exactly how
-:class:`~repro.core.multi.MultiGPUTahoeEngine` makes "conversion runs
-once and is shared" true.
+themselves layout-deterministic), so sharing one object between
+replicas is safe: the pool converts once and every other replica adopts
+the finished layout.
 """
 
 from __future__ import annotations

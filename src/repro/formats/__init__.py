@@ -10,13 +10,14 @@ This package is the heart of the paper's contribution (sections 4.1–4.3):
 * :mod:`repro.formats.tree_rearrange` — similarity-based tree
   rearrangement (SimHash+LSH order, round-robin thread assignment),
 * :mod:`repro.formats.reorg` — FIL's reorg format (the baseline),
-* :mod:`repro.formats.adaptive` — Tahoe's adaptive forest format, the
-  composition of all three techniques,
 * :mod:`repro.formats.encoding` — packed 8/16/32-bit node words
   (``encode_node_adaptive``) with optional f16/quantised float fields.
+
+Tahoe's adaptive format, the composition of the three techniques, is
+built by :func:`repro.core.convert_forest`, the engine's one conversion
+pipeline.
 """
 
-from repro.formats.adaptive import build_adaptive_layout
 from repro.formats.encoding import (
     NodeEncoding,
     apply_encoding,
@@ -37,7 +38,6 @@ __all__ = [
     "NodeRecordLayout",
     "apply_encoding",
     "attr_index_bytes",
-    "build_adaptive_layout",
     "make_encoding",
     "pack_node_words",
     "resolve_width_bits",

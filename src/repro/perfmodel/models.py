@@ -50,6 +50,7 @@ __all__ = [
     "predict_explain_direct",
     "predict_explain_shared_paths",
     "expected_imbalance",
+    "cached_part_work",
 ]
 
 _WARP = 32
@@ -137,6 +138,26 @@ def expected_imbalance(layout: ForestLayout, threads_per_block: int) -> float:
         mean = per_thread.mean()
         cache[threads_per_block] = 1.0 if mean <= 0 else max(1.0, float(per_thread.max() / mean))
     return cache[threads_per_block]
+
+
+def cached_part_work(layout: ForestLayout, capacity: int) -> np.ndarray:
+    """Per-walk work (depth + 1, summed over its trees) of each part of
+    ``cached_partition(layout, capacity)``.
+
+    Memoised on the layout per capacity, beside the partition and its
+    part bytes, so ranking strategies per batch pays for it once.
+
+    Raises:
+        PartitionError: as :func:`~repro.formats.partition.cached_partition`.
+    """
+    from repro.formats.partition import cached_partition
+
+    partition = cached_partition(layout, capacity)
+    cache = layout.metadata.setdefault("_part_work", {})
+    if capacity not in cache:
+        work = cached_tree_depths(layout) + 1.0
+        cache[capacity] = np.array([work[p].sum() for p in partition])
+    return cache[capacity]
 
 
 def choose_shared_data_tpb(
@@ -440,13 +461,12 @@ def splitting_geometry(
         try:
             partition = cached_partition(layout, hw.shared_capacity)
             part_bytes = cached_part_bytes(layout, hw.shared_capacity)
+            part_work = cached_part_work(layout, hw.shared_capacity)
         except PartitionError:
             partition = None
         if partition:
             parts = len(partition)
             block_smem = min(hw.shared_capacity, max(int(part_bytes.sum()) // parts, 1))
-            work = cached_tree_depths(layout) + 1.0
-            part_work = np.array([work[p].sum() for p in partition])
             mean = part_work.mean()
             if mean > 0:
                 stretch = max(1.0, float(part_work.max() / mean))

@@ -6,10 +6,10 @@ and GPU; we ship them between the trainer and the simulator).
 
 Two on-disk versions exist:
 
-* **v1** — every array spelled out as a JSON list (``.tolist()``).
+* **v1** (read only) — every array spelled out as a JSON list.
   Human-readable, but a 100K-node forest costs megabytes of ASCII floats
   and a slow float-repr round trip.
-* **v2** (current writer default) — arrays as raw little-endian bytes,
+* **v2** (the one writer) — arrays as raw little-endian bytes,
   base64-encoded, tagged with their dtype.  Compact (≈4 bytes per float32
   instead of ≈18 characters) and **exact**: the bytes on disk are the
   bytes in memory, so dtype and value round-trip bit-for-bit.
@@ -68,30 +68,6 @@ _CAT_ARRAYS = {
 }
 
 
-def _tree_extras_v1(tree: DecisionTree) -> dict:
-    extras: dict = {}
-    if tree.group:
-        extras["group"] = int(tree.group)
-    if tree.cat_offset is not None:
-        for name in _CAT_ARRAYS:
-            extras[name] = getattr(tree, name).tolist()
-    return extras
-
-
-def _tree_to_dict_v1(tree: DecisionTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-        "default_left": tree.default_left.tolist(),
-        "visit_count": tree.visit_count.tolist(),
-        "flip": tree.flip.tolist(),
-        **_tree_extras_v1(tree),
-    }
-
-
 def _tree_to_dict_v2(tree: DecisionTree) -> dict:
     payload = {
         name: _encode_array(getattr(tree, name), dtype)
@@ -138,19 +114,10 @@ def _tree_from_dict_v2(payload: dict) -> DecisionTree:
     return DecisionTree(group=int(payload.get("group", 0)), **arrays)
 
 
-def forest_to_dict(forest: Forest, *, format_version: int = _FORMAT_VERSION) -> dict:
-    """Serialise a forest to a JSON-compatible dictionary.
-
-    Args:
-        forest: forest to serialise.
-        format_version: 2 (default; compact base64 arrays) or 1 (legacy
-            JSON lists — still readable by every loader version).
-    """
-    if format_version not in (1, 2):
-        raise ValueError(f"unsupported forest format version: {format_version!r}")
-    to_tree = _tree_to_dict_v1 if format_version == 1 else _tree_to_dict_v2
+def forest_to_dict(forest: Forest) -> dict:
+    """Serialise a forest to a JSON-compatible dictionary (v2)."""
     payload = {
-        "format_version": format_version,
+        "format_version": _FORMAT_VERSION,
         "n_attributes": forest.n_attributes,
         "task": forest.task,
         "aggregation": forest.aggregation,
@@ -158,7 +125,7 @@ def forest_to_dict(forest: Forest, *, format_version: int = _FORMAT_VERSION) -> 
         "learning_rate": forest.learning_rate,
         "name": forest.name,
         "metadata": forest.metadata,
-        "trees": [to_tree(tree) for tree in forest.trees],
+        "trees": [_tree_to_dict_v2(tree) for tree in forest.trees],
     }
     # Written only for multiclass forests so single-output files are
     # byte-identical to what earlier writers produced.
@@ -190,11 +157,9 @@ def forest_from_dict(payload: dict) -> Forest:
     )
 
 
-def save_forest(
-    forest: Forest, path: str | Path, *, format_version: int = _FORMAT_VERSION
-) -> None:
-    """Write a forest to ``path`` as JSON (v2 compact by default)."""
-    Path(path).write_text(json.dumps(forest_to_dict(forest, format_version=format_version)))
+def save_forest(forest: Forest, path: str | Path) -> None:
+    """Write a forest to ``path`` as JSON (v2)."""
+    Path(path).write_text(json.dumps(forest_to_dict(forest)))
 
 
 def load_forest(path: str | Path) -> Forest:

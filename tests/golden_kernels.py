@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import TahoeEngine
+from repro.core import TahoeConfig, TahoeEngine, convert_forest
 from repro.datasets import load_dataset, train_test_split
-from repro.formats import build_adaptive_layout, build_reorg_layout
+from repro.formats import build_reorg_layout
 from repro.formats.tree_rearrange import round_robin_assignment
 from repro.gpusim import trace
 from repro.gpusim.specs import GPU_SPECS
@@ -120,7 +120,7 @@ def run_all() -> dict:
         ("rf_nan", rf, X_nan),
         ("gbdt", gbdt, X),
     ):
-        layout = build_adaptive_layout(forest)
+        layout = convert_forest(forest, TahoeConfig())[0]
         reorg = build_reorg_layout(forest)
         rows = np.arange(96, dtype=np.int64)
         assign = round_robin_assignment(forest.n_trees, 48)
@@ -179,7 +179,7 @@ def run_all() -> dict:
 
     # --- the four strategies --------------------------------------------
     for forest_name, forest, samples in (("rf", rf, X), ("gbdt", gbdt, X_nan)):
-        layout = build_adaptive_layout(forest)
+        layout = convert_forest(forest, TahoeConfig())[0]
         rows = np.arange(100, dtype=np.int64)
         for cls in ALL_STRATEGIES:
             strategy = cls()

@@ -8,8 +8,8 @@ must either handle them exactly or fail loudly, never silently corrupt.
 import numpy as np
 import pytest
 
-from repro.core import FILEngine, TahoeConfig, TahoeEngine
-from repro.formats import build_adaptive_layout, build_reorg_layout
+from repro.core import FILEngine, TahoeConfig, TahoeEngine, convert_forest
+from repro.formats import build_reorg_layout
 from repro.strategies import ALL_STRATEGIES, StrategyNotApplicable
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
@@ -50,7 +50,7 @@ class TestDegenerateShapes:
         np.testing.assert_allclose(result.predictions, 3.0)
 
     def test_single_sample_every_strategy(self, stump_forest, p100):
-        layout = build_adaptive_layout(stump_forest)
+        layout = convert_forest(stump_forest, TahoeConfig())[0]
         X = np.array([[1.0, 0.0]], dtype=np.float32)
         for cls in ALL_STRATEGIES:
             try:

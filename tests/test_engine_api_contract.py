@@ -1,11 +1,11 @@
 """API-contract tests: every engine behind the one unified surface.
 
-Drives ``TahoeEngine``, ``FILEngine``, ``NativeEngine`` and
-``MultiGPUTahoeEngine`` through the shared :class:`repro.core.Engine`
-protocol — construction keywords, uniform ``predict``, result shape,
-``update_forest`` return type, empty-batch error — and the three layout
-engines through the lifecycle they share (:class:`repro.core.LayoutEngine`):
-where a layout comes from, and what its ``ConversionStats`` say.
+Drives ``TahoeEngine``, ``FILEngine`` and ``NativeEngine`` through the
+shared :class:`repro.core.Engine` protocol — construction keywords,
+uniform ``predict``, result shape, ``update_forest`` return type,
+empty-batch error — and through the lifecycle they share
+(:class:`repro.core.LayoutEngine`): where a layout comes from, and what
+its ``ConversionStats`` say.
 """
 
 import copy
@@ -19,24 +19,13 @@ from repro import (
     EngineResult,
     FILEngine,
     LayoutCache,
-    MultiGPUResult,
-    MultiGPUTahoeEngine,
     TahoeConfig,
     TahoeEngine,
 )
 from repro.core import NativeEngine, engine_class
 from repro.trees.forest import Forest
 
-ENGINE_FACTORIES = {
-    "tahoe": lambda forest, spec, **kw: TahoeEngine(forest, spec, **kw),
-    "fil": lambda forest, spec, **kw: FILEngine(forest, spec, **kw),
-    "native": lambda forest, spec, **kw: NativeEngine(forest, spec, **kw),
-    "multi": lambda forest, spec, **kw: MultiGPUTahoeEngine(
-        forest, spec, n_gpus=2, **kw
-    ),
-}
-
-LAYOUT_ENGINES = {"tahoe": TahoeEngine, "fil": FILEngine, "native": NativeEngine}
+ENGINES = {"tahoe": TahoeEngine, "fil": FILEngine, "native": NativeEngine}
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +43,11 @@ def multiclass_forest(small_forest, small_gbdt):
     )
 
 
-@pytest.fixture(scope="module", params=sorted(ENGINE_FACTORIES))
+@pytest.fixture(scope="module", params=sorted(ENGINES))
 def any_engine(request):
     forest = request.getfixturevalue("small_forest")
     p100 = request.getfixturevalue("p100")
-    return request.param, ENGINE_FACTORIES[request.param](forest, p100)
+    return request.param, ENGINES[request.param](forest, p100)
 
 
 class TestEngineProtocol:
@@ -68,7 +57,7 @@ class TestEngineProtocol:
 
     def test_accepts_unified_keywords(self, small_forest, p100, any_engine):
         name, _ = any_engine
-        engine = ENGINE_FACTORIES[name](
+        engine = ENGINES[name](
             small_forest, p100, config=TahoeConfig(), layout_cache=LayoutCache()
         )
         assert isinstance(engine, Engine)
@@ -97,16 +86,13 @@ class TestEngineProtocol:
         assert result.report is not None
         assert result.report.n_samples == test_X.shape[0]
         assert result.report.total_time == pytest.approx(result.total_time)
-        expected = {
-            "tahoe": "tahoe", "fil": "fil", "native": "native", "multi": "tahoe-multigpu"
-        }[name]
-        assert result.report.engine == expected
+        assert result.report.engine == name
 
     def test_update_forest_returns_stats(self, any_engine, small_gbdt, p100, test_X):
         name, _ = any_engine
         # Fresh engine: update_forest mutates layout state.
         forest = small_gbdt
-        engine = ENGINE_FACTORIES[name](forest, p100, config=TahoeConfig())
+        engine = ENGINES[name](forest, p100, config=TahoeConfig())
         stats = engine.update_forest(forest)
         assert isinstance(stats, ConversionStats)
         assert stats.total >= 0
@@ -118,7 +104,7 @@ class TestEngineProtocol:
         name, _ = any_engine
         reference = TahoeEngine(multiclass_forest, p100).predict(test_X).predictions
         assert reference.shape == (test_X.shape[0], 3)
-        engine = ENGINE_FACTORIES[name](multiclass_forest, p100)
+        engine = ENGINES[name](multiclass_forest, p100)
         predictions = engine.predict(test_X, batch_size=32).predictions
         assert np.array_equal(predictions, reference)
 
@@ -134,9 +120,9 @@ class TestLayoutLifecycle:
         "t_copy_to_gpu",
     )
 
-    @pytest.mark.parametrize("name", sorted(LAYOUT_ENGINES))
+    @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_conversion_sources(self, name, small_forest, p100):
-        cls = LAYOUT_ENGINES[name]
+        cls = ENGINES[name]
         cache = LayoutCache()
         cold = cls(small_forest, p100, layout_cache=cache)
         label = cold.layout.record.encoding_label
@@ -203,7 +189,7 @@ class TestBatchWidth:
     def test_explain_rejects_wrong_width(
         self, small_forest, p100, strategies_unreachable, name, width
     ):
-        engine = ENGINE_FACTORIES[name](small_forest, p100)
+        engine = ENGINES[name](small_forest, p100)
         with pytest.raises(ValueError, match="16 columns"):
             engine.explain(np.zeros((4, width), np.float32))
 
@@ -215,47 +201,10 @@ class TestKeywordOnlySurface:
         with pytest.raises(TypeError):
             TahoeEngine(small_forest, p100, TahoeConfig())
 
-    def test_multi_rejects_positional_n_gpus(self, small_forest, p100):
-        with pytest.raises(TypeError):
-            MultiGPUTahoeEngine(small_forest, p100, 3)
-
     def test_predict_rejects_positional_batch_size(self, small_forest, p100, test_X):
         engine = TahoeEngine(small_forest, p100)
         with pytest.raises(TypeError):
             engine.predict(test_X, 32)
-
-
-class TestMultiGPUUnification:
-    def test_result_is_engine_result(self, small_forest, p100, test_X):
-        result = MultiGPUTahoeEngine(small_forest, p100, n_gpus=2).predict(test_X)
-        assert isinstance(result, MultiGPUResult)
-        assert isinstance(result, EngineResult)
-        assert result.n_gpus == 2
-        assert result.throughput > 0
-        # batches / strategies_used aggregate all shards.
-        assert len(result.batches) == sum(len(r.batches) for r in result.per_gpu)
-        assert result.strategies_used == [
-            s for r in result.per_gpu for s in r.strategies_used
-        ]
-
-    def test_conversion_runs_once_and_is_shared(self, small_forest, p100):
-        engine = MultiGPUTahoeEngine(small_forest, p100, n_gpus=4)
-        assert not engine.engines[0].conversion_stats.cache_hit
-        for replica in engine.engines[1:]:
-            assert replica.conversion_stats.cache_hit
-            # The layout object itself is shared, not re-derived.
-            assert replica.layout is engine.engines[0].layout
-        assert engine.layout_cache.hits == 3
-        assert engine.layout_cache.misses == 1
-
-    def test_update_forest_returns_stats_and_shares(self, small_forest, small_gbdt, p100):
-        engine = MultiGPUTahoeEngine(small_forest, p100, n_gpus=3)
-        stats = engine.update_forest(small_gbdt)
-        assert isinstance(stats, ConversionStats)
-        assert not stats.cache_hit  # the one real conversion
-        for replica in engine.engines[1:]:
-            assert replica.conversion_stats.cache_hit
-            assert replica.layout is engine.engines[0].layout
 
 
 class TestLayoutCache:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FILEngine, TahoeEngine
+from repro.core import FILEngine, TahoeConfig, TahoeEngine, convert_forest
 from repro.core.native import NativeEngine
 from repro.explain import (
     brute_force_shapley,
@@ -34,7 +34,6 @@ from repro.explain import (
     path_set_for_layout,
     squeeze_single_class,
 )
-from repro.formats import build_adaptive_layout
 from repro.gpusim.specs import GPU_SPECS
 from repro.trees.forest import Forest
 from repro.trees.tree import LEAF, DecisionTree
@@ -283,7 +282,7 @@ class TestStrategies:
     def test_shared_paths_matches_direct_bitwise(self, small_forest):
         from repro.strategies import ExplainDirectStrategy, ExplainSharedPathsStrategy
 
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         rng = np.random.default_rng(0)
         X = rng.normal(size=(32, small_forest.n_attributes)).astype(np.float32)
         rows = np.arange(32, dtype=np.int64)
@@ -299,7 +298,7 @@ class TestStrategies:
     def test_rank_explain_strategies(self, small_forest):
         from repro.perfmodel import measure_hardware_parameters, rank_explain_strategies
 
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         hw = measure_hardware_parameters(SPEC)
         choices = rank_explain_strategies(layout, 1000, SPEC, hw)
         assert [c.name for c in choices][0] in (
@@ -367,7 +366,7 @@ class TestServingExplain:
 
 class TestPathSet:
     def test_counts_and_caching(self, small_forest):
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         ps = path_set_for_layout(layout)
         assert ps is path_set_for_layout(layout)  # cached on the layout
         assert ps.n_paths == sum(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import TahoeConfig, convert_forest
 from repro.formats import (
-    build_adaptive_layout,
     build_reorg_layout,
     round_robin_assignment,
     similarity_tree_order,
@@ -68,14 +68,14 @@ class TestRoundRobin:
 
 class TestAdaptiveLayout:
     def test_predictions_preserved(self, small_forest, test_X):
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         np.testing.assert_allclose(
             layout.forest.predict(test_X), small_forest.predict(test_X), rtol=1e-6
         )
 
     def test_variable_width_saves_space(self, small_forest):
         reorg = build_reorg_layout(small_forest)
-        adaptive = build_adaptive_layout(small_forest)
+        adaptive = convert_forest(small_forest, TahoeConfig())[0]
         # letter: 6-byte records vs 9-byte (plus whatever slot compaction
         # node rearrangement buys) -> at least a third saved.
         assert adaptive.total_bytes <= reorg.total_bytes * 6 // 9
@@ -83,34 +83,28 @@ class TestAdaptiveLayout:
     def test_fixed_width_never_larger_than_reorg(self, small_forest):
         """Node rearrangement moves hot subtrees into low heap slots, so
         the truncated-dense allocation can only shrink or stay equal."""
-        adaptive = build_adaptive_layout(small_forest, variable_width=False)
+        adaptive = convert_forest(small_forest, TahoeConfig(variable_width=False))[0]
         reorg = build_reorg_layout(small_forest)
         assert adaptive.total_bytes <= reorg.total_bytes
         # Without node rearrangement the slot structure is identical.
-        plain = build_adaptive_layout(
-            small_forest, node_rearrangement=False, variable_width=False
-        )
+        plain = convert_forest(
+            small_forest, TahoeConfig(node_rearrangement=False, variable_width=False)
+        )[0]
         assert plain.total_bytes == reorg.total_bytes
 
-    def test_techniques_recorded(self, small_forest):
-        layout = build_adaptive_layout(small_forest, tree_rearrangement=False)
-        tech = layout.metadata["techniques"]
-        assert tech["node_rearrangement"] is True
-        assert tech["tree_rearrangement"] is False
-
     def test_disabled_tree_rearrangement_keeps_order(self, small_forest):
-        layout = build_adaptive_layout(small_forest, tree_rearrangement=False)
+        layout = convert_forest(small_forest, TahoeConfig(tree_rearrangement=False))[0]
         assert layout.tree_order == list(range(small_forest.n_trees))
 
     def test_node_rearrangement_sets_flips(self, small_forest):
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         assert any(t.flip.any() for t in layout.forest.trees)
 
     def test_no_node_rearrangement_no_flips(self, small_forest):
-        layout = build_adaptive_layout(small_forest, node_rearrangement=False)
+        layout = convert_forest(small_forest, TahoeConfig(node_rearrangement=False))[0]
         assert not any(t.flip.any() for t in layout.forest.trees)
 
     def test_single_tree_forest(self, small_forest):
         solo = small_forest.with_trees(small_forest.trees[:1])
-        layout = build_adaptive_layout(solo)
+        layout = convert_forest(solo, TahoeConfig())[0]
         assert layout.n_trees == 1

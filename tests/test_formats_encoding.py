@@ -19,11 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LayoutCache, TahoeConfig, TahoeEngine
+from repro.core import LayoutCache, TahoeConfig, TahoeEngine, convert_forest
 from repro.core.fil import FILEngine, fil_conversion_key
 from repro.core.native import NativeEngine
 from repro.formats import (
-    build_adaptive_layout,
     build_reorg_layout,
     make_encoding,
     pack_node_words,
@@ -282,7 +281,7 @@ def test_both_layouts_packed_predictions_match(small_gbdt, test_X):
     expected = forest.predict(test_X)
     enc = make_encoding(forest, "auto", "f32")
     for layout in (
-        build_adaptive_layout(forest, node_encoding=enc),
+        convert_forest(forest, TahoeConfig(node_width="auto", threshold_mode="f32"))[0],
         build_reorg_layout(forest, node_encoding=enc),
     ):
         assert layout.record.flags_bytes == 0
@@ -383,8 +382,7 @@ def test_layout_io_round_trip_packed(small_gbdt, p100, tmp_path):
     from repro.modelstore import load_packed, pack_layout
 
     forest = small_gbdt
-    enc = make_encoding(forest, 16, "f32")
-    layout = build_adaptive_layout(forest, node_encoding=enc)
+    layout = convert_forest(forest, TahoeConfig(node_width=16, threshold_mode="f32"))[0]
     path = tmp_path / "layout.tahoe"
     pack_layout(
         layout,
@@ -409,7 +407,7 @@ def test_layout_io_round_trip_packed(small_gbdt, p100, tmp_path):
 def test_encoding_ranking_orders_by_bytes_moved(small_forest, p100):
     from repro.perfmodel import rank_node_encodings
 
-    layout = build_adaptive_layout(small_forest)
+    layout = convert_forest(small_forest, TahoeConfig())[0]
     choices = rank_node_encodings(layout, 256, p100)
     assert len(choices) >= 2
     moved = [c.bytes_moved for c in choices]

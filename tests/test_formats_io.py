@@ -6,14 +6,15 @@ import struct
 import numpy as np
 import pytest
 
-from repro.formats import build_adaptive_layout, build_reorg_layout
+from repro.core import TahoeConfig, convert_forest
+from repro.formats import build_reorg_layout
 from repro.modelstore import load_packed
 from repro.modelstore.artifact import ARTIFACT_MAGIC, ArtifactError, pack_layout
 
 
 @pytest.fixture()
 def layout(small_forest):
-    return build_adaptive_layout(small_forest)
+    return convert_forest(small_forest, TahoeConfig())[0]
 
 
 def _round_trip(layout, path, engine="tahoe"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.formats import build_adaptive_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.formats.layout import build_interleaved_layout
 from repro.formats.partition import (
     PartitionError,
@@ -17,7 +17,7 @@ from repro.formats.partition import (
 @pytest.fixture(scope="module")
 def layout(request):
     forest = request.getfixturevalue("small_forest")
-    return build_adaptive_layout(forest)
+    return convert_forest(forest, TahoeConfig())[0]
 
 
 class TestTreeWork:

@@ -5,7 +5,8 @@ import copy
 import numpy as np
 import pytest
 
-from repro.formats import build_adaptive_layout, build_reorg_layout, round_robin_assignment
+from repro.core import TahoeConfig, convert_forest
+from repro.formats import build_reorg_layout, round_robin_assignment
 from repro.gpusim import memory, trace
 from repro.gpusim.trace import flatten_layout, trace_sample_parallel, trace_tree_parallel
 from repro.trees import Forest
@@ -50,7 +51,7 @@ class TestTreeParallel:
         np.testing.assert_allclose(margins, small_forest.predict(test_X), rtol=1e-5)
 
     def test_adaptive_layout_same_predictions(self, small_forest, test_X, p100):
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         assign = round_robin_assignment(small_forest.n_trees, 32)
         trace = trace_tree_parallel(
             layout, test_X, np.arange(test_X.shape[0]), assign, p100
@@ -239,7 +240,7 @@ def multiclass_layout(small_forest, small_gbdt):
         aggregation="sum",
         n_classes=3,
     )
-    return build_adaptive_layout(forest)
+    return convert_forest(forest, TahoeConfig())[0]
 
 
 class TestTileInvariance:
@@ -266,7 +267,7 @@ class TestTileInvariance:
     ):
         node_space, sample_space = spaces
         rows = np.arange(3, 90, 2)
-        for layout in (build_adaptive_layout(small_forest), multiclass_layout):
+        for layout in (convert_forest(small_forest, TahoeConfig())[0], multiclass_layout):
             assign = round_robin_assignment(layout.forest.n_trees, n_threads)
             result = self._sweep(
                 monkeypatch,
@@ -290,7 +291,7 @@ class TestTileInvariance:
     ):
         node_space, sample_space = spaces
         rows = np.arange(1, 100, 3)
-        for layout in (build_adaptive_layout(small_forest), multiclass_layout):
+        for layout in (convert_forest(small_forest, TahoeConfig())[0], multiclass_layout):
             trees = np.arange(layout.forest.n_trees)[::-2]
             result = self._sweep(
                 monkeypatch,

@@ -9,9 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import FILEngine, TahoeConfig, TahoeEngine
+from repro.core import FILEngine, TahoeConfig, TahoeEngine, convert_forest
 from repro.datasets import load_dataset, train_test_split
-from repro.formats import build_adaptive_layout, build_reorg_layout, round_robin_assignment
+from repro.formats import build_reorg_layout, round_robin_assignment
 from repro.gpusim import GPU_SPECS, trace_tree_parallel
 from repro.strategies import coefficient_of_variation
 from repro.trees import train_forest_for_spec
@@ -57,7 +57,7 @@ class TestEndToEnd:
         assign = round_robin_assignment(forest.n_trees, tpb)
         reorg = trace_tree_parallel(build_reorg_layout(forest), X, rows, assign, p100)
         adaptive = trace_tree_parallel(
-            build_adaptive_layout(forest, variable_width=False), X, rows, assign, p100
+            convert_forest(forest, TahoeConfig(variable_width=False))[0], X, rows, assign, p100
         )
         assert (
             adaptive.counters.forest_global.load_efficiency
@@ -71,7 +71,7 @@ class TestEndToEnd:
         rows = np.arange(X.shape[0])
         assign = round_robin_assignment(forest.n_trees, 32)
         fil = trace_tree_parallel(build_reorg_layout(forest), X, rows, assign, p100)
-        tahoe = trace_tree_parallel(build_adaptive_layout(forest), X, rows, assign, p100)
+        tahoe = trace_tree_parallel(convert_forest(forest, TahoeConfig())[0], X, rows, assign, p100)
         assert coefficient_of_variation(tahoe.per_thread_steps) < coefficient_of_variation(
             fil.per_thread_steps
         )
@@ -80,7 +80,7 @@ class TestEndToEnd:
         """Section 7.4: adaptive forest memory is smaller (paper: 23.6%)."""
         forest = higgs_workload.forest
         reorg = build_reorg_layout(forest)
-        adaptive = build_adaptive_layout(forest)
+        adaptive = convert_forest(forest, TahoeConfig())[0]
         saving = 1 - adaptive.total_bytes / reorg.total_bytes
         assert saving > 0.15
 

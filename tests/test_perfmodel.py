@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.formats import build_adaptive_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.perfmodel import (
     measure_hardware_parameters,
     predict_direct,
@@ -17,7 +17,7 @@ from repro.perfmodel import (
     select_strategy,
     workload_params,
 )
-from repro.perfmodel.models import expected_imbalance, splitting_geometry
+from repro.perfmodel.models import cached_part_work, expected_imbalance, splitting_geometry
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def hw(request):
 @pytest.fixture(scope="module")
 def layout(request):
     forest = request.getfixturevalue("small_forest")
-    return build_adaptive_layout(forest)
+    return convert_forest(forest, TahoeConfig())[0]
 
 
 class TestMicrobench:
@@ -144,6 +144,29 @@ class TestModels:
         # One thread gets everything -> stretch = n_threads.
         stretch = expected_imbalance(layout, layout.forest.n_trees * 2)
         assert stretch > 1.0
+
+    def test_part_work_memoised(self, small_forest):
+        """The per-part work splitting_geometry reads is built once per
+        capacity, equals a fresh computation, and repeated rankings are
+        identical."""
+        from repro.formats.partition import cached_partition
+        from repro.gpusim.specs import GPU_SPECS
+
+        spec = GPU_SPECS["P100"].scaled(compute=1 / 16, shared_capacity=0.125)
+        small_hw = measure_hardware_parameters(spec)
+        capacity = small_hw.shared_capacity
+        fresh = convert_forest(small_forest, TahoeConfig())[0]
+        first = rank_strategies(fresh, 64, spec, small_hw)
+        memo = fresh.metadata["_part_work"][capacity]
+        work = fresh.block.tree_depths() + 1.0
+        expected = [work[p].sum() for p in cached_partition(fresh, capacity)]
+        assert len(expected) > 1
+        np.testing.assert_array_equal(memo, expected)
+        assert cached_part_work(fresh, capacity) is memo
+        second = rank_strategies(fresh, 64, spec, small_hw)
+        assert [(c.name, c.predicted_time) for c in second] == [
+            (c.name, c.predicted_time) for c in first
+        ]
 
 
 class TestSelector:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.formats import build_adaptive_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.perfmodel import measure_hardware_parameters, workload_params
 from repro.perfmodel.models import choose_shared_data_tpb, predict_shared_data
 
@@ -11,7 +11,7 @@ from repro.perfmodel.models import choose_shared_data_tpb, predict_shared_data
 def setup(request):
     forest = request.getfixturevalue("small_forest")
     p100 = request.getfixturevalue("p100")
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     hw = measure_hardware_parameters(p100)
     return layout, hw
 

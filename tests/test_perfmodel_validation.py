@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.formats import build_adaptive_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.perfmodel.validation import validate_selection
 
 
 @pytest.fixture(scope="module")
 def layout(request):
-    return build_adaptive_layout(request.getfixturevalue("small_forest"))
+    return convert_forest(request.getfixturevalue("small_forest"), TahoeConfig())[0]
 
 
 class TestValidateSelection:

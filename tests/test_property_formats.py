@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats import build_adaptive_layout, build_reorg_layout
+from repro.core import TahoeConfig, convert_forest
+from repro.formats import build_reorg_layout
 from repro.formats.partition import PartitionError, partition_trees
 from repro.gpusim.specs import GPU_SPECS
 from repro.strategies import DirectStrategy, SharedDataStrategy
@@ -39,7 +40,7 @@ def test_layouts_preserve_predictions(forest_info):
     rng = np.random.default_rng(seed % (2**31))
     X = rng.standard_normal((40, forest.n_attributes)).astype(np.float32)
     reference = forest.predict(X)
-    for layout in (build_reorg_layout(forest), build_adaptive_layout(forest)):
+    for layout in (build_reorg_layout(forest), convert_forest(forest, TahoeConfig())[0]):
         np.testing.assert_allclose(layout.forest.predict(X), reference, rtol=1e-5)
 
 
@@ -47,7 +48,7 @@ def test_layouts_preserve_predictions(forest_info):
 @settings(max_examples=25, deadline=None)
 def test_layout_addresses_unique_and_bounded(forest_info):
     forest, _ = forest_info
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     addr = np.concatenate(layout.node_address)
     assert len(np.unique(addr)) == len(addr)
     assert addr.min() >= 0
@@ -60,7 +61,7 @@ def test_strategies_reproduce_reference(forest_info):
     forest, seed = forest_info
     rng = np.random.default_rng((seed + 1) % (2**31))
     X = rng.standard_normal((33, forest.n_attributes)).astype(np.float32)
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     spec = GPU_SPECS["P100"]
     reference = forest.predict(X)
     for strategy in (SharedDataStrategy(), DirectStrategy()):
@@ -73,7 +74,7 @@ def test_strategies_reproduce_reference(forest_info):
 @settings(max_examples=25, deadline=None)
 def test_partition_invariants(forest_info, capacity_pow):
     forest, _ = forest_info
-    layout = build_adaptive_layout(forest)
+    layout = convert_forest(forest, TahoeConfig())[0]
     capacity = 2**capacity_pow
     try:
         parts = partition_trees(layout, capacity)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.formats import build_adaptive_layout, build_reorg_layout
+from repro.core import TahoeConfig, convert_forest
 from repro.strategies import (
     DirectStrategy,
     SharedDataStrategy,
@@ -21,13 +21,13 @@ from repro.formats.partition import PartitionError, partition_trees
 @pytest.fixture(scope="module")
 def adaptive_layout(request):
     forest = request.getfixturevalue("small_forest")
-    return build_adaptive_layout(forest)
+    return convert_forest(forest, TahoeConfig())[0]
 
 
 @pytest.fixture(scope="module")
 def gbdt_layout(request):
     forest = request.getfixturevalue("small_gbdt")
-    return build_adaptive_layout(forest)
+    return convert_forest(forest, TahoeConfig())[0]
 
 
 class TestFinalizePredictions:
@@ -122,7 +122,7 @@ class TestSharedData:
 
     def test_huge_sample_falls_back_to_global(self, small_forest, test_X, p100):
         tiny = dataclasses.replace(p100, shared_mem_per_block=32)
-        layout = build_adaptive_layout(small_forest)
+        layout = convert_forest(small_forest, TahoeConfig())[0]
         result = SharedDataStrategy().run(layout, test_X, tiny)
         assert result.counters.shared_read.requested_bytes == 0
 

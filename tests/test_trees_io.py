@@ -12,6 +12,20 @@ from repro.trees.io import forest_from_dict, forest_to_dict, load_forest, save_f
 from repro.trees.tree import LEAF, DecisionTree
 
 
+def _v1_payload(forest: Forest) -> dict:
+    """A legacy v1 payload: the v2 one with every array as a JSON list."""
+    payload = forest_to_dict(forest)
+    payload["format_version"] = 1
+    payload["trees"] = [
+        {
+            name: getattr(tree, name).tolist() if isinstance(field, dict) else field
+            for name, field in entry.items()
+        }
+        for tree, entry in zip(forest.trees, payload["trees"])
+    ]
+    return payload
+
+
 class TestRoundTrip:
     def test_dict_round_trip_preserves_predictions(self, small_forest, test_X):
         restored = forest_from_dict(forest_to_dict(small_forest))
@@ -71,31 +85,18 @@ class TestFormatVersions:
         assert payload["format_version"] == 2
         assert "b64" in payload["trees"][0]["threshold"]
 
-    def test_v1_still_written_on_request(self, small_forest, test_X):
-        payload = forest_to_dict(small_forest, format_version=1)
-        assert payload["format_version"] == 1
-        assert isinstance(payload["trees"][0]["threshold"], list)
-        restored = forest_from_dict(payload)
-        np.testing.assert_array_equal(
-            restored.predict(test_X), small_forest.predict(test_X)
-        )
-
     def test_v2_is_smaller_on_disk(self, small_forest):
-        v1 = json.dumps(forest_to_dict(small_forest, format_version=1))
-        v2 = json.dumps(forest_to_dict(small_forest, format_version=2))
+        v1 = json.dumps(_v1_payload(small_forest))
+        v2 = json.dumps(forest_to_dict(small_forest))
         assert len(v2) < len(v1)
 
     def test_v1_file_loads_with_v2_loader(self, small_forest, test_X, tmp_path):
         path = tmp_path / "legacy.json"
-        save_forest(small_forest, path, format_version=1)
+        path.write_text(json.dumps(_v1_payload(small_forest)))
         restored = load_forest(path)
         np.testing.assert_array_equal(
             restored.predict(test_X), small_forest.predict(test_X)
         )
-
-    def test_unknown_writer_version_rejected(self, small_forest):
-        with pytest.raises(ValueError, match="version"):
-            forest_to_dict(small_forest, format_version=3)
 
 
 def _property_forest(thresholds, values, visits, defaults, flips) -> Forest:
@@ -134,9 +135,8 @@ class TestExactRoundTripProperty:
     ):
         forest = _property_forest(thresholds, values, visits, defaults, flips)
         # Through a real JSON string, exactly as save_forest/load_forest do.
-        payload = json.loads(
-            json.dumps(forest_to_dict(forest, format_version=version))
-        )
+        written = _v1_payload(forest) if version == 1 else forest_to_dict(forest)
+        payload = json.loads(json.dumps(written))
         restored = forest_from_dict(payload)
         a, b = forest.trees[0], restored.trees[0]
         for name in (
