@@ -17,8 +17,6 @@ low parallelism, (3) every speedup is >= ~1.
 
 from __future__ import annotations
 
-import numpy as np
-
 import common
 from repro.core import FILEngine, TahoeEngine
 from repro.core.metrics import geometric_mean

@@ -14,8 +14,6 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import GPU_SPECS
 from repro.core import TahoeConfig, convert_forest
 from repro.perfmodel import measure_hardware_parameters, rank_strategies

@@ -342,6 +342,22 @@ class LayoutEngine:
         return self.conversion_stats
 
     # ------------------------------------------------------------------
+    # Cost model (§6)
+    # ------------------------------------------------------------------
+    def predicted_batch_time(self, n_samples: int) -> float:
+        """Predicted seconds, on this engine's clock, for one batch of
+        ``n_samples`` rows: the §6 models' fastest strategy, the ranking
+        Algorithm 1 runs per batch."""
+        from repro.perfmodel.selector import rank_strategies
+
+        return rank_strategies(self.layout, n_samples, self.spec, self.hardware)[0].predicted_time
+
+    def cost_model_record(self) -> dict:
+        """What :meth:`predicted_batch_time` reads besides the layout and
+        the hardware parameters, for a report (nothing here)."""
+        return {}
+
+    # ------------------------------------------------------------------
     # Inference (Algorithm 1, lines 8-16)
     # ------------------------------------------------------------------
     def predict(

@@ -43,11 +43,11 @@ adopt with zero conversion via :meth:`NativeEngine.from_layout`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.core.base import TIME_DOMAIN_WALL, LayoutEngine
+from repro.core.base import TIME_DOMAIN_WALL, EngineResult, LayoutEngine
 from repro.formats.layout import ForestLayout
 from repro.gpusim.counters import TrafficCounters
 from repro.gpusim.specs import GPUSpec
@@ -111,7 +111,6 @@ class NativeForest:
     roots: np.ndarray  # int32, per-tree root global id
     offsets: np.ndarray  # int64, per-tree start (n_trees + 1)
     max_depth: int
-    mean_depth: float
     n_attributes: int
     #: Per-tree output group (all 0 for single-output forests).
     tree_group: np.ndarray  # int64 (n_trees,)
@@ -179,7 +178,6 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
     cat_offset = block.global_cat_offset()
     has_cat = cat_offset is not None
     _check_indices(feature, child_pair, offsets, int(forest.n_attributes))
-    depths = block.tree_depths()
     flat = NativeForest(
         feature=feature,
         feature_ix=np.where(leaf, np.int32(0), feature).astype(np.int32),
@@ -189,8 +187,7 @@ def flatten_native(layout: ForestLayout) -> NativeForest:
         value=np.where(leaf, block.value, np.float32(0.0)),
         roots=offsets[:-1].astype(np.int32),
         offsets=offsets,
-        max_depth=int(depths.max()),
-        mean_depth=float(np.mean(depths)),
+        max_depth=int(block.tree_depths().max()),
         n_attributes=int(forest.n_attributes),
         tree_group=block.group,
         n_groups=int(forest.n_classes),
@@ -546,7 +543,7 @@ class NativeEngine(LayoutEngine):
     def _install(self, layout: ForestLayout) -> None:
         # Replicas adopting one layout object share its flattening.
         self.flat = flatten_native(layout)
-        self._cost_model: NativeCostModel | None = None  # re-calibrate for the new shape
+        self._cost_model: NativeCostModel | None = None  # refit for the new shape
 
     # ------------------------------------------------------------------
     # Execution
@@ -566,21 +563,41 @@ class NativeEngine(LayoutEngine):
         _traverse_scalar_jit(X, *flat.scalar_args(), out)
         return out if multi else out[:, 0]
 
-    @property
     def cost_model(self) -> NativeCostModel:
-        """The calibrated wall-clock cost model (probed lazily, once)."""
+        """The fitted wall-clock cost of one dispatch (fitted on first
+        call, once per layout).
+
+        The probes time this engine's own :meth:`predict`, the path a
+        serving dispatch pays: input checks, finalisation, batch
+        recording and result assembly are exactly what makes a small
+        batch a bad deal, so a fit of the kernel alone would understate
+        the fixed cost.  They record into a throwaway recorder, so they
+        never show in batch telemetry.
+        """
         if self._cost_model is None:
-            # The kernels amortise dispatch over large batches, so probe
-            # well into that regime.
-            self._cost_model = calibrate_native_model(
-                self._leaf_sums,
-                n_trees=self.forest.n_trees,
-                depth=self.flat.mean_depth,
-                n_attributes=self.forest.n_attributes,
-                kernel=self.kernel,
-                probe_sizes=(64, 1024),
-            )
+            recorder = self.recorder
+            self.recorder = type(recorder)()
+            try:
+                self._cost_model = calibrate_native_model(
+                    self.predict, n_attributes=self.forest.n_attributes, kernel=self.kernel
+                )
+            finally:
+                self.recorder = recorder
         return self._cost_model
+
+    def predicted_batch_time(self, n_samples: int) -> float:
+        return self.cost_model().predict_time(n_samples)
+
+    def cost_model_record(self) -> dict:
+        return asdict(self.cost_model())
+
+    def predict(self, X: np.ndarray, *, report: bool = False, **kwargs) -> EngineResult:
+        """:meth:`LayoutEngine.predict`.  A reported call fits the cost
+        model before its batch loop: the fit's probes are ``predict``
+        calls of their own, and must not run inside this one."""
+        if report:
+            self.cost_model()
+        return super().predict(X, report=report, **kwargs)
 
     def _run_batch(self, X, start, stop, index, collect_level_stats, report) -> StrategyResult:
         """Traverse + reduce one batch, wall-clock timed per phase.
@@ -597,12 +614,7 @@ class NativeEngine(LayoutEngine):
         decision = None
         if report and index == 0:
             ranked = rank_hardware_targets(
-                self.cost_model,
-                self.layout,
-                stop - start,
-                self.spec,
-                self.hardware,
-                depth=self.flat.mean_depth,
+                self.cost_model(), self.layout, stop - start, self.spec, self.hardware
             )
             chosen = next(t for t in ranked if t.name == "native_cpu")
             decision = self.recorder.record_decision(0, stop - start, ranked, chosen)
@@ -645,43 +657,3 @@ class NativeEngine(LayoutEngine):
         )
         self.recorder.record_batch(index, result)
         return result
-
-    def measure_flush_curve(
-        self, batch_sizes: list[int], *, repeats: int = 2, seed: int = 11
-    ) -> dict[int, float]:
-        """Measured per-sample wall seconds at each candidate batch size.
-
-        The serving layer's native flush-point planner: where the
-        simulated backends scan the §6 *predicted* per-sample time
-        curve, the native backend times its own dispatch path on
-        synthetic probe batches (best of ``repeats``) — the knee of a
-        measured curve, not a modelled one.  Probes run the full
-        ``predict`` path a serving dispatch runs (no report), not just
-        the kernel: per-dispatch costs (input checks, finalisation,
-        batch recording, result assembly) are exactly what makes small
-        flush points a bad deal, so a curve without them would
-        understate the knee.  Probes record into a throwaway recorder so
-        they never pollute batch telemetry.
-        """
-        if not batch_sizes:
-            raise ValueError("need at least one candidate batch size")
-        rng = np.random.default_rng(seed)
-        biggest = max(batch_sizes)
-        X = rng.standard_normal(
-            (biggest, max(1, self.flat.n_attributes))
-        ).astype(np.float32)
-        curve: dict[int, float] = {}
-        real_recorder = self.recorder
-        try:
-            self.recorder = type(real_recorder)()
-            for b in sorted(set(batch_sizes)):
-                probe = X[:b]
-                best = float("inf")
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    self.predict(probe)
-                    best = min(best, time.perf_counter() - t0)
-                curve[b] = best / b
-        finally:
-            self.recorder = real_recorder
-        return curve

@@ -80,11 +80,10 @@ class SchedulerConfig:
             coalescing (simulated seconds) before a forced flush.
         max_queue: bounded-queue admission limit, in requests; arrivals
             beyond it are rejected with ``queue_full`` (backpressure).
-        target_batch: explicit flush point; ``None`` lets the §6
-            performance models pick it (the knee of predicted
-            per-sample time).
-        knee_tolerance: how close to the best predicted per-sample time
-            the chosen flush point must be (0.05 = within 5 %).
+        target_batch: explicit flush point; ``None`` lets the engine's
+            cost model pick it (the knee of its predicted per-sample
+            time: the §6 models on the simulated backends, the fitted
+            wall-clock model on the native one).
         request_tracing: record a per-stage
             :class:`~repro.serving.tracing.RequestTrace` on every
             response.
@@ -99,7 +98,6 @@ class SchedulerConfig:
     max_wait: float = 2e-3
     max_queue: int = 4096
     target_batch: int | None = None
-    knee_tolerance: float = 0.05
     request_tracing: bool = True
     backend: str = "tahoe"
 

@@ -4,13 +4,13 @@ Online serving traffic is the opposite of the paper's offline benchmarks:
 requests arrive one sample at a time, and per-request GPU launches waste
 the device (the launch-latency and bandwidth-utilisation terms of the §6
 models dominate tiny batches).  The server therefore coalesces queued
-requests into micro-batches and lets the performance models pick the
-flush point: the selector already predicts per-strategy time as a
-function of batch size, so the server scans candidate sizes for the knee
-of the predicted per-sample time curve — the smallest batch within
-``knee_tolerance`` of the best achievable per-sample cost.  Waiting past
-the knee buys (almost) no efficiency and only adds latency, so the queue
-flushes at ``target_batch`` samples or when the oldest request has
+requests into micro-batches and lets the engine's cost model pick the
+flush point: every engine predicts its batch time as a function of
+batch size, so the server scans candidate sizes for the knee of the
+predicted per-sample time curve — the smallest batch within
+:data:`KNEE_TOLERANCE` of the best achievable per-sample cost.  Waiting
+past the knee buys (almost) no efficiency and only adds latency, so the
+queue flushes at ``target_batch`` samples or when the oldest request has
 waited ``max_wait``, whichever comes first.
 
 Batches dispatch round-robin onto a pool of engine replicas (the
@@ -36,10 +36,11 @@ service times are the engines' simulated GPU seconds, so the whole
 serving pipeline is deterministic and unit-testable.  The exception is
 ``backend="native"``: the pool is then
 :class:`~repro.core.native.NativeEngine` replicas whose service times
-are *measured wall seconds* (arrivals stay scripted), and the flush
-point comes from the engine's own timed per-sample curve
-(:meth:`~repro.core.native.NativeEngine.measure_flush_curve`) instead of
-the §6 predicted one — real throughput, same scheduler.
+are *measured wall seconds* (arrivals stay scripted), and the curve the
+flush point is planned from comes from the engine's fitted wall-clock
+:class:`~repro.perfmodel.native.NativeCostModel` — the same fit its
+hardware ranking reads — instead of the §6 models: real throughput,
+same scheduler.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from repro.obs.recorder import MAX_REPORT_TRACES, RunRecorder
 from repro.obs.report import RunReport
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.notation import HardwareParams
-from repro.perfmodel.selector import rank_strategies
 from repro.serving.api import SchedulerConfig, materialize_workload
 from repro.serving.request import (
     ENGINE_ERROR,
@@ -89,6 +89,10 @@ __all__ = ["SchedulerConfig", "ServingResult", "TahoeServer"]
 #: (per-request responses and traces); ``result`` — the run's closing
 #: summary capture, report and response ordering.
 WALL_LAYERS = ("admission", "assembly", "engine", "telemetry", "fanout", "result")
+
+#: The flush point is the smallest candidate batch whose per-sample time
+#: is within this share of the best candidate's (0.05 = within 5 %).
+KNEE_TOLERANCE = 0.05
 
 #: The counter each kind of error response increments.
 _REFUSAL_COUNTERS = {
@@ -209,6 +213,9 @@ class TahoeServer:
         self._active_key = self._version_key(version)
         if self._active_key is not None:
             self.layout_cache.pin(self._active_key)
+        #: The per-sample cost curve the flush point was planned from
+        #: (``None`` when ``target_batch`` was given).
+        self.flush_plan: dict | None = None
         self.target_batch = (
             self.config.target_batch
             if self.config.target_batch is not None
@@ -384,40 +391,35 @@ class TahoeServer:
         return self._active_version
 
     # ------------------------------------------------------------------
-    # Flush-point planning (§6 performance models)
+    # Flush-point planning (the engine's cost model)
     # ------------------------------------------------------------------
     def plan_flush_point(self) -> int:
-        """Smallest batch within ``knee_tolerance`` of the best
+        """Smallest batch within :data:`KNEE_TOLERANCE` of the best
         per-sample time.
 
         Scans power-of-two candidates up to ``max_batch`` and returns
-        the knee of the per-sample cost curve.  On the simulated
-        backends the curve is *predicted* by :func:`rank_strategies` —
-        the same models Algorithm 1 uses per batch; on the native
-        backend the curve is *measured*: the pool's first replica times
-        its own kernel at each candidate size
-        (:meth:`~repro.core.native.NativeEngine.measure_flush_curve`),
-        so the flush point tracks the machine actually serving.
+        the knee of the per-sample cost curve that the pool's first
+        replica predicts (:meth:`~repro.core.base.LayoutEngine.predicted_batch_time`):
+        the §6 models Algorithm 1 ranks per batch on the simulated
+        backends, the fitted wall-clock
+        :class:`~repro.perfmodel.native.NativeCostModel` on the native
+        one.  Records the curve, and the native fit's coefficients, in
+        :attr:`flush_plan`.
         """
-        layout = self.engines[0].layout
+        engine = self.engines[0]
         candidates = []
         b = 1
         while b < self.config.max_batch:
             candidates.append(b)
             b *= 2
         candidates.append(self.config.max_batch)
-        if self.config.backend == "native":
-            per_sample = self.engines[0].measure_flush_curve(candidates)
-        else:
-            per_sample = {}
-            for b in candidates:
-                best = rank_strategies(layout, b, self.spec, self.hardware)[0]
-                per_sample[b] = best.predicted_time / b
+        per_sample = {b: engine.predicted_batch_time(b) / b for b in candidates}
+        self.flush_plan = {
+            "curve": {str(b): t for b, t in per_sample.items()},
+            **engine.cost_model_record(),
+        }
         floor = min(per_sample.values())
-        for b in candidates:
-            if per_sample[b] <= (1.0 + self.config.knee_tolerance) * floor:
-                return b
-        return self.config.max_batch
+        return next(b for b in candidates if per_sample[b] <= (1.0 + KNEE_TOLERANCE) * floor)
 
     # ------------------------------------------------------------------
     # Event-driven scheduling (simulated clock)
@@ -846,6 +848,7 @@ class TahoeServer:
                 "deadline_misses": int(metrics.counter("serving.deadline_misses").value),
                 "batches": metrics.histogram("serving.batch_size").count,
                 "target_batch": self.target_batch,
+                "flush_plan": self.flush_plan,
                 "n_engines": len(self.engines),
                 "backend": self.config.backend,
                 "time_domain": self.engines[0].time_domain,

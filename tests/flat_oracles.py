@@ -74,7 +74,6 @@ def native_arrays(layout) -> NativeForest:
         roots=offsets[:-1].astype(np.int32),
         offsets=offsets,
         max_depth=int(forest.max_depth()),
-        mean_depth=float(forest.mean_depth()),
         n_attributes=int(forest.n_attributes),
         tree_group=tree_group,
         n_groups=int(forest.n_classes),

@@ -15,10 +15,12 @@ from repro.core.native import (
     HAVE_NUMBA,
     NativeEngine,
     _traverse_scalar,
+    calibrate_native_model,
     flatten_native,
 )
 from repro.formats import build_reorg_layout
 from repro.modelstore import load_packed, pack_layout
+from repro.perfmodel import native as native_model
 
 
 class TestBitIdentity:
@@ -222,23 +224,101 @@ class TestLayoutInterop:
         assert np.array_equal(flat.child_pair[2 * leaves + 1], leaves)
 
 
-class TestFlushCurve:
-    def test_measured_curve_covers_candidates(self, small_forest, p100):
-        engine = NativeEngine(small_forest, p100)
-        curve = engine.measure_flush_curve([16, 64], repeats=1)
-        assert set(curve) == {16, 64}
-        assert all(v > 0 for v in curve.values())
+class FakeClock:
+    """A ``perf_counter`` that each probe call advances by a set cost."""
 
-    def test_probes_do_not_pollute_telemetry(self, small_forest, p100):
-        engine = NativeEngine(small_forest, p100)
-        before = len(engine.recorder.decisions)
-        engine.measure_flush_curve([16, 64], repeats=1)
-        assert len(engine.recorder.decisions) == before
+    def __init__(self, cost):
+        self.now = 0.0
+        self.cost = cost
+        self.calls = self.rows = 0
 
-    def test_empty_candidates_rejected(self, small_forest, p100):
+    def perf_counter(self):
+        return self.now
+
+    def run_batch(self, X):
+        self.calls += 1
+        self.rows += X.shape[0]
+        self.now += self.cost(X.shape[0], self.calls)
+
+
+def fit_on(monkeypatch, cost):
+    clock = FakeClock(cost)
+    monkeypatch.setattr(native_model, "time", clock)
+    model = native_model.calibrate_native_model(
+        clock.run_batch, n_attributes=4, kernel="numpy"
+    )
+    return model, clock
+
+
+class TestCostModelFit:
+    def test_recovers_linear_cost(self, monkeypatch):
+        model, clock = fit_on(monkeypatch, lambda rows, call: 200e-6 + 15e-6 * rows)
+        assert model.t_fixed == pytest.approx(200e-6)
+        assert model.t_per_row == pytest.approx(15e-6)
+        assert model.predict_time(256) == pytest.approx(200e-6 + 256 * 15e-6)
+        # No dearer than the per-size curve it replaced: 4,094 rows in 22 calls.
+        assert clock.rows <= 4094 and clock.calls <= 22
+
+    def test_median_ignores_one_slow_and_one_lucky_call_per_size(self, monkeypatch):
+        def cost(rows, call):
+            true = 200e-6 + 15e-6 * rows
+            # The first call at each size is slow, the second lucky.
+            return {1: true + 0.05, 2: true / 2}.get(call % 3, true)
+
+        model, _ = fit_on(monkeypatch, cost)
+        assert model.t_fixed == pytest.approx(200e-6)
+        assert model.t_per_row == pytest.approx(15e-6)
+
+    def test_coefficients_are_floored_at_zero(self, monkeypatch):
+        falling, _ = fit_on(monkeypatch, lambda rows, call: 1e-3 - 1e-6 * rows)
+        assert falling.t_per_row == 0.0 and falling.t_fixed > 0.0
+        convex, _ = fit_on(monkeypatch, lambda rows, call: 1e-6 * rows * rows)
+        assert convex.t_fixed == 0.0 and convex.t_per_row > 0.0
+
+
+class TestEngineCostModel:
+    def test_fit_leaves_telemetry_untouched(self, small_forest, p100, test_X):
         engine = NativeEngine(small_forest, p100)
-        with pytest.raises(ValueError, match="candidate batch size"):
-            engine.measure_flush_curve([])
+        engine.predict(test_X, batch_size=40, report=True)
+        decisions = list(engine.recorder.decisions)
+        batches = list(engine.recorder.batches)
+        engine._cost_model = None  # refit with telemetry already recorded
+        model = engine.cost_model()
+        assert (len(decisions), len(batches)) == (1, 3)
+        assert list(engine.recorder.decisions) == decisions
+        assert list(engine.recorder.batches) == batches
+        assert model.kernel == engine.kernel
+        assert engine.cost_model() is model  # fitted once
+        assert engine.predicted_batch_time(64) == model.predict_time(64)
+
+    def test_reported_predict_on_fresh_engine_records_one_decision(
+        self, small_forest, p100, test_X, monkeypatch
+    ):
+        # The fit runs predict probes, so it must run before this
+        # predict's batch loop, not inside it.
+        events = []
+        run_batch_of_class = NativeEngine._run_batch
+
+        def fit(*args, **kwargs):
+            events.append("fit")
+            return calibrate_native_model(*args, **kwargs)
+
+        def run_batch(engine, *args):
+            events.append("batch")
+            return run_batch_of_class(engine, *args)
+
+        monkeypatch.setattr("repro.core.native.calibrate_native_model", fit)
+        monkeypatch.setattr(NativeEngine, "_run_batch", run_batch)
+        engine = NativeEngine(small_forest, p100)
+        engine.predict(test_X, report=True)
+        assert events[0] == "fit" and events.count("fit") == 1
+        assert len(engine.recorder.decisions) == 1
+        assert len(engine.recorder.batches) == 1
+
+    def test_engine_build_does_not_fit(self, small_forest, p100, test_X):
+        engine = NativeEngine(small_forest, p100)
+        engine.predict(test_X)
+        assert engine._cost_model is None
 
 
 class TestHardwareRanking:

@@ -107,7 +107,6 @@ def test_depths_come_from_the_block(small_forest):
     layout = convert_forest(small_forest, TahoeConfig())[0]
     native = flatten_native(layout)
     assert native.max_depth == small_forest.max_depth()
-    assert native.mean_depth == small_forest.mean_depth()
     np.testing.assert_array_equal(layout.block.tree_depths(), layout.forest.tree_depths())
 
 

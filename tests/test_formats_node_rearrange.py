@@ -1,7 +1,6 @@
 """Tests for probability-based node rearrangement (paper section 4.1)."""
 
 import numpy as np
-import pytest
 
 from repro.formats.node_rearrange import (
     count_swaps,

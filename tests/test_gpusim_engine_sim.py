@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim.counters import TrafficCounters
-from repro.gpusim.engine_sim import ExecutionBreakdown, execution_time, imbalance_factor
+from repro.gpusim.engine_sim import execution_time, imbalance_factor
 from repro.gpusim.multigpu import simulate_multi_gpu, weak_scaling_times
 
 

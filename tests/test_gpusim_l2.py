@@ -1,6 +1,5 @@
 """Tests for the two-tier (DRAM + L2) global-memory pricing."""
 
-import numpy as np
 import pytest
 
 from repro.gpusim.counters import TrafficCounters

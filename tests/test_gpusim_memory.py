@@ -1,7 +1,6 @@
 """Tests for the coalescing and bank-conflict models."""
 
 import numpy as np
-import pytest
 
 from repro.gpusim.memory import (
     adjacent_lane_distances,

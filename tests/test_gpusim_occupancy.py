@@ -1,11 +1,9 @@
 """Tests for occupancy, spec scaling, and the latency-roofline behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.gpusim.counters import TrafficCounters
 from repro.gpusim.engine_sim import execution_time
-from repro.gpusim.specs import GPU_SPECS
 
 
 class TestConcurrentBlocks:

@@ -1,7 +1,5 @@
 """Tests for the execution report formatter."""
 
-import numpy as np
-
 from repro.core import TahoeConfig, convert_forest
 from repro.gpusim.report import format_strategy_report
 from repro.strategies import DirectStrategy, SharedDataStrategy

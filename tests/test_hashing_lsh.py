@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hashing.lsh import CollisionTable, lsh_collisions, order_trees_by_similarity
+from repro.hashing.lsh import lsh_collisions, order_trees_by_similarity
 from repro.trees.tree import DecisionTree
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core import FILEngine, TahoeConfig, TahoeEngine, convert_forest
-from repro.datasets import load_dataset, train_test_split
 from repro.formats import build_reorg_layout, round_robin_assignment
 from repro.gpusim import GPU_SPECS, trace_tree_parallel
 from repro.strategies import coefficient_of_variation

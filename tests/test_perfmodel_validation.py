@@ -1,6 +1,5 @@
 """Tests for the selection-validation utility."""
 
-import numpy as np
 import pytest
 
 from repro.core import TahoeConfig, convert_forest

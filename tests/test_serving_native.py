@@ -7,6 +7,7 @@ import pytest
 from repro.core import TIME_DOMAIN_SIMULATED, TIME_DOMAIN_WALL, LayoutCache
 from repro.core.native import NativeEngine
 from repro.modelstore import load_packed, pack_layout
+from repro.perfmodel import NativeCostModel
 from repro.serving import InferenceRequest, SchedulerConfig, TahoeServer
 
 
@@ -66,13 +67,47 @@ class TestNativePool:
             SchedulerConfig(backend="fpga")
 
 
-class TestMeasuredFlushPoint:
-    def test_flush_point_comes_from_measured_curve(self, small_forest, p100):
+class TestFittedFlushPoint:
+    def test_flush_point_is_knee_of_fitted_curve(self, small_forest, p100):
         server = make_server(small_forest, p100, max_batch=128)
         target = server.plan_flush_point()
-        assert 1 <= target <= 128
+        plan = server.flush_plan
+        curve = {int(b): t for b, t in plan["curve"].items()}
         # Power-of-two candidate ladder, like the simulated planner's.
-        assert target & (target - 1) == 0
+        assert sorted(curve) == [1, 2, 4, 8, 16, 32, 64, 128]
+        floor = min(curve.values())
+        assert target == min(b for b, t in curve.items() if t <= 1.05 * floor)
+        model = server.engines[0].cost_model()
+        assert plan["t_fixed"] == model.t_fixed
+        assert plan["t_per_row"] == model.t_per_row
+        assert plan["kernel"] == model.kernel
+
+    def test_plan_from_fixed_model_is_analytic_knee(self, small_forest, p100):
+        # An explicit target skips planning at construction (and the fit).
+        server = make_server(small_forest, p100, max_batch=1024, target_batch=1)
+        server.engines[0]._cost_model = NativeCostModel(
+            t_fixed=200e-6, t_per_row=15e-6, kernel="numpy"
+        )
+        # 200 us / b + 15 us per row is within 5 % of its value at 1,024
+        # rows from b = 210 on: the knee is the next power of two.
+        assert [server.plan_flush_point() for _ in range(7)] == [256] * 7
+        assert server.flush_plan["t_fixed"] == 200e-6
+        assert server.flush_plan["t_per_row"] == 15e-6
+
+    def test_summary_records_the_plan(self, small_forest, p100, test_X):
+        server = make_server(small_forest, p100, max_batch=64)
+        summary = server.run(requests_from(test_X, 10)).summary
+        assert summary["flush_plan"] is server.flush_plan
+        assert set(summary["flush_plan"]) == {"curve", "t_fixed", "t_per_row", "kernel"}
+
+    def test_simulated_plan_records_the_curve_only(self, small_forest, p100):
+        server = make_server(small_forest, p100, max_batch=64, backend="tahoe")
+        assert set(server.flush_plan) == {"curve"}
+
+    def test_explicit_target_batch_is_not_planned(self, small_forest, p100):
+        server = make_server(small_forest, p100, target_batch=8)
+        assert server.flush_plan is None
+        assert server.engines[0]._cost_model is None
 
 
 class TestPackedNativePool:

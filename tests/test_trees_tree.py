@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.trees.tree import LEAF, DecisionTree
+from repro.trees.tree import DecisionTree
 
 
 class TestConstruction:
