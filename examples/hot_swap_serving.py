@@ -50,15 +50,16 @@ def main() -> None:
     # Stage the packed artifact: engines are built *now*, off the request
     # path, with zero conversion (the layout is adopted as packed), and
     # the swap is armed for t=0.5s of simulated traffic.
-    staged = server.stage(packed=load_packed(artifact), at_time=0.4)
-    for engine in server._staged[staged.version]:
-        assert engine.conversion_stats.source == "artifact"
+    staged = server.stage(packed=load_packed(artifact))
     server.schedule_swap(staged.version, at_time=0.5)
     print(f"staged {staged.label} (conversion-free) — swap armed for t=0.5s")
 
     # One second of Poisson traffic straddling the swap instant.
     requests = poisson_workload(X_pool, qps=1200, duration=1.0, seed=7)
     result = server.run(requests)
+    # The swap moved the staged pool in as built: no replica converted.
+    for engine in server.engines:
+        assert engine.conversion_stats.source == "artifact"
 
     s = result.summary
     served = s["model"]["served_by_version"]

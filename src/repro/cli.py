@@ -376,7 +376,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         SchedulerConfig,
         SLOConfig,
         TahoeServer,
-        make_workload,
+        UserPopulationWorkload,
+        burst_workload,
+        poisson_workload,
     )
 
     if not args.bench:
@@ -410,17 +412,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     traffic = args.traffic
     if traffic == "poisson" and args.burst_factor > 1.0:
         traffic = "burst"  # back-compat: --burst-factor implied burst traffic
-    traffic_kwargs = dict(
-        qps=args.qps, duration=args.duration, seed=args.seed, deadline=deadline
-    )
-    if args.burst_factor > 1.0:
-        traffic_kwargs["burst_factor"] = args.burst_factor
-    requests = make_workload(traffic, workload.split.test.X, **traffic_kwargs)
+    X_pool = workload.split.test.X
+    shape = dict(qps=args.qps, duration=args.duration, deadline=deadline)
+    if traffic == "user-population":
+        requests = UserPopulationWorkload(X_pool, **shape).arrivals(
+            np.random.default_rng(args.seed), args.duration
+        )
+    elif traffic == "burst":
+        # burst_workload's own factor unless --burst-factor names one
+        burst = {"burst_factor": args.burst_factor} if args.burst_factor > 1.0 else {}
+        requests = burst_workload(X_pool, seed=args.seed, **shape, **burst)
+    else:
+        requests = poisson_workload(X_pool, seed=args.seed, **shape)
     forest, packed = workload.forest, None
     if args.forest is not None:
-        forest, packed = _load_any_model(
-            args.forest, n_attributes=workload.split.test.X.shape[1]
-        )
+        forest, packed = _load_any_model(args.forest, n_attributes=X_pool.shape[1])
     server = TahoeServer(
         forest if packed is None else None,
         spec,
@@ -880,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--traffic",
         choices=["poisson", "burst", "user-population"],
         default="poisson",
-        help="arrival process (registry lookup; user-population = Zipf "
-        "users with diurnal + flash-crowd session intensities)",
+        help="arrival process (user-population = Zipf users with "
+        "diurnal + flash-crowd session intensities)",
     )
     p.add_argument("--qps", type=float, default=2000.0, help="offered request rate")
     p.add_argument("--duration", type=float, default=2.0, help="arrival window, seconds")
@@ -957,6 +963,15 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (
+        args.func is _cmd_serve
+        and args.traffic == "user-population"
+        and args.burst_factor > 1.0
+    ):
+        parser.error(
+            "--burst-factor applies to poisson and burst traffic, "
+            "not --traffic user-population"
+        )
     return args.func(args)
 
 

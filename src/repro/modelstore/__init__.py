@@ -14,11 +14,13 @@ trainer.  This package makes models deployment artifacts:
   layout (post node rearrangement, post similarity tree ordering,
   variable-width records), so an engine can load and serve with zero
   reconversion (PACSET's argument, applied to Tahoe's format).
-* :mod:`repro.modelstore.registry` — versioned models with an active
-  pointer and atomic hot-swap bookkeeping for the serving layer.
 * :mod:`repro.modelstore.loader` — one sniffing loader behind
   ``repro predict --forest`` / ``repro serve --forest`` that accepts any
   supported format and says which formats exist when it cannot.
+
+Versions and hot swap belong to the serving layer:
+:class:`~repro.serving.server.TahoeServer` numbers the versions of the
+model it serves and stages each from a forest or a packed layout.
 """
 
 from repro.modelstore.artifact import (
@@ -42,15 +44,12 @@ from repro.modelstore.importers import (
     sklearn_to_export_dict,
 )
 from repro.modelstore.loader import load_model, sniff_format
-from repro.modelstore.registry import ModelRegistry, ModelVersion
 
 __all__ = [
     "ARTIFACT_MAGIC",
     "ARTIFACT_VERSION",
     "ArtifactError",
     "ModelImportError",
-    "ModelRegistry",
-    "ModelVersion",
     "PackedModel",
     "SUPPORTED_FORMATS",
     "from_lightgbm_text",

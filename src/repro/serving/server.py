@@ -21,15 +21,15 @@ are rejected immediately with a structured error (backpressure), and
 requests whose deadline has passed by dispatch time are rejected
 gracefully instead of poisoning the batch.
 
-The server is also the hot-swap site of the model store: every model it
-serves is a version in a :class:`~repro.modelstore.registry.ModelRegistry`.
-:meth:`stage` builds a full replacement engine pool for a new version
-*off* the hot path (conversion, or a packed artifact's zero-conversion
-load), and :meth:`swap`/:meth:`schedule_swap` flip the pool between
-micro-batches: dispatched batches complete on the old engines, queued
-requests dispatch on the new ones, and nothing is dropped.  The active
-version's layout is pinned in the cache so staging churn can never evict
-the model currently serving traffic.
+The server is also the hot-swap site of the model store: it numbers the
+versions of the one model it serves (:class:`ModelVersion`, labelled
+``default@v<N>``).  :meth:`stage` builds a full replacement engine pool
+for a new version *off* the hot path (conversion, or a packed artifact's
+zero-conversion load), and :meth:`swap`/:meth:`schedule_swap` flip the
+pool between micro-batches: dispatched batches complete on the old
+engines, queued requests dispatch on the new ones, and nothing is
+dropped.  The active version's layout is pinned in the cache so staging
+churn can never evict the model currently serving traffic.
 
 Everything runs on the simulated clock: arrivals are simulated seconds,
 service times are the engines' simulated GPU seconds, so the whole
@@ -48,6 +48,7 @@ from __future__ import annotations
 import time
 from collections import Counter as TallyCounter
 from collections import deque
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable
@@ -57,13 +58,12 @@ import numpy as np
 from repro.core import engine_class
 from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
+from repro.formats.layout import ForestLayout
 from repro.gpusim.specs import GPUSpec
-from repro.modelstore.registry import ModelRegistry, ModelVersion
 from repro.obs.recorder import MAX_REPORT_TRACES, RunRecorder
 from repro.obs.report import RunReport
 from repro.perfmodel.microbench import measure_hardware_parameters
 from repro.perfmodel.notation import HardwareParams
-from repro.serving.api import SchedulerConfig, materialize_workload
 from repro.serving.request import (
     ENGINE_ERROR,
     REJECTED_DEADLINE,
@@ -77,7 +77,7 @@ from repro.serving.slo import SLOConfig, SLOMonitor
 from repro.serving.tracing import RequestTrace, StageSpan
 from repro.trees.forest import Forest
 
-__all__ = ["SchedulerConfig", "ServingResult", "TahoeServer"]
+__all__ = ["ModelVersion", "SchedulerConfig", "ServingResult", "TahoeServer"]
 
 #: Wall-clock layers of the serving loop, each accumulated into a
 #: ``serving.wall.<layer>_seconds`` counter next to ``run_seconds``:
@@ -94,6 +94,9 @@ WALL_LAYERS = ("admission", "assembly", "engine", "telemetry", "fanout", "result
 #: is within this share of the best candidate's (0.05 = within 5 %).
 KNEE_TOLERANCE = 0.05
 
+#: The name in every version label and swap event (one model per server).
+_MODEL_NAME = "default"
+
 #: The counter each kind of error response increments.
 _REFUSAL_COUNTERS = {
     REJECTED_QUEUE_FULL: "serving.rejected.queue_full",
@@ -101,6 +104,85 @@ _REFUSAL_COUNTERS = {
     REJECTED_INVALID: "serving.rejected.invalid_request",
     ENGINE_ERROR: "serving.engine_errors",
 }
+
+
+@dataclass(frozen=True)
+class SchedulerConfig:
+    """Micro-batch *mechanism* knobs (how the scheduler forms batches).
+
+    The server's one policy knob, its service-level objectives, is the
+    ``slo=`` argument of :class:`TahoeServer` itself.
+
+    Attributes:
+        n_engines: engine replicas in the dispatch pool (simulated
+            GPUs; batches go round-robin across them).
+        max_batch: hard ceiling on coalesced samples per dispatch.
+        max_wait: longest a request may sit queued waiting for
+            coalescing (simulated seconds) before a forced flush.
+        max_queue: bounded-queue admission limit, in requests; arrivals
+            beyond it are rejected with ``queue_full`` (backpressure).
+        target_batch: explicit flush point; ``None`` lets the engine's
+            cost model pick it (the knee of its predicted per-sample
+            time: the §6 models on the simulated backends, the fitted
+            wall-clock model on the native one).
+        request_tracing: record a per-stage
+            :class:`~repro.serving.tracing.RequestTrace` on every
+            response.
+        backend: ``"tahoe"`` pools simulator engines matched to the
+            model's format (the default); ``"native"`` pools
+            :class:`~repro.core.native.NativeEngine` replicas executing
+            on the host with wall-clock service times.
+    """
+
+    n_engines: int = 1
+    max_batch: int = 1024
+    max_wait: float = 2e-3
+    max_queue: int = 4096
+    target_batch: int | None = None
+    request_tracing: bool = True
+    backend: str = "tahoe"
+
+    def __post_init__(self) -> None:
+        if self.n_engines < 1:
+            raise ValueError("n_engines must be >= 1")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
+        if self.max_wait < 0:
+            raise ValueError("max_wait must be >= 0")
+        if self.backend not in ("tahoe", "native"):
+            raise ValueError("backend must be 'tahoe' or 'native'")
+
+
+@dataclass(frozen=True)
+class ModelVersion:
+    """One numbered version of the model a :class:`TahoeServer` serves.
+
+    Attributes:
+        version: the server's version number, from 1 up.
+        source: ``"object"`` (an in-process forest) or ``"artifact"``
+            (a packed ``.tahoe`` layout).
+        engine_kind: ``"tahoe"`` or ``"fil"``.
+        forest: source forest (``None`` for a packed layout); the
+            conversion pipeline runs when the version's pool is built.
+        layout: packed, pre-converted layout (``None`` for a forest);
+            building the pool from it is conversion-free.
+        cache_key: :class:`~repro.core.cache.LayoutCache` key of the
+            packed layout, so staging can publish and pin it.
+    """
+
+    version: int
+    source: str
+    engine_kind: str = "tahoe"
+    forest: Forest | None = None
+    layout: ForestLayout | None = None
+    cache_key: tuple | None = None
+
+    @property
+    def label(self) -> str:
+        """Identity on responses and swap events, e.g. ``default@v3``."""
+        return f"{_MODEL_NAME}@v{self.version}"
 
 
 class ServingResult:
@@ -143,7 +225,7 @@ class TahoeServer:
         forest: trained forest to serve.
         spec: GPU model every replica runs on.
         scheduler: micro-batch mechanism knobs
-            (:class:`~repro.serving.api.SchedulerConfig`).
+            (:class:`SchedulerConfig`).
         config: engine configuration shared by every replica.
         hardware: pre-measured hardware parameters (measured once here
             otherwise and shared across the pool).
@@ -153,10 +235,6 @@ class TahoeServer:
         layout_cache: converted-layout cache; shared across the pool so
             the forest converts exactly once (and across servers, so a
             restart with an unchanged forest skips conversion entirely).
-        registry: model-version bookkeeping; a private one is created
-            otherwise.  The initial forest is registered as version 1 of
-            ``model_name`` and activated.
-        model_name: logical name the served model is registered under.
         packed: serve a packed ``.tahoe``
             :class:`~repro.modelstore.artifact.PackedModel` instead of a
             ``forest`` — the pool adopts the packed layout with zero
@@ -176,8 +254,6 @@ class TahoeServer:
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
         layout_cache: LayoutCache | None = None,
-        registry: ModelRegistry | None = None,
-        model_name: str = "default",
         packed=None,
         slo: SLOConfig | SLOMonitor | None = None,
     ) -> None:
@@ -195,19 +271,14 @@ class TahoeServer:
         self.recorder = recorder if recorder is not None else RunRecorder(
             tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
         )
-        self.registry = registry if registry is not None else ModelRegistry()
-        self.model_name = model_name
-        # Model-store state: staged pools by version, pending swap times.
-        self._staged: dict[int, list] = {}
+        # Model-store state: staged versions and their pools by version
+        # number, pending swap times.
+        self._n_versions = 0
+        self._staged: dict[int, tuple[ModelVersion, list]] = {}
         self._pending_swaps: list[tuple[float, int]] = []
         self._served_by_version: TallyCounter = TallyCounter()
         self.swap_events: list[dict] = []
-        version = self.registry.register(
-            name=model_name,
-            forest=forest,
-            packed=packed,
-            source="object" if packed is None else "artifact",
-        )
+        version = self._new_version(forest, packed)
         self._active_version = version
         self.engines = self._build_engines(version)
         self._active_key = self._version_key(version)
@@ -297,34 +368,34 @@ class TahoeServer:
             ]
         return [cls(version.forest, self.spec, **shared) for _ in range(self.config.n_engines)]
 
-    def stage(
-        self,
-        *,
-        forest: Forest | None = None,
-        packed=None,
-        source: str | None = None,
-        at_time: float = 0.0,
-        metadata: dict | None = None,
-    ) -> ModelVersion:
-        """Register a new model version and build its engine pool now.
+    def _new_version(self, forest: Forest | None, packed) -> ModelVersion:
+        """Number the next version of the served model."""
+        if (forest is None) == (packed is None):
+            raise ValueError("stage exactly one of forest= or packed=")
+        self._n_versions += 1
+        if packed is None:
+            return ModelVersion(self._n_versions, "object", forest=forest)
+        return ModelVersion(
+            self._n_versions,
+            "artifact",
+            packed.engine_kind,
+            layout=packed.layout,
+            cache_key=packed.cache_key,
+        )
+
+    def stage(self, *, forest: Forest | None = None, packed=None) -> ModelVersion:
+        """Number a new model version and build its engine pool now.
 
         All conversion work (or artifact adoption) happens here, off the
         request path; :meth:`swap` later is a pointer flip.  The staged
         layout is pinned in the cache alongside the active one, so
         neither can evict the other.
         """
-        version = self.registry.register(
-            name=self.model_name,
-            forest=forest,
-            packed=packed,
-            source=source,
-            at_time=at_time,
-            metadata=metadata,
-        )
+        version = self._new_version(forest, packed)
         key = self._version_key(version)
         if key is not None:
             self.layout_cache.pin(key)
-        self._staged[version.version] = self._build_engines(version)
+        self._staged[version.version] = (version, self._build_engines(version))
         return version
 
     def schedule_swap(self, version: int | None = None, *, at_time: float = 0.0) -> None:
@@ -348,21 +419,18 @@ class TahoeServer:
         In-flight work is untouched: batches already dispatched complete
         on the old pool (their responses are tagged with the old version
         label); everything still queued dispatches on the new pool.
-        Returns the swap event (also in :attr:`swap_events` and the
-        registry's history).
+        Returns the swap event (also in :attr:`swap_events`).
         """
         if version is None:
             if not self._staged:
                 raise ValueError("no staged version to swap to")
             version = max(self._staged)
-        engines = self._staged.pop(version, None)
-        if engines is None:
+        staged = self._staged.pop(version, None)
+        if staged is None:
             raise ValueError(f"version {version} is not staged")
         previous = self._active_version
-        self.engines = engines  # the swap: queued work now lands here
+        self._active_version, self.engines = staged  # queued work now lands here
         self._row_shape = self._model_row_shape()
-        self._active_version = self.registry.get(self.model_name, version)
-        event = self.registry.activate(self.model_name, version, at_time=now)
         new_key = self._version_key(self._active_version)
         if self._active_key is not None and self._active_key != new_key:
             self.layout_cache.unpin(self._active_key)
@@ -375,7 +443,15 @@ class TahoeServer:
         self.recorder.metrics.counter(
             "serving.model_swaps", help="hot swaps applied"
         ).inc()
-        event = dict(event, from_label=previous.label)
+        event = {
+            "model": _MODEL_NAME,
+            "from_version": previous.version,
+            "to_version": self._active_version.version,
+            "to_label": self._active_version.label,
+            "source": self._active_version.source,
+            "time": now,
+            "from_label": previous.label,
+        }
         self.swap_events.append(event)
         return event
 
@@ -482,12 +558,11 @@ class TahoeServer:
     ) -> ServingResult:
         """Serve a workload of timestamped requests.
 
-        ``workload`` is an iterable of requests or a
-        :class:`~repro.serving.api.Workload` (materialised with its own
-        seed over ``until`` — or its ``duration`` — as the horizon).
-        Requests are processed in arrival order.  With ``until=None``
-        the queue drains fully; otherwise the clock stops at ``until``
-        (due flushes applied, later arrivals held for the next call).
+        ``workload`` is an iterable of requests, processed in arrival
+        order.  With ``until=None`` the queue drains fully; otherwise the
+        clock stops at ``until`` (due flushes applied, later arrivals
+        held for the next call), so ``run(w, until=t)`` then ``run()``
+        serves exactly what a one-shot ``run(w)`` would.
         Returns one response per request resolved since the previous
         call (successes and structured rejections alike, including
         requests queued by a direct :meth:`submit`, but not a refusal
@@ -497,8 +572,9 @@ class TahoeServer:
         wall = self._wall
         t_start = time.perf_counter()
         dispatched = self._dispatch_seconds()
-        requests = self._pending + materialize_workload(workload, until)
-        self._pending = []
+        requests, self._pending = self._pending, []
+        if workload is not None:
+            requests.extend(workload)
         requests.sort(key=attrgetter("arrival_time"))
         for req in requests:
             if until is not None and req.arrival_time > until:

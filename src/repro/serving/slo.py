@@ -3,10 +3,9 @@
 An :class:`SLOMonitor` watches the response stream and evaluates
 latency/error-rate objectives over a sliding window of simulated time.
 When an objective flips from met to violated it emits a structured
-``slo.breach`` event (and ``slo.recovered`` on the way back), which is
-the machine-readable signal a replica autoscaler consumes — "p95 over
-budget for the current window" is precisely the scale-up trigger
-ROADMAP item 1 calls for.
+``slo.breach`` event (and ``slo.recovered`` on the way back).  The
+events land in the serving summary and the run report, so "p95 over
+budget for the current window" is machine-readable there.
 
 Objectives are declared on :class:`SLOConfig`; any subset may be set:
 

@@ -5,80 +5,20 @@ a target QPS keeps emitting requests whether or not the server keeps up,
 which is what exposes queueing collapse, deadline misses and the value
 of backpressure (closed-loop load generators famously hide all three).
 
-Every generator is a :class:`~repro.serving.api.Workload`: a frozen
-dataclass whose ``arrivals(rng, horizon)`` returns the request list for
-``[0, horizon)`` drawn from the given :class:`numpy.random.Generator`.
-:data:`WORKLOADS` maps traffic names to classes so the CLI's
-``--traffic poisson|burst|user-population`` is a pure registry lookup
-(:func:`make_workload` filters the flag soup down to each class's own
-fields).  The original :func:`poisson_workload` / :func:`burst_workload`
-functions remain, byte-for-byte deterministic as before, for callers
-that want a plain request list.
+Each generator returns a plain request list that
+:meth:`~repro.serving.server.TahoeServer.run` serves, deterministic
+given its ``seed``.  The user-population model
+(:class:`~repro.serving.population.UserPopulationWorkload`) is sampled
+through its ``arrivals(rng, horizon)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from repro.serving.population import UserPopulationWorkload
 from repro.serving.request import InferenceRequest
 
-__all__ = [
-    "WORKLOADS",
-    "BurstWorkload",
-    "PoissonWorkload",
-    "UserPopulationWorkload",
-    "burst_workload",
-    "make_workload",
-    "poisson_workload",
-]
-
-
-def _poisson_arrivals(
-    X_pool: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    qps: float,
-    duration: float,
-    max_request_samples: int = 1,
-    deadline: float | None = None,
-    start_time: float = 0.0,
-    start_id: int = 0,
-) -> list[InferenceRequest]:
-    """Core Poisson generator over an explicit rng (shared by the
-    function and class surfaces, so both stay deterministic)."""
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if max_request_samples < 1:
-        raise ValueError("max_request_samples must be >= 1")
-    requests: list[InferenceRequest] = []
-    t = 0.0
-    rid = start_id
-    while True:
-        t += rng.exponential(1.0 / qps)
-        if t >= duration:
-            break
-        k = (
-            1
-            if max_request_samples == 1
-            else int(rng.integers(1, max_request_samples + 1))
-        )
-        rows = rng.integers(0, X_pool.shape[0], size=k)
-        arrival = start_time + t
-        requests.append(
-            InferenceRequest(
-                request_id=rid,
-                X=X_pool[rows],
-                arrival_time=arrival,
-                deadline=(arrival + deadline) if deadline is not None else None,
-            )
-        )
-        rid += 1
-    return requests
+__all__ = ["burst_workload", "poisson_workload"]
 
 
 def poisson_workload(
@@ -109,16 +49,37 @@ def poisson_workload(
             (see :func:`burst_workload`).
         start_id: first request id (ids must stay unique across phases).
     """
-    return _poisson_arrivals(
-        X_pool,
-        np.random.default_rng(seed),
-        qps=qps,
-        duration=duration,
-        max_request_samples=max_request_samples,
-        deadline=deadline,
-        start_time=start_time,
-        start_id=start_id,
-    )
+    if qps <= 0:
+        raise ValueError("qps must be positive")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    if max_request_samples < 1:
+        raise ValueError("max_request_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    requests: list[InferenceRequest] = []
+    t = 0.0
+    rid = start_id
+    while True:
+        t += rng.exponential(1.0 / qps)
+        if t >= duration:
+            break
+        k = (
+            1
+            if max_request_samples == 1
+            else int(rng.integers(1, max_request_samples + 1))
+        )
+        rows = rng.integers(0, X_pool.shape[0], size=k)
+        arrival = start_time + t
+        requests.append(
+            InferenceRequest(
+                request_id=rid,
+                X=X_pool[rows],
+                arrival_time=arrival,
+                deadline=(arrival + deadline) if deadline is not None else None,
+            )
+        )
+        rid += 1
+    return requests
 
 
 def burst_workload(
@@ -180,120 +141,3 @@ def burst_workload(
             )
         )
     return requests
-
-
-@dataclass(frozen=True)
-class PoissonWorkload:
-    """Homogeneous Poisson traffic as a :class:`~repro.serving.api.Workload`.
-
-    ``duration`` is the default horizon when the server materialises the
-    workload without an explicit ``until``; ``seed`` seeds that
-    materialisation.
-    """
-
-    X_pool: np.ndarray
-    qps: float
-    duration: float
-    seed: int = 0
-    max_request_samples: int = 1
-    deadline: float | None = None
-
-    def arrivals(
-        self, rng: np.random.Generator, horizon: float
-    ) -> list[InferenceRequest]:
-        return _poisson_arrivals(
-            self.X_pool,
-            rng,
-            qps=self.qps,
-            duration=horizon,
-            max_request_samples=self.max_request_samples,
-            deadline=self.deadline,
-        )
-
-    def expected_arrivals(self, horizon: float) -> float:
-        """Analytic expected request count over ``[0, horizon)``."""
-        return self.qps * horizon
-
-
-@dataclass(frozen=True)
-class BurstWorkload:
-    """Steady traffic with a centred flash crowd, as a Workload.
-
-    Same shape as :func:`burst_workload` (the middle ``burst_fraction``
-    of the horizon runs at ``qps * burst_factor``), but drawn from one
-    rng sequentially across the phases.
-    """
-
-    X_pool: np.ndarray
-    qps: float
-    duration: float
-    burst_factor: float = 10.0
-    burst_fraction: float = 0.2
-    seed: int = 0
-    max_request_samples: int = 1
-    deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if not 0.0 <= self.burst_fraction < 1.0:
-            raise ValueError("burst_fraction must be in [0, 1)")
-
-    def arrivals(
-        self, rng: np.random.Generator, horizon: float
-    ) -> list[InferenceRequest]:
-        burst_len = horizon * self.burst_fraction
-        pre_len = (horizon - burst_len) / 2.0
-        phases = [(0.0, pre_len, self.qps)]
-        if burst_len > 0 and self.burst_factor > 1.0:
-            phases.append((pre_len, burst_len, self.qps * self.burst_factor))
-            phases.append((pre_len + burst_len, pre_len, self.qps))
-        else:
-            phases = [(0.0, horizon, self.qps)]
-        requests: list[InferenceRequest] = []
-        for start, length, rate in phases:
-            if length <= 0:
-                continue
-            requests.extend(
-                _poisson_arrivals(
-                    self.X_pool,
-                    rng,
-                    qps=rate,
-                    duration=length,
-                    max_request_samples=self.max_request_samples,
-                    deadline=self.deadline,
-                    start_time=start,
-                    start_id=len(requests),
-                )
-            )
-        return requests
-
-    def expected_arrivals(self, horizon: float) -> float:
-        burst_len = horizon * self.burst_fraction
-        steady_len = horizon - burst_len
-        return self.qps * (steady_len + burst_len * self.burst_factor)
-
-
-#: Traffic-name registry: ``repro serve --traffic <name>`` resolves here.
-WORKLOADS: dict[str, type] = {
-    "poisson": PoissonWorkload,
-    "burst": BurstWorkload,
-    "user-population": UserPopulationWorkload,
-}
-
-
-def make_workload(traffic: str, X_pool: np.ndarray, **kwargs):
-    """Instantiate the registered workload class for ``traffic``.
-
-    Keyword arguments the chosen class does not declare are silently
-    dropped, so one flag soup (qps, duration, burst_factor, n_users, …)
-    can feed every traffic model.
-    """
-    try:
-        cls = WORKLOADS[traffic]
-    except KeyError:
-        raise ValueError(
-            f"unknown traffic model {traffic!r}; choose from {sorted(WORKLOADS)}"
-        ) from None
-    accepted = {f.name for f in fields(cls)}
-    return cls(X_pool=X_pool, **{k: v for k, v in kwargs.items() if k in accepted})

@@ -226,6 +226,17 @@ class TestServeCommand:
         assert envelope["payload"]["config"]["traffic"] == traffic
         assert envelope["payload"]["summary"]["completed"] > 0
 
+    def test_serve_refuses_burst_factor_with_user_population(self, tmp_path, capsys):
+        # The user-population model has no burst: the flag would be ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["serve", "--bench", "--quick", "--traffic", "user-population",
+                 "--burst-factor", "20", "--out", str(tmp_path / "b.json")]
+            )
+        assert exc.value.code == 2
+        assert "--burst-factor" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+
     def test_predict_native_backend_bit_identical(self, forest_file, capsys):
         code = main(
             ["predict", "--forest", str(forest_file), "--dataset", "letter",

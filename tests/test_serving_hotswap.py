@@ -27,7 +27,7 @@ class TestHotSwapUnderTraffic:
     ):
         srv = _server(small_forest, p100)
         requests = poisson_workload(test_X, qps=4000, duration=0.05, seed=5)
-        srv.stage(forest=small_gbdt, at_time=0.02)
+        srv.stage(forest=small_gbdt)
         srv.schedule_swap(at_time=0.025)
         result = srv.run(requests)
 
@@ -63,10 +63,17 @@ class TestHotSwapUnderTraffic:
         result = srv.run(poisson_workload(test_X, qps=3000, duration=0.03, seed=2))
         events = result.summary["model"]["swap_events"]
         assert len(events) == 1
+        assert set(events[0]) == {
+            "model", "from_version", "to_version", "to_label", "source", "time",
+            "from_label",
+        }
+        assert events[0]["model"] == "default"
+        assert (events[0]["from_version"], events[0]["to_version"]) == (1, 2)
         assert events[0]["from_label"] == "default@v1"
         assert events[0]["to_label"] == "default@v2"
+        assert events[0]["source"] == "object"
         assert events[0]["time"] >= 0.01
-        assert srv.registry.events[-1]["to_version"] == 2
+        assert srv.swap_events == events
         assert (
             srv.recorder.metrics.counter("serving.model_swaps").value == 1
         )
@@ -81,6 +88,20 @@ class TestHotSwapUnderTraffic:
         assert srv.engines is not old_engines
         assert event["from_label"] == "default@v1"
         assert srv.target_batch >= 1  # flush point re-planned for the new model
+
+    def test_stage_numbers_versions_from_one_source(
+        self, small_forest, small_gbdt, p100
+    ):
+        srv = _server(small_forest, p100)
+        assert srv.active_version.label == "default@v1"
+        assert srv.active_version.source == "object"
+        staged = [srv.stage(forest=f) for f in (small_gbdt, small_forest)]
+        assert [mv.label for mv in staged] == ["default@v2", "default@v3"]
+        with pytest.raises(ValueError, match="exactly one"):
+            srv.stage()
+        with pytest.raises(ValueError, match="exactly one"):
+            srv.stage(forest=small_gbdt, packed=object())
+        assert srv.summary()["model"]["staged"] == [2, 3]
 
     def test_swap_requires_a_staged_version(self, small_forest, p100):
         srv = _server(small_forest, p100)
@@ -99,10 +120,16 @@ class TestStagingFromArtifact:
         packed = load_packed(pack_forest(small_gbdt, p100, tmp_path / "v2.tahoe").path)
         srv = _server(small_forest, p100)
         mv = srv.stage(packed=packed)
-        staged = srv._staged[mv.version]
+        assert mv.source == "artifact"
+        assert mv.layout is packed.layout
+        assert mv.cache_key == packed.cache_key
+        assert srv.summary()["model"]["staged"] == [mv.version]
+        event = srv.swap(mv.version)
+        assert event["source"] == "artifact"
+        # The swap only moves the staged pool in: it was built conversion-free.
+        staged = srv.engines
         assert all(e.conversion_stats.source == "artifact" for e in staged)
         assert all(e.layout is packed.layout for e in staged)
-        srv.swap(mv.version)
         cold = TahoeEngine(small_gbdt, p100)
         np.testing.assert_array_equal(
             srv.engines[0].predict(test_X).predictions,

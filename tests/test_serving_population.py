@@ -56,7 +56,6 @@ class TestIntensity:
             flash_factor=flash,
             session_requests_mean=mean,
             session_gap_mean=1e-4,
-            seed=seed,
         )
         requests = wl.arrivals(np.random.default_rng(seed), duration)
         expected = wl.expected_arrivals(duration)
@@ -70,7 +69,7 @@ class TestIntensity:
 
 class TestArrivalStructure:
     def test_deterministic_given_rng(self):
-        wl = _workload(seed=3)
+        wl = _workload()
         a = wl.arrivals(np.random.default_rng(3), wl.duration)
         b = wl.arrivals(np.random.default_rng(3), wl.duration)
         assert [r.arrival_time for r in a] == [r.arrival_time for r in b]
