@@ -50,7 +50,7 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 import common
-from repro.core import LayoutCache, TahoeEngine
+from repro.core import TahoeEngine
 from repro.core.native import (
     HAVE_NUMBA,
     NativeEngine,
@@ -226,7 +226,6 @@ def bench_serving(forest, spec, X, quick) -> dict:
             scheduler=SchedulerConfig(
                 n_engines=1, max_batch=1024, backend=backend, request_tracing=False
             ),
-            layout_cache=LayoutCache(),
         )
         requests = poisson_workload(
             X, qps=qps, duration=duration, seed=7, max_request_samples=512

@@ -38,10 +38,9 @@ Usage::
     python benchmarks/bench_wallclock.py            # full mode
     python benchmarks/bench_wallclock.py --quick    # CI perf-smoke mode
 
-The script *warns* (GitHub annotation + stderr) when a scenario runs
-more than ``--regress-factor`` (default 2x) slower than the committed
-baseline in ``benchmarks/results/BENCH_wallclock.json``; it never fails
-the build — CI runners are too noisy for a hard wall-clock gate.
+Regressions are judged by ``repro bench diff`` against the committed
+``benchmarks/results/BENCH_wallclock.json`` (warn-only in CI: runners
+are too noisy for a hard wall-clock gate).
 """
 
 from __future__ import annotations
@@ -203,42 +202,12 @@ def load_baseline() -> dict:
         return {}
 
 
-def check_regressions(
-    baseline: dict, fresh: dict, factor: float
-) -> list[str]:
-    """Warn-only comparison against the committed per-scenario numbers."""
-    warnings = []
-    for key, entry in fresh.items():
-        old = baseline.get(key)
-        if not old or old.get("wall_s", 0) <= 0:
-            continue
-        ratio = entry["wall_s"] / old["wall_s"]
-        if ratio > factor:
-            warnings.append(
-                f"{key}: {entry['wall_s'] * 1e3:.1f} ms is {ratio:.2f}x the "
-                f"baseline {old['wall_s'] * 1e3:.1f} ms (threshold {factor}x)"
-            )
-    return warnings
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI perf-smoke mode")
-    parser.add_argument(
-        "--regress-factor",
-        type=float,
-        default=2.0,
-        help="warn when a scenario is this many times slower than the baseline",
-    )
     args = parser.parse_args(argv)
-    baseline = load_baseline()
     fresh = run_scenarios(quick=args.quick)
-    for warning in check_regressions(baseline, fresh, args.regress_factor):
-        # GitHub Actions renders ::warning:: as an annotation; stderr for
-        # local runs.
-        print(f"::warning title=perf-smoke regression::{warning}")
-        print(f"PERF WARNING: {warning}", file=sys.stderr)
-    merged = dict(baseline)
+    merged = dict(load_baseline())
     merged.update(fresh)
     path = common.write_bench_report("wallclock", _payload(merged))
     print(f"wrote {path}")

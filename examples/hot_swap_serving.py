@@ -16,7 +16,7 @@ Run::
 import tempfile
 from pathlib import Path
 
-from repro import GPU_SPECS, LayoutCache
+from repro import GPU_SPECS
 from repro.modelstore import load_packed, pack_forest
 from repro.serving import SchedulerConfig, TahoeServer, poisson_workload
 from repro.trees import train_forest_for_spec
@@ -38,12 +38,8 @@ def main() -> None:
     artifact = pack_forest(forest_v2, spec, work / "letter_v2.tahoe").path
     print(f"packed v2 -> {artifact.name} ({artifact.stat().st_size} bytes)")
 
-    cache = LayoutCache()
     server = TahoeServer(
-        forest_v1,
-        spec,
-        scheduler=SchedulerConfig(n_engines=2, max_wait=2e-3),
-        layout_cache=cache,
+        forest_v1, spec, scheduler=SchedulerConfig(n_engines=2, max_wait=2e-3)
     )
     print(f"serving {server.active_version.label}")
 
@@ -74,8 +70,10 @@ def main() -> None:
     )
     for label, count in sorted(served.items()):
         print(f"  {label}: {count} requests")
-    # Both versions' layouts stayed pinned in the cache for the handover.
-    print(f"layout cache: {cache.stats()}")
+    # The server now holds only v2's pool; v1's layout was released at
+    # the swap, once its last dispatched batch was done.
+    conv = s["conversion"]
+    print(f"active layout: {conv['source']} ({conv['total_s'] * 1e3:.2f} ms conversion)")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Serving demo: micro-batching, deadlines, backpressure, layout cache.
+"""Serving demo: micro-batching, deadlines, backpressure, one shared layout.
 
 Trains a small letter random forest, stands up a :class:`TahoeServer`
 with two engine replicas on a simulated P100, and pushes an open-loop
@@ -6,7 +6,7 @@ Poisson workload through it — then shows what the serving layer adds on
 top of plain ``predict(X)``:
 
 * the §6 performance models choose the micro-batch flush point,
-* the second replica adopts the converted layout from the cache
+* the second replica adopts the first one's converted layout
   (conversion runs once, as a multi-GPU deployment should),
 * per-request deadlines and a bounded queue turn overload into
   structured rejections instead of exceptions,
@@ -20,7 +20,7 @@ Run::
 
 import numpy as np
 
-from repro import GPU_SPECS, LayoutCache
+from repro import GPU_SPECS
 from repro.serving import (
     InferenceRequest,
     SchedulerConfig,
@@ -36,17 +36,15 @@ def main() -> None:
     forest, X_pool = workload.forest, workload.split.test.X
 
     # --- one server, two replicas, one conversion -------------------------
-    cache = LayoutCache()
     server = TahoeServer(
         forest,
         spec,
         scheduler=SchedulerConfig(n_engines=2, max_wait=2e-3, max_queue=256),
-        layout_cache=cache,
     )
     print(f"model-chosen flush point: {server.target_batch} samples")
     for g, engine in enumerate(server.engines):
         stats = engine.conversion_stats
-        how = "layout-cache hit" if stats.cache_hit else "full conversion"
+        how = "full conversion" if stats.source == "pipeline" else "adopted replica 0's layout"
         print(f"  replica {g}: {how} ({stats.total * 1e3:.2f} ms)")
 
     # --- healthy open-loop traffic ---------------------------------------
@@ -70,13 +68,14 @@ def main() -> None:
     )
 
     # --- overload: the bounded queue pushes back -------------------------
+    # A second server owns its own layout, so it converts the forest again
+    # (a packed .tahoe artifact is what lets a new server skip that).
     crowded = TahoeServer(
         forest,
         spec,
         scheduler=SchedulerConfig(
             n_engines=1, max_queue=8, target_batch=10_000, max_wait=10.0
         ),
-        layout_cache=cache,  # warm: this construction converts nothing
     )
     burst = [
         InferenceRequest(request_id=i, X=X_pool[i % len(X_pool)], arrival_time=1e-9 * i)
@@ -89,7 +88,10 @@ def main() -> None:
         f"{len(rej)} rejected with code "
         f"{rej[0].error.code!r} — no exceptions, just structured errors"
     )
-    print(f"layout cache after both servers: {cache.stats()}")
+    conversions = [
+        int(srv.metrics().counter("conversions_total").value) for srv in (server, crowded)
+    ]
+    print(f"conversions per server (2 replicas, then 1): {conversions}")
 
 
 if __name__ == "__main__":

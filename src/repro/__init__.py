@@ -28,7 +28,6 @@ from repro.core import (
     Engine,
     EngineResult,
     FILEngine,
-    LayoutCache,
     ObsConfig,
     TahoeConfig,
     TahoeEngine,
@@ -48,7 +47,6 @@ __all__ = [
     "Forest",
     "GPUSpec",
     "GPU_SPECS",
-    "LayoutCache",
     "ObsConfig",
     "TahoeConfig",
     "TahoeEngine",

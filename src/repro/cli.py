@@ -369,7 +369,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core import LayoutCache
     from repro.obs.benchdiff import bench_envelope
     from repro.obs.exporters import jsonable, write_serving_trace
     from repro.serving import (
@@ -395,7 +394,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     workload = train_forest_for_spec(
         args.dataset, scale=args.scale, tree_scale=args.tree_scale, seed=args.seed
     )
-    cache = LayoutCache()
     scheduler = SchedulerConfig(
         n_engines=args.n_engines,
         max_batch=args.max_batch,
@@ -409,9 +407,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         window=args.slo_window_ms / 1e3,
     )
     deadline = args.deadline_ms / 1e3 if args.deadline_ms else None
-    traffic = args.traffic
-    if traffic == "poisson" and args.burst_factor > 1.0:
-        traffic = "burst"  # back-compat: --burst-factor implied burst traffic
+    # The factor the traffic runs with: 1 (flat) for poisson and
+    # user-population, --burst-factor or burst_workload's default 10 for
+    # burst.  A factor above 1 alone implies burst traffic.
+    traffic, burst_factor = args.traffic, 1.0
+    if traffic == "poisson" and (args.burst_factor or 1.0) > 1.0:
+        traffic = "burst"
+    if traffic == "burst":
+        burst_factor = args.burst_factor if args.burst_factor is not None else 10.0
     X_pool = workload.split.test.X
     shape = dict(qps=args.qps, duration=args.duration, deadline=deadline)
     if traffic == "user-population":
@@ -419,9 +422,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             np.random.default_rng(args.seed), args.duration
         )
     elif traffic == "burst":
-        # burst_workload's own factor unless --burst-factor names one
-        burst = {"burst_factor": args.burst_factor} if args.burst_factor > 1.0 else {}
-        requests = burst_workload(X_pool, seed=args.seed, **shape, **burst)
+        requests = burst_workload(
+            X_pool, seed=args.seed, burst_factor=burst_factor, **shape
+        )
     else:
         requests = poisson_workload(X_pool, seed=args.seed, **shape)
     forest, packed = workload.forest, None
@@ -433,7 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         packed=packed,
         scheduler=scheduler,
         slo=slo,
-        layout_cache=cache,
     )
     if packed is not None:
         print(f"serving packed layout {args.forest} (conversion skipped)")
@@ -441,7 +443,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     s = result.summary
     layers = dict(server.wall_layers(), time_domain="wall")
     scenario = (
-        f"serving/{args.dataset}/{args.gpu}/qps{args.qps:g}x{args.burst_factor:g}"
+        f"serving/{args.dataset}/{args.gpu}/qps{args.qps:g}x{burst_factor:g}"
         f"/d{args.duration:g}/e{args.n_engines}/{args.backend}"
     )
     if traffic != "poisson":
@@ -455,7 +457,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "traffic": traffic,
             "qps": args.qps,
             "duration_s": args.duration,
-            "burst_factor": args.burst_factor,
+            "burst_factor": burst_factor,
             "n_engines": args.n_engines,
             "max_batch": args.max_batch,
             "max_wait_ms": args.max_wait_ms,
@@ -538,18 +540,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(threshold {calib['ranking_risk_threshold']:.0%}) — "
             + ("DRIFTED" if calib["drifted"] else "healthy")
         )
-    hits = s["layout_cache"]["hits"]
+    conv = s["conversion"]
     print(
-        f"layout cache: {hits} hit(s), {s['layout_cache']['misses']} miss(es) — "
-        f"replica conversions: "
-        + ", ".join(
-            f"{'hit' if c['cache_hit'] else 'miss'} {c['total_s'] * 1e3:.2f} ms"
-            for c in s["conversions"]
-        )
+        f"conversion: {conv['source']} {conv['total_s'] * 1e3:.2f} ms, "
+        f"shared by {s['n_engines']} engine(s)"
     )
     print(f"wrote {out}")
     sustained = s["achieved_qps"] >= 0.9 * min(args.qps, s["offered_qps"])
-    if not sustained and args.burst_factor <= 1.0:
+    if not sustained and burst_factor <= 1.0:
         print("WARNING: configured QPS not sustained", file=sys.stderr)
     return 0
 
@@ -900,9 +898,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request latency budget (0 disables deadlines)",
     )
     p.add_argument(
-        "--burst-factor", type=float, default=1.0,
+        "--burst-factor", type=float, default=None,
         help="overload burst: middle 20%% of the window runs at "
-        "qps * FACTOR (1 disables; try 20 to exercise the SLO monitor)",
+        "qps * FACTOR (1 disables; --traffic burst defaults to 10; "
+        "above 1 alone implies --traffic burst; try 20 to exercise the "
+        "SLO monitor)",
     )
     p.add_argument(
         "--slo-p95-ms", type=float, default=10.0,
@@ -966,7 +966,7 @@ def main(argv: list[str] | None = None) -> int:
     if (
         args.func is _cmd_serve
         and args.traffic == "user-population"
-        and args.burst_factor > 1.0
+        and (args.burst_factor or 1.0) > 1.0
     ):
         parser.error(
             "--burst-factor applies to poisson and burst traffic, "

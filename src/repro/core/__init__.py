@@ -20,15 +20,12 @@
 * :func:`~repro.core.engine.convert_forest` — the one online conversion
   pipeline (Algorithm 1 lines 5–7) from a forest and a
   :class:`TahoeConfig` to the adaptive layout.
-* :class:`~repro.core.cache.LayoutCache` — converted-forest reuse, so
-  rebuilding an engine (or a server replica) from an unchanged forest
-  skips the conversion pipeline.
 * :mod:`repro.core.metrics` — throughput / speedup / CV helpers used by
   every benchmark.
 * :func:`engine_class` — which engine class serves a packed format
   (``tahoe``/``fil``) on a backend; its
-  :meth:`~repro.core.base.LayoutEngine.conversion_key` is the layout's
-  cache key.
+  :meth:`~repro.core.base.LayoutEngine.conversion_key` names the knobs
+  the layout was converted with.
 """
 
 from repro.core.base import (
@@ -39,7 +36,6 @@ from repro.core.base import (
     EngineResult,
     LayoutEngine,
 )
-from repro.core.cache import LayoutCache
 from repro.core.config import ObsConfig, TahoeConfig
 from repro.core.engine import TahoeEngine, convert_forest
 from repro.core.fil import FILEngine
@@ -66,7 +62,6 @@ __all__ = [
     "Engine",
     "EngineResult",
     "FILEngine",
-    "LayoutCache",
     "LayoutEngine",
     "NativeEngine",
     "TIME_DOMAIN_SIMULATED",

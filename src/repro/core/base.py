@@ -6,8 +6,8 @@ Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
 :class:`Engine` protocol:
 
 * construction is ``Engine(forest, spec, *, config=..., hardware=...,
-  recorder=..., layout_cache=...)`` — everything after ``(forest, spec)``
-  is keyword-only,
+  recorder=...)`` — everything after ``(forest, spec)`` is
+  keyword-only,
 * inference is ``predict(X, *, batch_size=None, report=False)`` and
   returns an :class:`EngineResult` (or a subclass),
 * ``update_forest(forest)`` returns the :class:`ConversionStats` of the
@@ -16,8 +16,8 @@ Every engine in :mod:`repro.core` — :class:`~repro.core.engine.TahoeEngine`,
   batch")`` instead of failing mid-batch.
 
 The three engines share one lifecycle, :class:`LayoutEngine`
-(Algorithm 1): convert the forest on load behind the layout cache, ship
-the layout to the execution target, then run inference batch by batch.
+(Algorithm 1): convert the forest on load, ship the layout to the
+execution target, then run inference batch by batch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.obs.recorder import RunRecorder
 from repro.obs.trace import span
@@ -57,13 +56,11 @@ __all__ = [
 class ConversionStats:
     """Wall-clock seconds of the online CPU part (section 7.4's five stages).
 
-    ``cache_hit`` marks a conversion the
-    :class:`~repro.core.cache.LayoutCache` satisfied without running the
-    pipeline — the stage timings are then all zero and ``t_cache_lookup``
-    is the only cost paid.  ``source`` records where the layout came
-    from: ``"pipeline"`` (the five stages ran), ``"cache"`` (layout-cache
-    hit) or ``"artifact"`` (loaded pre-converted from a packed ``.tahoe``
-    file — every stage time is exactly zero).  ``node_encoding`` is the
+    ``source`` records where the layout came from: ``"pipeline"`` (the
+    five stages ran) or ``"artifact"`` (adopted pre-converted through
+    :meth:`LayoutEngine.from_layout` — from a packed ``.tahoe`` file, or
+    from the replica of a serving pool that converted it — so every
+    stage time is exactly zero).  ``node_encoding`` is the
     layout's node-record label (``w8/f32``, ``legacy-a1``, ...), filled
     in by the engine adopting the layout.
     """
@@ -73,8 +70,6 @@ class ConversionStats:
     t_similarity_detection: float = 0.0
     t_format_conversion: float = 0.0
     t_copy_to_gpu: float = 0.0
-    t_cache_lookup: float = 0.0
-    cache_hit: bool = False
     source: str = "pipeline"
     node_encoding: str | None = None
 
@@ -86,7 +81,6 @@ class ConversionStats:
             + self.t_similarity_detection
             + self.t_format_conversion
             + self.t_copy_to_gpu
-            + self.t_cache_lookup
         )
 
 
@@ -173,14 +167,13 @@ def prediction_buffer(n: int, n_classes: int) -> np.ndarray:
 class LayoutEngine:
     """The lifecycle every layout-executing engine shares (Algorithm 1).
 
-    On load the forest is converted (stages 1-4) behind the
-    :class:`~repro.core.cache.LayoutCache`, the layout is shipped to the
-    execution target (stage 5), and the finished layout is adopted;
-    :meth:`from_layout` adopts a pre-converted one instead.  Inference
-    then runs batch by batch.  A subclass supplies five things:
+    On load the forest is converted (stages 1-4), the layout is shipped
+    to the execution target (stage 5), and the finished layout is
+    adopted; :meth:`from_layout` adopts a pre-converted one instead.
+    Inference then runs batch by batch.  A subclass supplies five things:
 
-    * :meth:`conversion_key` — the knobs its conversion depends on (the
-      layout-cache key);
+    * :meth:`conversion_key` — the knobs its conversion depends on (a
+      packed artifact records them);
     * :meth:`_convert_stages` and :meth:`_ship` — the stages that build
       its layout (1-4, then 5);
     * :meth:`_install` — what adoption installs beside the layout;
@@ -208,12 +201,11 @@ class LayoutEngine:
         config: TahoeConfig | None = None,
         hardware: "HardwareParams | None" = None,
         recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
     ) -> None:
-        self._init_common(spec, config, hardware, recorder, layout_cache)
+        self._init_common(spec, config, hardware, recorder)
         self._convert(forest)
 
-    def _init_common(self, spec, config, hardware, recorder, layout_cache) -> None:
+    def _init_common(self, spec, config, hardware, recorder) -> None:
         self.spec = spec
         self.config = config if config is not None else TahoeConfig()
         obs = self.config.obs
@@ -221,7 +213,6 @@ class LayoutEngine:
             tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
         )
         self.hardware = hardware or self._measure_hardware(spec)
-        self.layout_cache = layout_cache
         self.layout: ForestLayout | None = None
         self.conversion_stats = ConversionStats()
 
@@ -231,24 +222,21 @@ class LayoutEngine:
         layout: "ForestLayout",
         spec: "GPUSpec",
         *,
-        cache_key: tuple | None = None,
         config: TahoeConfig | None = None,
         hardware: "HardwareParams | None" = None,
         recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
     ):
         """Build an engine around an already-converted layout.
 
-        The packed-artifact fast path (:mod:`repro.modelstore.artifact`):
-        no conversion stage runs, so ``conversion_stats`` reports zero
-        time for every stage with ``source="artifact"``.  When
-        ``cache_key`` and ``layout_cache`` are both given the layout is
-        published to the cache, so later engines built from the *source*
-        forest hit it.
+        The packed-artifact fast path (:mod:`repro.modelstore.artifact`),
+        and how a serving pool's other replicas share the layout its
+        first replica converted: no conversion stage runs, so
+        ``conversion_stats`` reports zero time for every stage with
+        ``source="artifact"``, and the recorder counts no conversion.
         """
         engine = cls.__new__(cls)
-        engine._init_common(spec, config, hardware, recorder, layout_cache)
-        engine._adopt_layout(layout, ConversionStats(source="artifact"), cache_key)
+        engine._init_common(spec, config, hardware, recorder)
+        engine._adopt_layout(layout, ConversionStats(source="artifact"))
         return engine
 
     # ------------------------------------------------------------------
@@ -260,7 +248,7 @@ class LayoutEngine:
 
     @classmethod
     def conversion_key(cls, config: TahoeConfig | None) -> tuple:
-        """The layout-cache key of this engine's conversion under ``config``."""
+        """The knobs this engine's conversion depends on under ``config``."""
         return (config if config is not None else TahoeConfig()).conversion_key()
 
     def _convert_stages(self, forest: "Forest") -> "tuple[ForestLayout, ConversionStats]":
@@ -290,38 +278,15 @@ class LayoutEngine:
     # ------------------------------------------------------------------
     # Online part: conversion and adoption (Algorithm 1, lines 5-7)
     # ------------------------------------------------------------------
-    def _adopt_layout(
-        self,
-        layout: "ForestLayout",
-        stats: ConversionStats,
-        cache_key: tuple | None = None,
-    ) -> None:
-        """Install a finished layout and record its conversion stats."""
+    def _adopt_layout(self, layout: "ForestLayout", stats: ConversionStats) -> None:
+        """Install a finished layout and keep its conversion stats."""
         self.layout = layout
         self.forest = layout.forest
         stats.node_encoding = layout.record.encoding_label
         self._install(layout)
         self.conversion_stats = stats
-        self.recorder.record_conversion(stats)
-        if self.layout_cache is not None and cache_key is not None:
-            self.layout_cache.put(cache_key, layout)
 
     def _convert(self, forest: "Forest") -> None:
-        cache_key = None
-        if self.layout_cache is not None:
-            t0 = time.perf_counter()
-            cache_key = LayoutCache.key(forest, self.spec, self.conversion_key(self.config))
-            cached = self.layout_cache.get(cache_key)
-            lookup = time.perf_counter() - t0
-            if cached is not None:
-                with self.recorder.activate(), span(
-                    "engine.convert", category="conversion", cache_hit=True
-                ):
-                    stats = ConversionStats(
-                        t_cache_lookup=lookup, cache_hit=True, source="cache"
-                    )
-                self._adopt_layout(cached, stats)
-                return
         with self.recorder.activate(), span(
             "engine.convert",
             category="conversion",
@@ -334,7 +299,8 @@ class LayoutEngine:
             with span("copy_to_gpu", category="conversion", bytes=layout.total_bytes):
                 self._ship(layout)
             stats.t_copy_to_gpu = time.perf_counter() - t4
-        self._adopt_layout(layout, stats, cache_key)
+        self._adopt_layout(layout, stats)
+        self.recorder.record_conversion(stats)
 
     def update_forest(self, forest: "Forest") -> ConversionStats:
         """Incremental learning hook: reconvert for an updated forest."""

@@ -96,10 +96,10 @@ class TahoeConfig:
     def conversion_key(self) -> tuple:
         """The knobs the conversion pipeline's output depends on.
 
-        Hashable; part of the :class:`~repro.core.cache.LayoutCache`
-        key.  Runtime-only knobs (strategy override, observability,
-        edge counting) deliberately excluded — they never change the
-        layout.
+        Hashable; recorded in a packed artifact's header as the
+        provenance of its layout.  Runtime-only knobs (strategy
+        override, observability, edge counting) deliberately excluded —
+        they never change the layout.
         """
         key = (
             self.t_nodes,

@@ -46,8 +46,8 @@ def convert_forest(forest: Forest, config: TahoeConfig) -> tuple[ForestLayout, C
     The shared online pipeline behind every adaptive-layout consumer:
     :class:`TahoeEngine` and :class:`~repro.core.native.NativeEngine`
     both call this, so the two backends produce byte-identical layouts
-    for the same ``(forest, config)`` — which is what lets them share
-    :class:`~repro.core.cache.LayoutCache` entries under the same key.
+    for the same ``(forest, config)`` — which is what lets either adopt
+    a layout the other converted (:meth:`~repro.core.base.LayoutEngine.from_layout`).
     Stage 5 (shipping the layout to the execution target: the simulated
     GPU image, or the native flat arrays) stays engine-specific; its
     time goes into the returned stats' ``t_copy_to_gpu`` by the caller.
@@ -115,9 +115,6 @@ class TahoeEngine(LayoutEngine):
         hardware: pre-measured hardware parameters (reuse across engines
             on the same GPU; measured on demand otherwise).
         recorder: telemetry sink (built from ``config.obs`` otherwise).
-        layout_cache: converted-layout cache shared across engines; a
-            hit skips the whole conversion pipeline (``conversion_stats``
-            records it).
     """
 
     report_name = "tahoe"

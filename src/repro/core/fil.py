@@ -69,7 +69,6 @@ class FILEngine(LayoutEngine):
             node encoding are honoured.
         hardware: accepted for uniformity (FIL needs no microbenchmarks).
         recorder: telemetry sink (built from ``config.obs`` otherwise).
-        layout_cache: reorg-layout cache shared across engines.
     """
 
     report_name = "fil"

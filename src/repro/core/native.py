@@ -34,10 +34,10 @@ kernel without it.  The scalar kernel stays callable in pure Python as
 the reference the tests compare the numpy kernel against.
 
 The engine conforms to the shared :class:`~repro.core.base.Engine`
-surface and shares the :class:`~repro.core.cache.LayoutCache` with
-:class:`TahoeEngine` under the *same* key — converting a forest for one
-backend makes it free for the other, and packed ``.tahoe`` artifacts
-adopt with zero conversion via :meth:`NativeEngine.from_layout`.
+surface and converts with the *same* pipeline as :class:`TahoeEngine` —
+a layout converted for one backend can be adopted by the other, and
+packed ``.tahoe`` artifacts adopt with zero conversion via
+:meth:`NativeEngine.from_layout`.
 """
 
 from __future__ import annotations
@@ -502,20 +502,17 @@ class NativeEngine(LayoutEngine):
     Satisfies the shared :class:`~repro.core.base.Engine` surface.
     Construction from a forest runs the *same* conversion stages as
     :class:`TahoeEngine` (via :func:`~repro.core.engine.convert_forest`)
-    under the *same* layout-cache key, so the two backends trade
-    finished layouts freely; stage 5 ("copy to device") builds the flat
-    native arrays instead of the simulated GPU image.
+    under the *same* conversion key, so the two backends trade finished
+    layouts freely; stage 5 ("copy to device") builds the flat native
+    arrays instead of the simulated GPU image.
 
     Args:
         forest: trained forest to convert and flatten.
         spec: GPU model used for the simulated-GPU half of the hardware
-            ranking (the §6 candidate the native target is compared to)
-            and for the layout-cache key.
+            ranking (the §6 candidate the native target is compared to).
         config: conversion knobs shared with the Tahoe pipeline.
         hardware: pre-measured §6 hardware parameters (for the ranking).
         recorder: telemetry sink (built from ``config.obs`` otherwise).
-        layout_cache: converted-layout cache shared across engines and
-            backends.
     """
 
     report_name = "native"

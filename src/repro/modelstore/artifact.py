@@ -22,8 +22,8 @@ File format, version 5 (all integers little-endian)::
     8 bytes   magic  b"TAHOEPK\\0"
     4 bytes   u32 header length H
     H bytes   JSON header: artifact version, engine kind, GPU spec name,
-              conversion key, the source forest's fingerprint (the
-              LayoutCache key), forest + layout scalars, and a section
+              conversion key and the source forest's fingerprint (the
+              layout's provenance), forest + layout scalars, and a section
               table of ``[name, dtype, length, crc32]`` rows in file order
     4 bytes   u32 crc32 of the H header bytes
     ...       the sections, back to back, each a little-endian ndarray:
@@ -41,9 +41,8 @@ A load is a fixed number of crc32-checked reads, one
 validation pass; the layout's trees are read-only views into the block.
 
 The header stores the **source** forest's fingerprint (the forest as it
-looked *before* conversion), so the packed layout can be published into a
-:class:`~repro.core.cache.LayoutCache` under the exact key a cold engine
-built from the original JSON would look up.
+looked *before* conversion) and the conversion knobs, so an artifact
+names the forest and the configuration its layout was converted from.
 """
 
 from __future__ import annotations
@@ -259,9 +258,9 @@ def pack_layout(
             format belongs to.
         spec_name: GPU spec the layout targets (recorded; the strategy
             ranking depends on it only at predict time).
-        conversion_key: the config half of the layout-cache key.
+        conversion_key: the conversion knobs the layout was built with.
         source_fingerprint: ``Forest.fingerprint()`` of the forest as it
-            was *before* conversion — the content half of the cache key.
+            was *before* conversion.
     """
     forest, record, block = layout.forest, layout.record, layout.block
     mode = record.threshold_mode
@@ -508,12 +507,6 @@ class PackedModel:
         return _tupleize(self.header["conversion_key"])
 
     @property
-    def cache_key(self) -> tuple:
-        """The :class:`~repro.core.cache.LayoutCache` key a cold engine
-        built from the *source* forest would compute."""
-        return (self.source_fingerprint, self.spec_name, self.conversion_key)
-
-    @property
     def node_encoding(self) -> str:
         """On-disk node-record label (``w8/f32``, ``legacy-a1``, ...)."""
         return self.layout.record.encoding_label
@@ -541,7 +534,6 @@ class PackedModel:
         config=None,
         hardware=None,
         recorder=None,
-        layout_cache=None,
         backend=None,
     ):
         """Build a servable engine from the packed layout — no conversion.
@@ -552,9 +544,7 @@ class PackedModel:
         :class:`~repro.core.native.NativeEngine` executing the packed
         layout (either format) on the host at wall-clock speed;
         ``backend=None`` or ``"simulated"`` keeps the format-matched
-        simulator engine.  When ``layout_cache`` is given the layout is
-        published under :attr:`cache_key`, so engines later built from
-        the source forest hit the cache instead of reconverting.
+        simulator engine.
         """
         from repro.core import engine_class
 
@@ -571,9 +561,7 @@ class PackedModel:
         return engine_class(self.engine_kind, backend).from_layout(
             self.layout,
             spec,
-            cache_key=self.cache_key,
             config=config,
             hardware=hardware,
             recorder=recorder,
-            layout_cache=layout_cache,
         )

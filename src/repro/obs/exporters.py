@@ -186,7 +186,6 @@ def write_chrome_trace(tracer: Tracer, path: str | Path, **kwargs) -> Path:
 SERVING_STAGE_ORDER = (
     "queue_wait",
     "batch_assembly",
-    "cache_lookup",
     "kernel",
     "reduction",
     "response_fanout",

@@ -77,11 +77,6 @@ class RunRecorder:
         self.metrics.counter(
             "conversions_total", help="online format conversions performed"
         ).inc()
-        if record.cache_hit:
-            self.metrics.counter(
-                "conversion_cache_hits_total",
-                help="conversions satisfied by the layout cache",
-            ).inc()
         self.metrics.gauge(
             "conversion_last_seconds", help="wall-clock cost of the last conversion"
         ).set(record.total)

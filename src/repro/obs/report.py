@@ -136,15 +136,12 @@ class SelectorDecision:
 class ConversionRecord:
     """Wall-clock seconds of one online conversion (section 7.4 stages).
 
-    ``cache_hit`` marks a conversion the layout cache satisfied without
-    running the pipeline (stage timings then hold only the lookup cost).
     ``node_encoding`` is the produced layout's node-record label
     (``w8/f32``, ``legacy-a1``, ...).
     """
 
     stages: dict = field(default_factory=dict)
     total: float = 0.0
-    cache_hit: bool = False
     node_encoding: str | None = None
 
     @classmethod
@@ -158,7 +155,6 @@ class ConversionRecord:
         return cls(
             stages=stages,
             total=sum(stages.values()),
-            cache_hit=bool(getattr(stats, "cache_hit", False)),
             node_encoding=getattr(stats, "node_encoding", None),
         )
 
@@ -166,7 +162,6 @@ class ConversionRecord:
         return {
             "stages": dict(self.stages),
             "total": self.total,
-            "cache_hit": self.cache_hit,
             "node_encoding": self.node_encoding,
         }
 
@@ -175,7 +170,6 @@ class ConversionRecord:
         return cls(
             stages=dict(d["stages"]),
             total=d["total"],
-            cache_hit=bool(d.get("cache_hit", False)),
             node_encoding=d.get("node_encoding"),
         )
 

@@ -15,7 +15,7 @@ waited ``max_wait``, whichever comes first.
 
 Batches dispatch round-robin onto a pool of engine replicas (the
 multi-GPU deployment: one engine per device, all sharing a single
-converted layout through the :class:`~repro.core.cache.LayoutCache`).
+converted layout: the first replica converts, the rest adopt its layout).
 Admission control is a bounded queue — arrivals beyond ``max_queue``
 are rejected immediately with a structured error (backpressure), and
 requests whose deadline has passed by dispatch time are rejected
@@ -28,8 +28,9 @@ for a new version *off* the hot path (conversion, or a packed artifact's
 zero-conversion load), and :meth:`swap`/:meth:`schedule_swap` flip the
 pool between micro-batches: dispatched batches complete on the old
 engines, queued requests dispatch on the new ones, and nothing is
-dropped.  The active version's layout is pinned in the cache so staging
-churn can never evict the model currently serving traffic.
+dropped.  The active and staged pools are the only owners of their
+layouts, so a swapped-out version's layout is freed once its last
+batch is done.
 
 Everything runs on the simulated clock: arrivals are simulated seconds,
 service times are the engines' simulated GPU seconds, so the whole
@@ -56,7 +57,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core import engine_class
-from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.formats.layout import ForestLayout
 from repro.gpusim.specs import GPUSpec
@@ -168,8 +168,6 @@ class ModelVersion:
             conversion pipeline runs when the version's pool is built.
         layout: packed, pre-converted layout (``None`` for a forest);
             building the pool from it is conversion-free.
-        cache_key: :class:`~repro.core.cache.LayoutCache` key of the
-            packed layout, so staging can publish and pin it.
     """
 
     version: int
@@ -177,7 +175,6 @@ class ModelVersion:
     engine_kind: str = "tahoe"
     forest: Forest | None = None
     layout: ForestLayout | None = None
-    cache_key: tuple | None = None
 
     @property
     def label(self) -> str:
@@ -192,7 +189,8 @@ class ServingResult:
         responses: one per request this run resolved, by request id.
             The result owns them: the server keeps no reference.
         summary: JSON-ready aggregate statistics (latency quantiles,
-            batch-size histogram, rejection/deadline counters, cache).
+            batch-size histogram, rejection/deadline counters, the
+            active version's conversion).
             Built on first read from what the run froze at its end, so
             it equals what an eager summary would have returned then,
             and a caller that never reads it never pays for it.
@@ -232,9 +230,6 @@ class TahoeServer:
         recorder: telemetry sink shared by the server and every engine
             replica it builds, so each served micro-batch is recorded
             once (fresh one from ``config.obs`` otherwise).
-        layout_cache: converted-layout cache; shared across the pool so
-            the forest converts exactly once (and across servers, so a
-            restart with an unchanged forest skips conversion entirely).
         packed: serve a packed ``.tahoe``
             :class:`~repro.modelstore.artifact.PackedModel` instead of a
             ``forest`` — the pool adopts the packed layout with zero
@@ -253,7 +248,6 @@ class TahoeServer:
         config: TahoeConfig | None = None,
         hardware: HardwareParams | None = None,
         recorder: RunRecorder | None = None,
-        layout_cache: LayoutCache | None = None,
         packed=None,
         slo: SLOConfig | SLOMonitor | None = None,
     ) -> None:
@@ -266,7 +260,6 @@ class TahoeServer:
         self.engine_config = config if config is not None else TahoeConfig()
         hardware = hardware or measure_hardware_parameters(spec)
         self.hardware = hardware
-        self.layout_cache = layout_cache if layout_cache is not None else LayoutCache()
         obs = self.engine_config.obs
         self.recorder = recorder if recorder is not None else RunRecorder(
             tracing=obs.tracing, metrics=obs.metrics, max_spans=obs.max_spans
@@ -281,9 +274,6 @@ class TahoeServer:
         version = self._new_version(forest, packed)
         self._active_version = version
         self.engines = self._build_engines(version)
-        self._active_key = self._version_key(version)
-        if self._active_key is not None:
-            self.layout_cache.pin(self._active_key)
         #: The per-sample cost curve the flush point was planned from
         #: (``None`` when ``target_batch`` was given).
         self.flush_plan: dict | None = None
@@ -332,41 +322,26 @@ class TahoeServer:
     # ------------------------------------------------------------------
     # Model store: staging and hot swap
     # ------------------------------------------------------------------
-    def _version_key(self, version: ModelVersion) -> tuple | None:
-        """The layout-cache key under which ``version``'s layout lives."""
-        if version.cache_key is not None:
-            return version.cache_key
-        if version.forest is not None:
-            cls = engine_class(version.engine_kind, self.config.backend)
-            return LayoutCache.key(
-                version.forest, self.spec, cls.conversion_key(self.engine_config)
-            )
-        return None
-
     def _build_engines(self, version: ModelVersion) -> list:
         """A full replica pool for ``version`` — the expensive part of a
-        deployment, run off the hot path by :meth:`stage`."""
+        deployment, run off the hot path by :meth:`stage`.
+
+        The first replica converts the forest (or adopts the packed
+        layout); every other replica adopts the first one's layout, so
+        a pool converts once and shares one layout object.
+        """
         cls = engine_class(version.engine_kind, self.config.backend)
         shared = dict(
-            config=self.engine_config,
-            hardware=self.hardware,
-            recorder=self.recorder,
-            layout_cache=self.layout_cache,
+            config=self.engine_config, hardware=self.hardware, recorder=self.recorder
         )
         if version.layout is not None:
-            # Packed artifact: zero conversion.  The first replica
-            # publishes the layout under its source cache key; the rest
-            # share the same object directly.
-            return [
-                cls.from_layout(
-                    version.layout,
-                    self.spec,
-                    cache_key=version.cache_key if i == 0 else None,
-                    **shared,
-                )
-                for i in range(self.config.n_engines)
-            ]
-        return [cls(version.forest, self.spec, **shared) for _ in range(self.config.n_engines)]
+            first = cls.from_layout(version.layout, self.spec, **shared)
+        else:
+            first = cls(version.forest, self.spec, **shared)
+        return [first] + [
+            cls.from_layout(first.layout, self.spec, **shared)
+            for _ in range(self.config.n_engines - 1)
+        ]
 
     def _new_version(self, forest: Forest | None, packed) -> ModelVersion:
         """Number the next version of the served model."""
@@ -376,25 +351,16 @@ class TahoeServer:
         if packed is None:
             return ModelVersion(self._n_versions, "object", forest=forest)
         return ModelVersion(
-            self._n_versions,
-            "artifact",
-            packed.engine_kind,
-            layout=packed.layout,
-            cache_key=packed.cache_key,
+            self._n_versions, "artifact", packed.engine_kind, layout=packed.layout
         )
 
     def stage(self, *, forest: Forest | None = None, packed=None) -> ModelVersion:
         """Number a new model version and build its engine pool now.
 
         All conversion work (or artifact adoption) happens here, off the
-        request path; :meth:`swap` later is a pointer flip.  The staged
-        layout is pinned in the cache alongside the active one, so
-        neither can evict the other.
+        request path; :meth:`swap` later is a pointer flip.
         """
         version = self._new_version(forest, packed)
-        key = self._version_key(version)
-        if key is not None:
-            self.layout_cache.pin(key)
         self._staged[version.version] = (version, self._build_engines(version))
         return version
 
@@ -431,12 +397,6 @@ class TahoeServer:
         previous = self._active_version
         self._active_version, self.engines = staged  # queued work now lands here
         self._row_shape = self._model_row_shape()
-        new_key = self._version_key(self._active_version)
-        if self._active_key is not None and self._active_key != new_key:
-            self.layout_cache.unpin(self._active_key)
-        self._active_key = new_key
-        if self._active_key is not None:
-            self.layout_cache.pin(self._active_key)
         if self.config.target_batch is None:
             self.target_batch = self.plan_flush_point()
             self.recorder.metrics.gauge("serving.target_batch").set(self.target_batch)
@@ -707,7 +667,6 @@ class TahoeServer:
         engine = self.engines[g]
         start = max(now, self._engine_free[g])
         X = np.concatenate([req.X for req in live], axis=0)
-        cache_hit = bool(engine.conversion_stats.cache_hit)
         explaining = live[0].kind == "explain"
         t1 = time.perf_counter()
         wall["assembly"] += t1 - t0
@@ -789,15 +748,12 @@ class TahoeServer:
         wall["telemetry"] += t3 - t2
         tracing = self.config.request_tracing
         if tracing:
-            # Spans are immutable once recorded, and four of the six
+            # Spans are immutable once recorded, and three of the five
             # stages are identical for every request in the micro-batch
             # (only queue_wait's start and response_fanout's outcome are
             # per-request) — share those span objects across the batch.
             assembly_span = StageSpan(
                 "batch_assembly", now, start, {"batch_size": n_rows, "engine": g}
-            )
-            cache_span = StageSpan(
-                "cache_lookup", start, start, {"cache_hit": cache_hit}
             )
             kernel_span = StageSpan("kernel", start, kernel_end)
             reduce_span = StageSpan("reduction", kernel_end, completion)
@@ -822,7 +778,6 @@ class TahoeServer:
                     spans=[
                         StageSpan("queue_wait", req.arrival_time, now),
                         assembly_span,
-                        cache_span,
                         kernel_span,
                         reduce_span,
                         fanout_missed if miss else fanout_ok,
@@ -940,11 +895,10 @@ class TahoeServer:
                     k: int(v) for k, v in sorted(self._served_by_version.items())
                 },
             },
-            "layout_cache": self.layout_cache.stats(),
-            "conversions": [
-                {"cache_hit": e.conversion_stats.cache_hit, "total_s": e.conversion_stats.total}
-                for e in self.engines
-            ],
+            "conversion": {
+                "source": self.engines[0].conversion_stats.source,
+                "total_s": self.engines[0].conversion_stats.total,
+            },
         }
 
     def wall_layers(self) -> dict:
@@ -1045,6 +999,5 @@ def _summarize(frozen: dict, responses: list[InferenceResponse] | None = None) -
             str(k): int(v) for k, v in sorted(frozen["batch_sizes"].items())
         },
         "model": frozen["model"],
-        "layout_cache": frozen["layout_cache"],
-        "conversions": frozen["conversions"],
+        "conversion": frozen["conversion"],
     }

@@ -16,10 +16,6 @@ Stages (fixed vocabulary, one Chrome track each in the exporter):
 ``batch_assembly``
     dispatch decision → engine start (includes waiting for the
     round-robin engine replica to come free, plus batch concatenation).
-``cache_lookup``
-    the conversion-cache probe.  Zero-length on the simulated clock
-    (layouts are cached at engine construction); its args record
-    whether the serving pool was a cache hit.
 ``kernel``
     traversal portion of the batch's simulated GPU time.
 ``reduction``
@@ -39,7 +35,7 @@ __all__ = ["RequestTrace", "StageSpan"]
 
 #: Shared default for spans without stage context — spans are treated as
 #: immutable once recorded, so one empty dict serves them all (building
-#: six spans per served request puts allocation on the hot path).
+#: five spans per served request puts allocation on the hot path).
 _NO_ARGS: dict = {}
 
 
@@ -47,7 +43,7 @@ class StageSpan:
     """One pipeline stage of one request, on the simulated clock.
 
     A plain ``__slots__`` class rather than a dataclass: the server
-    builds six of these per served request, which makes construction
+    builds five of these per served request, which makes construction
     cost part of the serving tier's instrumentation overhead budget.
     """
 

@@ -221,8 +221,8 @@ class Forest:
 
         Covers structure, parameters *and* visit counts (edge
         probabilities drive node rearrangement, so two forests differing
-        only in counts convert differently).  Used as the
-        :class:`~repro.core.cache.LayoutCache` key component.
+        only in counts convert differently).  A packed artifact's header
+        records it as the provenance of its layout.
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(
@@ -230,8 +230,8 @@ class Forest:
             f"{self.base_score!r}|{self.learning_rate!r}|{self.n_trees}".encode()
         )
         # New capabilities fold in only when present, so fingerprints of
-        # pre-existing single-class numeric forests are unchanged (cache
-        # keys and packed artifacts stay valid across the upgrade).
+        # pre-existing single-class numeric forests are unchanged (packed
+        # artifacts' provenance stays valid across the upgrade).
         if self.n_classes > 1:
             h.update(f"|classes={self.n_classes}".encode())
         for tree in self.trees:

@@ -139,7 +139,7 @@ class TestServeCommand:
         payload = envelope["payload"]
         s = payload["summary"]
         # The acceptance surface: latency quantiles, batch-size
-        # histogram, deadline/rejection counters, cache behaviour.
+        # histogram, deadline/rejection counters, conversion.
         assert s["completed"] > 0
         assert s["latency_s"]["p50"] > 0 and s["latency_s"]["p99"] > 0
         assert s["batch_size_histogram"]
@@ -147,10 +147,12 @@ class TestServeCommand:
         assert s["achieved_qps"] >= 0.9 * min(
             payload["config"]["qps"], s["offered_qps"]
         )
-        # Second replica adopted the cached layout: near-zero conversion.
-        conv = s["conversions"]
-        assert conv[0]["cache_hit"] is False and conv[1]["cache_hit"] is True
-        assert conv[1]["total_s"] < conv[0]["total_s"] / 10
+        # The pool converted once; the second replica adopted the layout.
+        assert s["n_engines"] == 2
+        assert s["conversion"]["source"] == "pipeline"
+        assert s["conversion"]["total_s"] > 0
+        assert payload["report"]["metrics"]["counters"]["conversions_total"] == 1
+        assert "shared by 2 engine(s)" in stdout
         assert payload["report"]["engine"] == "tahoe-serving"
 
     def test_serve_baseline_trims_artifact(self, tmp_path, capsys):
@@ -225,6 +227,30 @@ class TestServeCommand:
         assert envelope["run"]["scenario"].endswith(f"/{traffic}")
         assert envelope["payload"]["config"]["traffic"] == traffic
         assert envelope["payload"]["summary"]["completed"] > 0
+
+    def test_serve_burst_factor_is_the_factor_traffic_runs_with(self, tmp_path, capsys):
+        def serve(*flags):
+            out_path = tmp_path / "b.json"
+            code = main(
+                ["serve", "--bench", "--quick", "--baseline", "--scale", "0.05",
+                 "--tree-scale", "0.04", *flags, "--out", str(out_path)]
+            )
+            assert code == 0
+            envelope = json.loads(out_path.read_text())
+            return envelope["run"]["scenario"], envelope["payload"]
+
+        # A factor of 1 is flat traffic: the same arrivals as poisson.
+        flat_scenario, flat = serve("--traffic", "burst", "--burst-factor", "1")
+        _, poisson = serve()
+        assert flat["summary"]["requests"] == poisson["summary"]["requests"]
+        assert flat["config"]["burst_factor"] == 1
+        assert "x1/" in flat_scenario and flat_scenario.endswith("/burst")
+        # No factor: burst traffic runs, and records, burst_workload's 10.
+        burst_scenario, burst = serve("--traffic", "burst")
+        assert burst["config"]["burst_factor"] == 10
+        assert "x10/" in burst_scenario
+        assert burst["summary"]["requests"] > poisson["summary"]["requests"]
+        assert poisson["config"]["burst_factor"] == 1
 
     def test_serve_refuses_burst_factor_with_user_population(self, tmp_path, capsys):
         # The user-population model has no burst: the flag would be ignored.

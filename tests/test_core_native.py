@@ -8,7 +8,6 @@ from repro.core import (
     TIME_DOMAIN_SIMULATED,
     TIME_DOMAIN_WALL,
     FILEngine,
-    LayoutCache,
     TahoeEngine,
 )
 from repro.core.native import (
@@ -195,22 +194,6 @@ class TestLayoutInterop:
         assert np.array_equal(
             packed.predict(test_X).predictions,
             direct.predict(test_X).predictions,
-        )
-
-    def test_shares_layout_cache_with_tahoe(self, small_forest, p100, test_X):
-        cache = LayoutCache()
-        TahoeEngine(small_forest, p100, layout_cache=cache)
-        native = NativeEngine(small_forest, p100, layout_cache=cache)
-        assert native.conversion_stats.source == "cache"
-        assert cache.hits == 1
-        # And the reverse direction: native's conversion seeds tahoe.
-        cache2 = LayoutCache()
-        NativeEngine(small_forest, p100, layout_cache=cache2)
-        tahoe = TahoeEngine(small_forest, p100, layout_cache=cache2)
-        assert tahoe.conversion_stats.source == "cache"
-        assert np.array_equal(
-            native.predict(test_X).predictions,
-            tahoe.predict(test_X).predictions,
         )
 
     def test_flatten_is_cached_on_layout(self, small_forest, p100):

@@ -18,7 +18,6 @@ from repro import (
     Engine,
     EngineResult,
     FILEngine,
-    LayoutCache,
     TahoeConfig,
     TahoeEngine,
 )
@@ -58,7 +57,7 @@ class TestEngineProtocol:
     def test_accepts_unified_keywords(self, small_forest, p100, any_engine):
         name, _ = any_engine
         engine = ENGINES[name](
-            small_forest, p100, config=TahoeConfig(), layout_cache=LayoutCache()
+            small_forest, p100, config=TahoeConfig(), hardware=None, recorder=None
         )
         assert isinstance(engine, Engine)
 
@@ -110,7 +109,7 @@ class TestEngineProtocol:
 
 
 class TestLayoutLifecycle:
-    """Pipeline, cache and artifact: the three places a layout comes from."""
+    """Pipeline and artifact: the two places a layout comes from."""
 
     STAGES = (
         "t_fetch_probabilities",
@@ -123,26 +122,26 @@ class TestLayoutLifecycle:
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_conversion_sources(self, name, small_forest, p100):
         cls = ENGINES[name]
-        cache = LayoutCache()
-        cold = cls(small_forest, p100, layout_cache=cache)
+        cold = cls(small_forest, p100)
         label = cold.layout.record.encoding_label
         stats = cold.conversion_stats
-        assert (stats.source, stats.cache_hit, stats.node_encoding) == ("pipeline", False, label)
-        assert LayoutCache.key(small_forest, p100, cls.conversion_key(cold.config)) in cache
+        assert (stats.source, stats.node_encoding) == ("pipeline", label)
+        assert len(cold.recorder.conversions) == 1
 
-        warm = cls(small_forest, p100, layout_cache=cache)
-        stats = warm.conversion_stats
-        assert (stats.source, stats.cache_hit, stats.node_encoding) == ("cache", True, label)
-        assert warm.layout is cold.layout
-        assert all(getattr(stats, stage) == 0.0 for stage in self.STAGES)
-
-        published = LayoutCache()
-        key = ("packed", name)
-        adopted = cls.from_layout(cold.layout, p100, cache_key=key, layout_cache=published)
+        adopted = cls.from_layout(cold.layout, p100)
         stats = adopted.conversion_stats
-        assert (stats.source, stats.cache_hit, stats.node_encoding) == ("artifact", False, label)
+        assert (stats.source, stats.node_encoding) == ("artifact", label)
+        assert adopted.layout is cold.layout
+        assert all(getattr(stats, stage) == 0.0 for stage in self.STAGES)
         assert stats.total == 0
-        assert published.get(key) is cold.layout
+        assert adopted.recorder.conversions == []  # adoption converts nothing
+
+        # An update always runs the pipeline, even for an unchanged forest.
+        stats = cold.update_forest(small_forest)
+        assert (stats.source, stats.node_encoding) == ("pipeline", label)
+        assert stats.t_format_conversion > 0
+        assert cold.layout is not adopted.layout
+        assert len(cold.recorder.conversions) == 2
 
     def test_engine_kinds(self):
         assert engine_class("tahoe") is TahoeEngine
@@ -206,74 +205,3 @@ class TestKeywordOnlySurface:
         with pytest.raises(TypeError):
             engine.predict(test_X, 32)
 
-
-class TestLayoutCache:
-    def test_second_construction_hits(self, small_forest, p100):
-        cache = LayoutCache()
-        first = TahoeEngine(small_forest, p100, layout_cache=cache)
-        second = TahoeEngine(small_forest, p100, layout_cache=cache)
-        assert not first.conversion_stats.cache_hit
-        assert second.conversion_stats.cache_hit
-        assert second.layout is first.layout
-        # The hit costs a content hash, not the conversion pipeline.
-        assert second.conversion_stats.total < first.conversion_stats.total
-        assert second.conversion_stats.t_format_conversion == 0.0
-
-    def test_unchanged_update_forest_is_free(self, small_forest, p100):
-        cache = LayoutCache()
-        engine = TahoeEngine(small_forest, p100, layout_cache=cache)
-        stats = engine.update_forest(small_forest)
-        assert stats.cache_hit
-        assert stats.t_similarity_detection == 0.0
-
-    def test_different_config_misses(self, small_forest, p100):
-        cache = LayoutCache()
-        TahoeEngine(small_forest, p100, layout_cache=cache)
-        TahoeEngine(
-            small_forest,
-            p100,
-            config=TahoeConfig(node_rearrangement=False),
-            layout_cache=cache,
-        )
-        assert cache.hits == 0
-        assert cache.misses == 2
-        assert len(cache) == 2
-
-    def test_changed_forest_misses(self, small_forest, small_gbdt, p100):
-        cache = LayoutCache()
-        engine = TahoeEngine(small_forest, p100, layout_cache=cache)
-        stats = engine.update_forest(small_gbdt)
-        assert not stats.cache_hit
-
-    def test_fil_engine_shares_too(self, small_forest, p100):
-        cache = LayoutCache()
-        FILEngine(small_forest, p100, layout_cache=cache)
-        second = FILEngine(small_forest, p100, layout_cache=cache)
-        assert second.conversion_stats.cache_hit
-
-    def test_fil_and_tahoe_do_not_collide(self, small_forest, p100, test_X):
-        cache = LayoutCache()
-        tahoe = TahoeEngine(small_forest, p100, layout_cache=cache)
-        fil = FILEngine(small_forest, p100, layout_cache=cache)
-        assert not fil.conversion_stats.cache_hit
-        assert fil.layout.format_name == "reorg"
-        assert tahoe.layout.format_name == "adaptive"
-
-    def test_lru_eviction(self, small_forest, small_gbdt, p100):
-        cache = LayoutCache(capacity=1)
-        TahoeEngine(small_forest, p100, layout_cache=cache)
-        TahoeEngine(small_gbdt, p100, layout_cache=cache)
-        assert len(cache) == 1
-        # small_forest was evicted: rebuilding misses again.
-        third = TahoeEngine(small_forest, p100, layout_cache=cache)
-        assert not third.conversion_stats.cache_hit
-
-    def test_conversion_record_carries_hit(self, small_forest, p100):
-        cache = LayoutCache()
-        TahoeEngine(small_forest, p100, layout_cache=cache)
-        engine = TahoeEngine(small_forest, p100, layout_cache=cache)
-        record = engine.recorder.conversions[-1]
-        assert record.cache_hit
-        assert record.to_dict()["cache_hit"] is True
-        counters = engine.recorder.metrics.snapshot()["counters"]
-        assert counters["conversion_cache_hits_total"] == 1

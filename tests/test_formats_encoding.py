@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LayoutCache, TahoeConfig, TahoeEngine, convert_forest
+from repro.core import TahoeConfig, TahoeEngine, convert_forest
 from repro.core.fil import FILEngine, fil_conversion_key
 from repro.core.native import NativeEngine
 from repro.formats import (
@@ -301,7 +301,7 @@ def test_quantised_thresholds_bounded_error(small_forest, test_X, p100):
 
 
 # ----------------------------------------------------------------------
-# Cache keys and conversion stats
+# Conversion keys and conversion stats
 # ----------------------------------------------------------------------
 
 
@@ -317,16 +317,15 @@ def test_conversion_keys_distinguish_encodings():
     assert fil_conversion_key(TahoeConfig()) == ("reorg",)
 
 
-def test_layout_cache_separates_packed_variants(small_forest, test_X, p100):
-    cache = LayoutCache(capacity=8)
+def test_packed_variants_convert_to_distinct_layouts(small_forest, test_X, p100):
     forest = small_forest
-    e1 = TahoeEngine(forest, p100, layout_cache=cache)
-    e2 = TahoeEngine(forest, p100, layout_cache=cache,
-                     config=TahoeConfig(node_width=8))
+    e1 = TahoeEngine(forest, p100)
+    e2 = TahoeEngine(forest, p100, config=TahoeConfig(node_width=8))
+    assert e1.config.conversion_key() != e2.config.conversion_key()
     assert e1.layout.record.node_bytes != e2.layout.record.node_bytes
-    e3 = TahoeEngine(forest, p100, layout_cache=cache,
-                     config=TahoeConfig(node_width=8))
-    assert e3.conversion_stats.cache_hit
+    # The same knobs convert to the same record and the same predictions.
+    e3 = TahoeEngine(forest, p100, config=TahoeConfig(node_width=8))
+    assert e3.layout.record.node_bytes == e2.layout.record.node_bytes
     np.testing.assert_array_equal(
         e2.predict(test_X).predictions, e3.predict(test_X).predictions
     )

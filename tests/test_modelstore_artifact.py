@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TahoeEngine
-from repro.core.cache import LayoutCache
 from repro.core.config import TahoeConfig
 from repro.core.fil import FILEngine
 from repro.core.native import NativeEngine
@@ -172,27 +171,6 @@ class TestFixtureRoundTrip:
         assert cold.shape == expected_shape
         np.testing.assert_array_equal(tahoe, cold)
         np.testing.assert_array_equal(native, cold)
-
-
-class TestCachePublication:
-    def test_artifact_feeds_layout_cache(self, small_forest, p100, packed_path):
-        cache = LayoutCache(capacity=4)
-        packed = load_packed(packed_path)
-        engine = packed.make_engine(p100, layout_cache=cache)
-        # A cold engine built later from the *source* forest must hit the
-        # published entry instead of reconverting.
-        warm = TahoeEngine(small_forest, p100, layout_cache=cache)
-        assert warm.conversion_stats.source == "cache"
-        assert warm.layout is engine.layout
-
-    def test_cache_key_matches_cold_lookup(self, small_forest, p100, packed_path):
-        from repro.core.config import TahoeConfig
-
-        packed = load_packed(packed_path)
-        expected = LayoutCache.key(
-            small_forest, p100, TahoeConfig().conversion_key()
-        )
-        assert packed.cache_key == expected
 
 
 class TestIntegrity:

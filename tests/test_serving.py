@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import LayoutCache
 from repro.serving import (
     REJECTED_DEADLINE,
     REJECTED_QUEUE_FULL,
@@ -180,19 +179,16 @@ class TestServingTelemetry:
         lat = result.summary["latency_s"]
         assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
 
-    def test_cache_hit_visible_in_summary(self, small_forest, p100, test_X):
-        cache = LayoutCache()
+    def test_conversion_visible_in_summary(self, small_forest, p100, test_X):
         server = TahoeServer(
-            small_forest,
-            p100,
-            scheduler=SchedulerConfig(n_engines=2),
-            layout_cache=cache,
+            small_forest, p100, scheduler=SchedulerConfig(n_engines=2)
         )
         result = server.run(single_sample_requests(test_X, 5, spacing=1e-5))
-        conv = result.summary["conversions"]
-        assert [c["cache_hit"] for c in conv] == [False, True]
-        assert conv[1]["total_s"] < conv[0]["total_s"]
-        assert result.summary["layout_cache"]["hits"] == 1
+        conv = result.summary["conversion"]
+        assert conv["source"] == "pipeline" and conv["total_s"] > 0
+        # The second replica adopted the first one's layout: one conversion.
+        assert result.summary["n_engines"] == 2
+        assert server.metrics().counter("conversions_total").value == 1
 
 
 class TestWorkloadGenerator:

@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import LayoutCache
 from repro.gpusim.counters import TrafficCounters
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.recorder import MAX_REPORT_RECORDS
@@ -18,17 +17,10 @@ from repro.serving import InferenceRequest, SchedulerConfig, TahoeServer
 from repro.serving.server import WALL_LAYERS
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return LayoutCache()
-
-
-def native_server(forest, spec, cache, **overrides):
+def native_server(forest, spec, **overrides):
     defaults = dict(n_engines=1, max_wait=1e-3, max_batch=4096, backend="native")
     defaults.update(overrides)
-    return TahoeServer(
-        forest, spec, scheduler=SchedulerConfig(**defaults), layout_cache=cache
-    )
+    return TahoeServer(forest, spec, scheduler=SchedulerConfig(**defaults))
 
 
 def one_row_requests(X, n, *, first_id=0, start=0.0, spacing=0.0):
@@ -54,9 +46,9 @@ class _Spy:
 
 
 class TestWorkPerBatch:
-    def count_updates(self, forest, spec, cache, X, monkeypatch, n, n_batches):
+    def count_updates(self, forest, spec, X, monkeypatch, n, n_batches):
         server = native_server(
-            forest, spec, cache, target_batch=n // n_batches, max_wait=10.0
+            forest, spec, target_batch=n // n_batches, max_wait=10.0
         )
         with monkeypatch.context() as patch:
             spy = _Spy(
@@ -74,13 +66,13 @@ class TestWorkPerBatch:
         return spy.calls
 
     def test_histogram_updates_and_lookups_grow_with_batches_not_requests(
-        self, small_forest, p100, cache, test_X, monkeypatch
+        self, small_forest, p100, test_X, monkeypatch
     ):
-        small = self.count_updates(small_forest, p100, cache, test_X, monkeypatch, 200, 4)
-        double = self.count_updates(small_forest, p100, cache, test_X, monkeypatch, 400, 4)
+        small = self.count_updates(small_forest, p100, test_X, monkeypatch, 200, 4)
+        double = self.count_updates(small_forest, p100, test_X, monkeypatch, 400, 4)
         assert double == small
         more_batches = self.count_updates(
-            small_forest, p100, cache, test_X, monkeypatch, 400, 8
+            small_forest, p100, test_X, monkeypatch, 400, 8
         )
         assert more_batches["observe_many"] > small["observe_many"]
         # A handful per batch, nowhere near one per request.
@@ -113,9 +105,9 @@ class TestWorkPerBatch:
 
 class TestLazySummary:
     def test_summary_read_after_later_runs_equals_eager_value(
-        self, small_forest, p100, cache, test_X
+        self, small_forest, p100, test_X
     ):
-        server = native_server(small_forest, p100, cache, max_queue=30)
+        server = native_server(small_forest, p100, max_queue=30)
         first = server.run(one_row_requests(test_X, 50, spacing=2e-4))
         eager = server.summary(first.responses)
         # Later runs move every counter and histogram the summary reads:
@@ -131,18 +123,18 @@ class TestLazySummary:
         assert later != eager
         assert first.summary == eager
 
-    def test_report_runs_carry_the_summary(self, small_forest, p100, cache, test_X):
-        server = native_server(small_forest, p100, cache)
+    def test_report_runs_carry_the_summary(self, small_forest, p100, test_X):
+        server = native_server(small_forest, p100)
         result = server.run(one_row_requests(test_X, 20), report=True)
         assert result.report.meta["serving_summary"] == result.summary
         assert result.summary["completed"] == 20
 
 
 class TestWallLayers:
-    def test_layers_account_for_a_replay_burst(self, small_forest, p100, cache, test_X):
+    def test_layers_account_for_a_replay_burst(self, small_forest, p100, test_X):
         """2,000 one-row requests through one ``run()``: the measured
         layers add up to the outer wall time within 10 %."""
-        server = native_server(small_forest, p100, cache, target_batch=1024, max_wait=2e-3)
+        server = native_server(small_forest, p100, target_batch=1024, max_wait=2e-3)
         result = server.run(one_row_requests(test_X, 2000, spacing=2e-5))
         assert all(r.ok for r in result.responses)
         layers = server.wall_layers()
@@ -154,8 +146,8 @@ class TestWallLayers:
         counters = server.metrics().snapshot()["counters"]
         assert counters["serving.wall.run_seconds"] == layers["run_s"]
 
-    def test_layers_accumulate_over_runs(self, small_forest, p100, cache, test_X):
-        server = native_server(small_forest, p100, cache)
+    def test_layers_accumulate_over_runs(self, small_forest, p100, test_X):
+        server = native_server(small_forest, p100)
         server.run(one_row_requests(test_X, 10))
         once = server.wall_layers()["run_s"]
         server.run(one_row_requests(test_X, 10, first_id=10, start=1.0))
@@ -179,10 +171,10 @@ class TestBoundedState:
         del result
 
     def test_retained_heap_does_not_grow_with_requests(
-        self, small_forest, p100, cache, test_X
+        self, small_forest, p100, test_X
     ):
         # Four rows per batch: the first stage alone fills the record window.
-        server = native_server(small_forest, p100, cache, target_batch=4)
+        server = native_server(small_forest, p100, target_batch=4)
         self.serve(server, test_X, 0, 5_000)
         # Trace only the second stage: what it allocated and still holds.
         gc.collect()
@@ -196,9 +188,9 @@ class TestBoundedState:
         assert server.summary()["completed"] == 25_000
         assert retained < 1 << 20
 
-    def test_report_window_says_what_it_dropped(self, small_forest, p100, cache, test_X):
+    def test_report_window_says_what_it_dropped(self, small_forest, p100, test_X):
         n = MAX_REPORT_RECORDS + 150
-        server = native_server(small_forest, p100, cache, target_batch=1)
+        server = native_server(small_forest, p100, target_batch=1)
         result = server.run(one_row_requests(test_X, n, spacing=1e-4), report=True)
         report = result.report
         counters = report.metrics["counters"]
@@ -212,9 +204,9 @@ class TestBoundedState:
 
 
 class TestFoldedAdmissionCounters:
-    def test_direct_submits_fold_on_run(self, small_forest, p100, cache, test_X):
+    def test_direct_submits_fold_on_run(self, small_forest, p100, test_X):
         """The incremental path: ``submit`` now, ``run()`` later."""
-        server = native_server(small_forest, p100, cache)
+        server = native_server(small_forest, p100)
         for req in one_row_requests(test_X, 7):
             server.submit(req)
         server.run()
@@ -224,8 +216,8 @@ class TestFoldedAdmissionCounters:
         # Depths 0..6: each arrival saw the ones queued before it.
         assert snap["histograms"]["serving.queue_depth"]["sum"] == sum(range(7))
 
-    def test_metrics_surface_folds_pending_arrivals(self, small_forest, p100, cache, test_X):
-        server = native_server(small_forest, p100, cache)
+    def test_metrics_surface_folds_pending_arrivals(self, small_forest, p100, test_X):
+        server = native_server(small_forest, p100)
         server.submit(one_row_requests(test_X, 1)[0])
         assert server.metrics().counter("serving.requests_total").value == 1
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LayoutCache
 from repro.serving import (
     ENGINE_ERROR,
     REJECTED_INVALID,
@@ -29,23 +28,16 @@ POISON = -7.25e6
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return LayoutCache()
-
-
-@pytest.fixture(scope="module")
 def reference(small_forest, test_X):
     return small_forest.predict(test_X)
 
 
-def make_server(forest, spec, cache, **overrides):
+def make_server(forest, spec, **overrides):
     defaults = dict(
         n_engines=2, max_wait=1e-3, max_batch=64, target_batch=64, backend="native"
     )
     defaults.update(overrides)
-    return TahoeServer(
-        forest, spec, scheduler=SchedulerConfig(**defaults), layout_cache=cache
-    )
+    return TahoeServer(forest, spec, scheduler=SchedulerConfig(**defaults))
 
 
 def poison_engines(server):
@@ -71,7 +63,7 @@ def assert_tiles(response):
 
 class TestInvalidRequests:
     def test_wrong_width_between_valid_neighbours(
-        self, small_forest, p100, cache, test_X, reference
+        self, small_forest, p100, test_X, reference
     ):
         width = small_forest.n_attributes
         requests = [
@@ -79,7 +71,7 @@ class TestInvalidRequests:
             InferenceRequest(1, np.zeros(width - 6, np.float32), 1e-6),
             InferenceRequest(2, test_X[2], 2e-6),
         ]
-        result = make_server(small_forest, p100, cache).run(requests)
+        result = make_server(small_forest, p100).run(requests)
         assert [r.request_id for r in result.responses] == [0, 1, 2]
         good0, bad, good2 = result.responses
         assert good0.ok and good2.ok
@@ -91,8 +83,8 @@ class TestInvalidRequests:
         assert result.summary["rejected_invalid"] == 1
         assert result.summary["completed"] == 2
 
-    def test_submit_returns_the_refusal(self, small_forest, p100, cache):
-        server = make_server(small_forest, p100, cache)
+    def test_submit_returns_the_refusal(self, small_forest, p100):
+        server = make_server(small_forest, p100)
         response = server.submit(
             InferenceRequest(7, np.zeros((2, 3, small_forest.n_attributes)), 0.5)
         )
@@ -104,9 +96,9 @@ class TestInvalidRequests:
         assert counters["serving.requests_total"] == 1
 
     def test_valid_traffic_registers_no_failure_counters(
-        self, small_forest, p100, cache, test_X
+        self, small_forest, p100, test_X
     ):
-        server = make_server(small_forest, p100, cache)
+        server = make_server(small_forest, p100)
         result = server.run([InferenceRequest(i, test_X[i], 0.0) for i in range(5)])
         counters = server.metrics().snapshot()["counters"]
         assert "serving.rejected.invalid_request" not in counters
@@ -116,9 +108,9 @@ class TestInvalidRequests:
 
 class TestResponseOwnership:
     def test_responses_dispatched_inside_submit_reach_the_next_run(
-        self, small_forest, p100, cache, test_X
+        self, small_forest, p100, test_X
     ):
-        server = make_server(small_forest, p100, cache, target_batch=2)
+        server = make_server(small_forest, p100, target_batch=2)
         # Request 1 fills a batch of two: submit() dispatches it.
         queued = [server.submit(InferenceRequest(i, test_X[i], i * 1e-6)) for i in range(3)]
         assert queued == [None, None, None]
@@ -130,8 +122,8 @@ class TestResponseOwnership:
 
 
 class TestEngineErrors:
-    def test_fault_fails_only_its_batch(self, small_forest, p100, cache, test_X, reference):
-        server = make_server(small_forest, p100, cache, max_wait=1e-3)
+    def test_fault_fails_only_its_batch(self, small_forest, p100, test_X, reference):
+        server = make_server(small_forest, p100, max_wait=1e-3)
         poison_engines(server)
         poisoned = test_X[5].copy()
         poisoned[0] = POISON
@@ -181,12 +173,12 @@ def request_mix(draw, width, n_pool):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_every_request_gets_exactly_one_response(
-    data, small_forest, p100, cache, test_X, reference
+    data, small_forest, p100, test_X, reference
 ):
     width = small_forest.n_attributes
     mix = data.draw(request_mix(width, test_X.shape[0]))
     server = make_server(
-        small_forest, p100, cache, target_batch=data.draw(st.sampled_from([2, 8, 64]))
+        small_forest, p100, target_batch=data.draw(st.sampled_from([2, 8, 64]))
     )
     poison_engines(server)
     # Each request goes in through a direct submit() or a run() call;

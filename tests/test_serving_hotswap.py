@@ -1,13 +1,14 @@
-"""Hot model swap in :class:`TahoeServer` and cache pinning under a
+"""Hot model swap in :class:`TahoeServer` and layout ownership under a
 replica pool: staging happens off the hot path, the swap lands between
-micro-batches, nothing is dropped, and the served version can never be
-evicted out from under the pool."""
+micro-batches, nothing is dropped, a pool converts once and shares one
+layout, and a swapped-out version's layout is freed."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.cache import LayoutCache
-from repro.core.config import TahoeConfig
 from repro.core.engine import TahoeEngine
 from repro.modelstore import load_packed, pack_forest
 from repro.serving.server import SchedulerConfig, TahoeServer
@@ -122,7 +123,6 @@ class TestStagingFromArtifact:
         mv = srv.stage(packed=packed)
         assert mv.source == "artifact"
         assert mv.layout is packed.layout
-        assert mv.cache_key == packed.cache_key
         assert srv.summary()["model"]["staged"] == [mv.version]
         event = srv.swap(mv.version)
         assert event["source"] == "artifact"
@@ -149,50 +149,46 @@ class TestStagingFromArtifact:
         assert all(r.ok for r in result.responses)
 
 
-class TestCacheUnderPool:
-    """Satellite: LayoutCache interaction with live engine pools."""
+class TestLayoutOwnership:
+    """The active and staged pools are the only owners of live layouts."""
 
-    def test_eviction_while_replica_holds_layout(
+    def test_forest_pool_converts_once_and_shares_one_layout(
+        self, small_forest, p100, test_X
+    ):
+        srv = _server(small_forest, p100)
+        first, second = srv.engines
+        assert srv.metrics().counter("conversions_total").value == 1
+        assert second.layout is first.layout
+        assert first.conversion_stats.source == "pipeline"
+        assert second.conversion_stats.source == "artifact"
+        cold = TahoeEngine(small_forest, p100).predict(test_X).predictions
+        for engine in srv.engines:
+            np.testing.assert_array_equal(engine.predict(test_X).predictions, cold)
+
+    def test_packed_pool_replicas_all_adopt(self, small_forest, p100, tmp_path):
+        packed = load_packed(pack_forest(small_forest, p100, tmp_path / "p.tahoe").path)
+        srv = _server(None, p100, packed=packed)
+        assert [e.conversion_stats.source for e in srv.engines] == ["artifact"] * 2
+        assert all(e.layout is packed.layout for e in srv.engines)
+        assert srv.metrics().get("conversions_total") is None  # nothing converted
+
+    def test_swapped_out_layout_is_freed(self, small_forest, small_gbdt, p100):
+        srv = _server(small_forest, p100)
+        old = weakref.ref(srv.engines[0].layout)
+        srv.stage(forest=small_gbdt)
+        assert old() is not None  # staging keeps the served version
+        srv.swap()
+        gc.collect()
+        assert old() is None
+
+    def test_layout_swapped_out_under_traffic_is_freed(
         self, small_forest, small_gbdt, p100, test_X
     ):
-        cache = LayoutCache(capacity=1)
-        engine = TahoeEngine(small_forest, p100, layout_cache=cache)
-        key = LayoutCache.key(small_forest, p100, TahoeConfig().conversion_key())
-        assert key in cache
-        baseline = engine.predict(test_X).predictions
-        # A different forest converting through the same capacity-1 cache
-        # evicts the entry — the replica keeps its adopted layout and
-        # must keep serving identical results.
-        TahoeEngine(small_gbdt, p100, layout_cache=cache)
-        assert key not in cache
-        np.testing.assert_array_equal(engine.predict(test_X).predictions, baseline)
-        # A *new* engine for the evicted forest has to reconvert.
-        rebuilt = TahoeEngine(small_forest, p100, layout_cache=cache)
-        assert rebuilt.conversion_stats.source == "pipeline"
-        np.testing.assert_array_equal(rebuilt.predict(test_X).predictions, baseline)
-
-    def test_replicas_share_one_layout_through_the_cache(self, small_forest, p100):
         srv = _server(small_forest, p100)
-        assert srv.engines[0].layout is srv.engines[1].layout
-        assert srv.engines[1].conversion_stats.cache_hit
-
-    def test_staging_never_evicts_the_served_version(
-        self, small_forest, small_gbdt, p100
-    ):
-        cache = LayoutCache(capacity=1)
-        srv = _server(small_forest, p100, layout_cache=cache)
-        active_key = srv._active_key
-        assert cache.pinned(active_key)
-        # Staging a second version through a capacity-1 cache would evict
-        # the served layout if pinning didn't hold it: both must stay
-        # resident (temporary overflow is the accepted cost).
+        old = weakref.ref(srv.engines[0].layout)
         srv.stage(forest=small_gbdt)
-        assert active_key in cache
-        stats = cache.stats()
-        assert stats["pinned"] == 2
-        assert stats["entries"] == 2
-        # The swap hands the pin over to the new version.
-        srv.swap()
-        assert not cache.pinned(active_key)
-        assert cache.pinned(srv._active_key)
-        assert srv._active_key in cache
+        srv.schedule_swap(at_time=0.01)
+        result = srv.run(poisson_workload(test_X, qps=3000, duration=0.03, seed=2))
+        assert result.summary["model"]["served_by_version"]["default@v1"] > 0
+        gc.collect()
+        assert old() is None

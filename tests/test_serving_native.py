@@ -4,7 +4,7 @@ micro-batching scheduler."""
 import numpy as np
 import pytest
 
-from repro.core import TIME_DOMAIN_SIMULATED, TIME_DOMAIN_WALL, LayoutCache
+from repro.core import TIME_DOMAIN_SIMULATED, TIME_DOMAIN_WALL
 from repro.core.native import NativeEngine
 from repro.modelstore import load_packed, pack_layout
 from repro.perfmodel import NativeCostModel
@@ -14,12 +14,7 @@ from repro.serving import InferenceRequest, SchedulerConfig, TahoeServer
 def make_server(forest, spec, **overrides):
     defaults = dict(n_engines=1, max_wait=1e-3, max_batch=256, backend="native")
     defaults.update(overrides)
-    return TahoeServer(
-        forest,
-        spec,
-        scheduler=SchedulerConfig(**defaults),
-        layout_cache=LayoutCache(),
-    )
+    return TahoeServer(forest, spec, scheduler=SchedulerConfig(**defaults))
 
 
 def requests_from(X, n, *, spacing=1e-5):
@@ -130,8 +125,7 @@ class TestPackedNativePool:
             scheduler=SchedulerConfig(
                 n_engines=2, max_wait=1e-3, max_batch=128, backend="native"
             ),
-            layout_cache=LayoutCache(),
-        )
+            )
         result = server.run(requests_from(test_X, 40))
         assert all(r.ok for r in result.responses)
         expected = reference.predict(test_X[:1]).predictions

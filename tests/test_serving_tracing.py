@@ -36,7 +36,6 @@ def single_sample_requests(X, n, *, start=0.0, spacing=0.0, deadline=None):
 LIVE_STAGES = [
     "queue_wait",
     "batch_assembly",
-    "cache_lookup",
     "kernel",
     "reduction",
     "response_fanout",
@@ -82,9 +81,6 @@ class TestSpanTiling:
         assembly = trace.stage("batch_assembly")
         assert assembly.args["batch_size"] >= 1
         assert "engine" in assembly.args
-        cache = trace.stage("cache_lookup")
-        assert cache.duration == 0.0
-        assert cache.args["cache_hit"] in (False, True)
         fanout = trace.stage("response_fanout")
         assert fanout.args["missed_deadline"] is False
 
