@@ -24,7 +24,6 @@ from repro.trees import train_forest_for_spec
 
 def main() -> None:
     spec = GPU_SPECS["P100"]
-    work = Path(tempfile.mkdtemp(prefix="tahoe-hotswap-"))
 
     # v1: the model currently in production.
     v1 = train_forest_for_spec("letter", scale=0.05, tree_scale=0.05, seed=0)
@@ -35,8 +34,10 @@ def main() -> None:
     forest_v2 = train_forest_for_spec(
         "letter", scale=0.06, tree_scale=0.05, seed=1
     ).forest
-    artifact = pack_forest(forest_v2, spec, work / "letter_v2.tahoe").path
-    print(f"packed v2 -> {artifact.name} ({artifact.stat().st_size} bytes)")
+    with tempfile.TemporaryDirectory(prefix="tahoe-hotswap-") as work:
+        artifact = pack_forest(forest_v2, spec, Path(work) / "letter_v2.tahoe").path
+        print(f"packed v2 -> {artifact.name} ({artifact.stat().st_size} bytes)")
+        packed_v2 = load_packed(artifact)
 
     server = TahoeServer(
         forest_v1, spec, scheduler=SchedulerConfig(n_engines=2, max_wait=2e-3)
@@ -46,7 +47,7 @@ def main() -> None:
     # Stage the packed artifact: engines are built *now*, off the request
     # path, with zero conversion (the layout is adopted as packed), and
     # the swap is armed for t=0.5s of simulated traffic.
-    staged = server.stage(packed=load_packed(artifact))
+    staged = server.stage(packed=packed_v2)
     server.schedule_swap(staged.version, at_time=0.5)
     print(f"staged {staged.label} (conversion-free) — swap armed for t=0.5s")
 

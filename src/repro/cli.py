@@ -371,65 +371,46 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.benchdiff import bench_envelope
     from repro.obs.exporters import jsonable, write_serving_trace
-    from repro.serving import (
-        SchedulerConfig,
-        SLOConfig,
-        TahoeServer,
-        UserPopulationWorkload,
-        burst_workload,
-        poisson_workload,
-    )
+    from repro.serving import SchedulerConfig, SLOConfig, TahoeServer, poisson_workload
 
-    if not args.bench:
-        print(
-            "repro serve currently ships the synthetic benchmark harness only; "
-            "run with --bench",
-            file=sys.stderr,
-        )
-        return 2
     if args.quick:
         args.qps = min(args.qps, 500.0)
         args.duration = min(args.duration, 0.5)
     spec = GPU_SPECS[args.gpu]
-    workload = train_forest_for_spec(
-        args.dataset, scale=args.scale, tree_scale=args.tree_scale, seed=args.seed
-    )
-    scheduler = SchedulerConfig(
-        n_engines=args.n_engines,
-        max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1e3,
-        max_queue=args.max_queue,
-        backend=args.backend,
-    )
-    slo = SLOConfig(
-        latency_p95=args.slo_p95_ms / 1e3 if args.slo_p95_ms else None,
-        error_rate=args.slo_error_rate if args.slo_error_rate else None,
-        window=args.slo_window_ms / 1e3,
-    )
-    deadline = args.deadline_ms / 1e3 if args.deadline_ms else None
-    # The factor the traffic runs with: 1 (flat) for poisson and
-    # user-population, --burst-factor or burst_workload's default 10 for
-    # burst.  A factor above 1 alone implies burst traffic.
-    traffic, burst_factor = args.traffic, 1.0
-    if traffic == "poisson" and (args.burst_factor or 1.0) > 1.0:
-        traffic = "burst"
-    if traffic == "burst":
-        burst_factor = args.burst_factor if args.burst_factor is not None else 10.0
-    X_pool = workload.split.test.X
-    shape = dict(qps=args.qps, duration=args.duration, deadline=deadline)
-    if traffic == "user-population":
-        requests = UserPopulationWorkload(X_pool, **shape).arrivals(
-            np.random.default_rng(args.seed), args.duration
+    data = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    X_pool = train_test_split(data, seed=args.seed).test.X
+    # The configs and the request list are built before a forest is
+    # trained or a file written: a bad flag value is a usage error.
+    try:
+        scheduler = SchedulerConfig(
+            n_engines=args.n_engines,
+            max_batch=args.max_batch,
+            max_wait=args.max_wait_ms / 1e3,
+            max_queue=args.max_queue,
+            backend=args.backend,
         )
-    elif traffic == "burst":
-        requests = burst_workload(
-            X_pool, seed=args.seed, burst_factor=burst_factor, **shape
+        slo = SLOConfig(
+            latency_p95=args.slo_p95_ms / 1e3 if args.slo_p95_ms else None,
+            error_rate=args.slo_error_rate if args.slo_error_rate else None,
+            window=args.slo_window_ms / 1e3,
         )
-    else:
-        requests = poisson_workload(X_pool, seed=args.seed, **shape)
-    forest, packed = workload.forest, None
+        requests = poisson_workload(
+            X_pool,
+            qps=args.qps,
+            duration=args.duration,
+            seed=args.seed,
+            deadline=args.deadline_ms / 1e3 if args.deadline_ms else None,
+            burst_factor=args.burst_factor,
+        )
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
     if args.forest is not None:
         forest, packed = _load_any_model(args.forest, n_attributes=X_pool.shape[1])
+    else:
+        forest, packed = train_forest_for_spec(
+            args.dataset, scale=args.scale, tree_scale=args.tree_scale, seed=args.seed
+        ).forest, None
     server = TahoeServer(
         forest if packed is None else None,
         spec,
@@ -443,21 +424,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     s = result.summary
     layers = dict(server.wall_layers(), time_domain="wall")
     scenario = (
-        f"serving/{args.dataset}/{args.gpu}/qps{args.qps:g}x{burst_factor:g}"
+        f"serving/{args.dataset}/{args.gpu}/qps{args.qps:g}x{args.burst_factor:g}"
         f"/d{args.duration:g}/e{args.n_engines}/{args.backend}"
     )
-    if traffic != "poisson":
-        scenario += f"/{traffic}"
     payload_body = {
         "gpu": spec.name,
         "dataset": args.dataset,
         "time_domain": s["time_domain"],
         "config": {
             "backend": args.backend,
-            "traffic": traffic,
             "qps": args.qps,
             "duration_s": args.duration,
-            "burst_factor": burst_factor,
+            "burst_factor": args.burst_factor,
             "n_engines": args.n_engines,
             "max_batch": args.max_batch,
             "max_wait_ms": args.max_wait_ms,
@@ -547,7 +525,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"wrote {out}")
     sustained = s["achieved_qps"] >= 0.9 * min(args.qps, s["offered_qps"])
-    if not sustained and burst_factor <= 1.0:
+    if not sustained and args.burst_factor <= 1.0:
         print("WARNING: configured QPS not sustained", file=sys.stderr)
     return 0
 
@@ -849,12 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="micro-batching serving layer (synthetic open-loop benchmark)",
-    )
-    p.add_argument(
-        "--bench",
-        action="store_true",
-        help="drive a Poisson open-loop workload and write BENCH_serving.json",
+        help="micro-batching serving layer: drive open-loop Poisson "
+        "traffic and write BENCH_serving.json",
     )
     p.add_argument("--quick", action="store_true", help="CI-sized run (caps qps/duration)")
     p.add_argument(
@@ -880,13 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.05)
     p.add_argument("--tree-scale", type=float, default=0.05, dest="tree_scale")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--traffic",
-        choices=["poisson", "burst", "user-population"],
-        default="poisson",
-        help="arrival process (user-population = Zipf users with "
-        "diurnal + flash-crowd session intensities)",
-    )
     p.add_argument("--qps", type=float, default=2000.0, help="offered request rate")
     p.add_argument("--duration", type=float, default=2.0, help="arrival window, seconds")
     p.add_argument("--n-engines", type=int, default=2)
@@ -898,10 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request latency budget (0 disables deadlines)",
     )
     p.add_argument(
-        "--burst-factor", type=float, default=None,
-        help="overload burst: middle 20%% of the window runs at "
-        "qps * FACTOR (1 disables; --traffic burst defaults to 10; "
-        "above 1 alone implies --traffic burst; try 20 to exercise the "
+        "--burst-factor", type=float, default=1.0,
+        help="overload burst: the middle 20%% of the window runs at "
+        "qps * FACTOR (default 1, flat traffic; try 20 to exercise the "
         "SLO monitor)",
     )
     p.add_argument(
@@ -963,15 +929,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.func is _cmd_serve
-        and args.traffic == "user-population"
-        and (args.burst_factor or 1.0) > 1.0
-    ):
-        parser.error(
-            "--burst-factor applies to poisson and burst traffic, "
-            "not --traffic user-population"
-        )
     return args.func(args)
 
 

@@ -1,7 +1,7 @@
 """Bench artifacts: the shared run envelope and the regression differ.
 
 Every ``BENCH_*.json`` the repo writes — the figure/table benchmarks and
-``repro serve --bench`` — wraps its payload in one envelope carrying the
+``repro serve`` — wraps its payload in one envelope carrying the
 provenance a regression harness needs: a run id, the git sha, a UTC
 timestamp, a scenario key identifying *what* was measured (dataset,
 GPU, knobs), and the environment it was measured in (Python and numpy

@@ -1,7 +1,7 @@
 """Serving: a micro-batching request server over the Tahoe engines.
 
-The ROADMAP's north star is request-level traffic, not offline
-``predict(X)`` sweeps.  This package adds the layer PACSET and the
+Tahoe's kernels run on batches (§7); this package builds those batches
+from request-level traffic and adds the layer PACSET and the
 decision-forest-serving literature argue matters most in deployment —
 what happens *around* the kernel:
 
@@ -14,13 +14,9 @@ what happens *around* the kernel:
   :class:`~repro.serving.server.SchedulerConfig` (flush/queue/deadline);
   its service-level objectives are the ``slo=`` argument
   (:class:`~repro.serving.slo.SLOConfig`).
-* Traffic is a list of :class:`~repro.serving.request.InferenceRequest`:
-  :func:`~repro.serving.workload.poisson_workload` and
-  :func:`~repro.serving.workload.burst_workload` build one, and the
-  user-population model
-  (:class:`~repro.serving.population.UserPopulationWorkload`: Zipf
-  users, diurnal + flash-crowd session intensities) samples one with
-  ``arrivals(rng, horizon)``.
+* Traffic is a list of :class:`~repro.serving.request.InferenceRequest`;
+  :func:`~repro.serving.workload.poisson_workload` builds one (flat
+  Poisson arrivals, or with ``burst_factor > 1`` an overload burst).
 * Hot model swap via :mod:`repro.modelstore`: the server numbers the
   versions of the model it serves
   (:class:`~repro.serving.server.ModelVersion`), stages replacement
@@ -33,7 +29,6 @@ quantiles, deadline misses, backpressure, SLO breaches — is
 deterministic and unit-testable.
 """
 
-from repro.serving.population import UserPopulationWorkload
 from repro.serving.request import (
     ENGINE_ERROR,
     REJECTED_DEADLINE,
@@ -46,7 +41,7 @@ from repro.serving.request import (
 from repro.serving.server import ModelVersion, SchedulerConfig, ServingResult, TahoeServer
 from repro.serving.slo import SLOConfig, SLOMonitor
 from repro.serving.tracing import RequestTrace, StageSpan
-from repro.serving.workload import burst_workload, poisson_workload
+from repro.serving.workload import poisson_workload
 
 __all__ = [
     "ENGINE_ERROR",
@@ -64,7 +59,5 @@ __all__ = [
     "ServingResult",
     "StageSpan",
     "TahoeServer",
-    "UserPopulationWorkload",
-    "burst_workload",
     "poisson_workload",
 ]

@@ -66,9 +66,6 @@ class InferenceRequest:
         trace_id: identifier every stage span of this request is tagged
             with; derived from ``request_id`` when not supplied, so
             traces are stable across reruns of a deterministic workload.
-        user: simulated-population user id the request belongs to
-            (``None`` for anonymous traffic) — lets analyses attribute
-            load to the user-population model's heavy hitters.
         kind: ``"predict"`` (the default) or ``"explain"`` — explain
             requests ask for exact SHAP attributions instead of
             predictions.  The scheduler coalesces kind-homogeneous
@@ -81,7 +78,6 @@ class InferenceRequest:
     arrival_time: float
     deadline: float | None = None
     trace_id: str | None = None
-    user: int | None = None
     kind: str = KIND_PREDICT
     n_samples: int = field(init=False, repr=False, compare=False)
 

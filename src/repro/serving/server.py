@@ -976,10 +976,9 @@ def _summarize(frozen: dict, responses: list[InferenceResponse] | None = None) -
         "offered_qps": (n_requests / offered_span)
         if offered_span > 0
         else float("inf"),
-        "achieved_qps": (n_completed / makespan) if makespan > 0 else float("inf"),
-        "achieved_samples_per_s": (n_samples / makespan)
-        if makespan > 0
-        else float("inf"),
+        # With nothing completed the makespan is 0, and nothing was achieved.
+        "achieved_qps": (n_completed / makespan) if makespan > 0 else 0.0,
+        "achieved_samples_per_s": (n_samples / makespan) if makespan > 0 else 0.0,
         "latency_s": {
             "p50": lat_p50,
             "p95": lat_p95,

@@ -1,5 +1,8 @@
 """Tests for the micro-batching serving layer."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,15 @@ class TestAdmissionControl:
             assert not r.ok
             assert r.error.code == REJECTED_DEADLINE
             assert "deadline" in r.error.detail
+
+    def test_nothing_completed_achieves_zero(self, small_forest, p100, test_X):
+        # Every request is expired on arrival (deadline == arrival time).
+        server = make_server(small_forest, p100)
+        reqs = single_sample_requests(test_X, 6, spacing=1e-4, deadline=0.0)
+        s = server.run(reqs).summary
+        assert s["completed"] == 0 and s["rejected_deadline"] == 6
+        assert s["achieved_qps"] == 0.0
+        assert s["achieved_samples_per_s"] == 0.0
 
     def test_mixed_batch_survives_expired_neighbours(self, small_forest, p100, test_X):
         server = make_server(
@@ -225,6 +237,25 @@ class TestWorkloadGenerator:
             poisson_workload(test_X, qps=10, duration=0)
         with pytest.raises(ValueError):
             poisson_workload(test_X, qps=10, duration=1.0, max_request_samples=0)
+        for deadline in (0.0, -0.005):
+            with pytest.raises(ValueError, match="deadline"):
+                poisson_workload(test_X, qps=10, duration=1.0, deadline=deadline)
+
+    def test_burst_requests_are_pinned(self, test_X):
+        # The steady, burst and steady phases draw from seeds 2, 3 and 4;
+        # the digest pins every request's id, arrival time and rows.
+        reqs = poisson_workload(
+            test_X, qps=500, duration=0.1, burst_factor=10, seed=2,
+            max_request_samples=4,
+        )
+        digest = hashlib.sha256()
+        for r in reqs:
+            digest.update(struct.pack("<qd", r.request_id, r.arrival_time))
+            digest.update(r.X.tobytes())
+        assert len(reqs) == 126
+        assert digest.hexdigest() == (
+            "9137b416c317947983b6ab33a7c4fe71def9cbc98fd9ab6596c362da73c0e59a"
+        )
 
     def test_end_to_end_sustains_offered_rate(self, small_forest, p100, test_X):
         server = make_server(small_forest, p100, n_engines=2)

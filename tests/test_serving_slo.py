@@ -7,7 +7,6 @@ from repro.serving import (
     SLOConfig,
     SLOMonitor,
     TahoeServer,
-    burst_workload,
     poisson_workload,
 )
 
@@ -128,7 +127,7 @@ class TestServerIntegration:
                 latency_p95=2e-3, error_rate=0.05, window=0.05, min_requests=10
             ),
         )
-        reqs = burst_workload(
+        reqs = poisson_workload(
             test_X,
             qps=1000,
             duration=0.2,
@@ -149,7 +148,7 @@ class TestServerIntegration:
 
 class TestBurstWorkload:
     def test_burst_raises_rate_inside_window(self, test_X):
-        reqs = burst_workload(
+        reqs = poisson_workload(
             test_X, qps=1000, duration=0.3, burst_factor=20, burst_fraction=0.2, seed=0
         )
         times = [r.arrival_time for r in reqs]
@@ -162,10 +161,18 @@ class TestBurstWorkload:
 
     def test_degenerate_parameters(self, test_X):
         with pytest.raises(ValueError):
-            burst_workload(test_X, qps=100, duration=0.1, burst_factor=0.5)
+            poisson_workload(test_X, qps=100, duration=0.1, burst_factor=0.5)
         with pytest.raises(ValueError):
-            burst_workload(test_X, qps=100, duration=0.1, burst_fraction=1.0)
-        # factor 1 degrades to a plain poisson workload.
-        flat = burst_workload(test_X, qps=500, duration=0.1, burst_factor=1.0, seed=2)
+            poisson_workload(
+                test_X, qps=100, duration=0.1, burst_factor=10, burst_fraction=1.0
+            )
+        # factor 1, or a zero-length burst, is flat poisson traffic.
         plain = poisson_workload(test_X, qps=500, duration=0.1, seed=2)
-        assert [r.arrival_time for r in flat] == [r.arrival_time for r in plain]
+        for flat in (
+            poisson_workload(test_X, qps=500, duration=0.1, burst_factor=1.0, seed=2),
+            poisson_workload(
+                test_X, qps=500, duration=0.1, burst_factor=10, burst_fraction=0.0,
+                seed=2,
+            ),
+        ):
+            assert [r.arrival_time for r in flat] == [r.arrival_time for r in plain]
