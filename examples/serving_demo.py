@@ -5,7 +5,8 @@ with two engine replicas on a simulated P100, and pushes an open-loop
 Poisson workload through it — then shows what the serving layer adds on
 top of plain ``predict(X)``:
 
-* the §6 performance models choose the micro-batch flush point,
+* queued requests coalesce into micro-batches of up to ``max_batch``
+  samples, each closed by ``max_wait`` at the latest,
 * the second replica adopts the first one's converted layout
   (conversion runs once, as a multi-GPU deployment should),
 * per-request deadlines and a bounded queue turn overload into
@@ -41,7 +42,7 @@ def main() -> None:
         spec,
         scheduler=SchedulerConfig(n_engines=2, max_wait=2e-3, max_queue=256),
     )
-    print(f"model-chosen flush point: {server.target_batch} samples")
+    print(f"flush point (max_batch): {server.target_batch} samples")
     for g, engine in enumerate(server.engines):
         stats = engine.conversion_stats
         how = "full conversion" if stats.source == "pipeline" else "adopted replica 0's layout"
@@ -74,7 +75,7 @@ def main() -> None:
         forest,
         spec,
         scheduler=SchedulerConfig(
-            n_engines=1, max_queue=8, target_batch=10_000, max_wait=10.0
+            n_engines=1, max_queue=8, max_batch=10_000, max_wait=10.0
         ),
     )
     burst = [

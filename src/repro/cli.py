@@ -368,6 +368,21 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``repro serve`` flag that sets each library parameter whose name
+#: leads a validation message ("max_wait must be >= 0").
+_SERVE_FLAGS = {
+    "n_engines": "--n-engines",
+    "max_batch": "--max-batch",
+    "max_wait": "--max-wait-ms",
+    "max_queue": "--max-queue",
+    "window": "--slo-window-ms",
+    "qps": "--qps",
+    "duration": "--duration",
+    "deadline": "--deadline-ms",
+    "burst_factor": "--burst-factor",
+}
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.benchdiff import bench_envelope
     from repro.obs.exporters import jsonable, write_serving_trace
@@ -403,7 +418,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             burst_factor=args.burst_factor,
         )
     except ValueError as exc:
-        print(f"repro serve: error: {exc}", file=sys.stderr)
+        flag = _SERVE_FLAGS.get(str(exc).split(" ", 1)[0])
+        where = f"argument {flag}: " if flag else ""
+        print(f"repro serve: error: {where}{exc}", file=sys.stderr)
         return 2
     if args.forest is not None:
         forest, packed = _load_any_model(args.forest, n_attributes=X_pool.shape[1])
@@ -841,8 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["tahoe", "native"],
         default="tahoe",
-        help="native = NativeEngine replica pool (wall-clock service "
-        "times, measured flush point)",
+        help="native = NativeEngine replica pool (wall-clock service times)",
     )
     p.add_argument(
         "--forest", type=Path, default=None,

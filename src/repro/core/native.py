@@ -43,7 +43,7 @@ packed ``.tahoe`` artifacts adopt with zero conversion via
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -562,7 +562,8 @@ class NativeEngine(LayoutEngine):
 
     def cost_model(self) -> NativeCostModel:
         """The fitted wall-clock cost of one dispatch (fitted on first
-        call, once per layout).
+        call, once per layout), which the hardware ranking of a reported
+        :meth:`predict` reads.
 
         The probes time this engine's own :meth:`predict`, the path a
         serving dispatch pays: input checks, finalisation, batch
@@ -581,12 +582,6 @@ class NativeEngine(LayoutEngine):
             finally:
                 self.recorder = recorder
         return self._cost_model
-
-    def predicted_batch_time(self, n_samples: int) -> float:
-        return self.cost_model().predict_time(n_samples)
-
-    def cost_model_record(self) -> dict:
-        return asdict(self.cost_model())
 
     def predict(self, X: np.ndarray, *, report: bool = False, **kwargs) -> EngineResult:
         """:meth:`LayoutEngine.predict`.  A reported call fits the cost

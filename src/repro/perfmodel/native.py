@@ -10,17 +10,15 @@ Both coefficients are *fitted from timed probes* of the engine's
 dispatch path on the actual flattened forest — the native analogue of
 the §6 microbenchmarks — rather than assumed.
 
-One fit serves every native decision.  The serving layer's flush point
-is the knee of the per-sample curve it predicts
-(:meth:`~repro.serving.server.TahoeServer.plan_flush_point`), and
-:func:`rank_hardware_targets` gives the selector a second hardware
-target to rank: the best simulated-GPU strategy (predicted GPU seconds)
-next to the native CPU (predicted wall seconds).  Each prediction is in
-its *own* target's execution-time domain — the ranking answers "which
-target would finish this batch first", exactly as the §6 ranking answers
-it across strategies.  The native engine evaluates the ranking only
-when a run report is requested; the chosen target's residual (predicted
-vs measured wall time for native runs) then feeds the same
+The fit has one reader: :func:`rank_hardware_targets` gives the
+selector a second hardware target to rank, the native CPU (predicted
+wall seconds) next to the best simulated-GPU strategy (predicted GPU
+seconds).  Each prediction is in its *own* target's execution-time
+domain — the ranking answers "which target would finish this batch
+first", exactly as the §6 ranking answers it across strategies.  The
+native engine evaluates the ranking only when a run report is
+requested; the chosen target's residual (predicted vs measured wall
+time for native runs) then feeds the same
 :class:`~repro.obs.drift.CalibrationTracker` the GPU models use, so
 drift in the native calibration is caught by the existing machinery.
 """
@@ -67,9 +65,11 @@ class HardwareTarget:
 
 
 #: Probe batch sizes of the fit, in rows: from all fixed cost to mostly
-#: per-row cost.  Larger probes cost 3-4x more and planned no steadier
-#: flush points (docs/performance.md).
-PROBE_SIZES = (1, 32, 128)
+#: per-row cost.  The 1,024-row probe reaches the batches the ranking is
+#: asked about (``repro trace`` ranks 10,000 rows, ``repro predict`` the
+#: whole input), where a fit to 128 rows alone under-predicted
+#: (docs/performance.md).
+PROBE_SIZES = (1, 32, 128, 1024)
 #: Timed calls per probe size; the fit reads their median.
 PROBE_REPEATS = 3
 PROBE_SEED = 7

@@ -4,14 +4,10 @@ Online serving traffic is the opposite of the paper's offline benchmarks:
 requests arrive one sample at a time, and per-request GPU launches waste
 the device (the launch-latency and bandwidth-utilisation terms of the §6
 models dominate tiny batches).  The server therefore coalesces queued
-requests into micro-batches and lets the engine's cost model pick the
-flush point: every engine predicts its batch time as a function of
-batch size, so the server scans candidate sizes for the knee of the
-predicted per-sample time curve — the smallest batch within
-:data:`KNEE_TOLERANCE` of the best achievable per-sample cost.  Waiting
-past the knee buys (almost) no efficiency and only adds latency, so the
-queue flushes at ``target_batch`` samples or when the oldest request has
-waited ``max_wait``, whichever comes first.
+requests into micro-batches.  A micro-batch closes when it holds
+``max_batch`` samples, when the next queued request is of the other
+kind (predict or explain), when its oldest request has waited
+``max_wait``, or when a run drains the queue.
 
 Batches dispatch round-robin onto a pool of engine replicas (the
 multi-GPU deployment: one engine per device, all sharing a single
@@ -37,10 +33,7 @@ service times are the engines' simulated GPU seconds, so the whole
 serving pipeline is deterministic and unit-testable.  The exception is
 ``backend="native"``: the pool is then
 :class:`~repro.core.native.NativeEngine` replicas whose service times
-are *measured wall seconds* (arrivals stay scripted), and the curve the
-flush point is planned from comes from the engine's fitted wall-clock
-:class:`~repro.perfmodel.native.NativeCostModel` — the same fit its
-hardware ranking reads — instead of the §6 models: real throughput,
+are *measured wall seconds* (arrivals stay scripted): real throughput,
 same scheduler.
 """
 
@@ -90,10 +83,6 @@ __all__ = ["ModelVersion", "SchedulerConfig", "ServingResult", "TahoeServer"]
 #: summary capture, report and response ordering.
 WALL_LAYERS = ("admission", "assembly", "engine", "telemetry", "fanout", "result")
 
-#: The flush point is the smallest candidate batch whose per-sample time
-#: is within this share of the best candidate's (0.05 = within 5 %).
-KNEE_TOLERANCE = 0.05
-
 #: The name in every version label and swap event (one model per server).
 _MODEL_NAME = "default"
 
@@ -116,15 +105,13 @@ class SchedulerConfig:
     Attributes:
         n_engines: engine replicas in the dispatch pool (simulated
             GPUs; batches go round-robin across them).
-        max_batch: hard ceiling on coalesced samples per dispatch.
+        max_batch: coalesced samples per dispatch: a queue holding this
+            many flushes at once, and no micro-batch grows past it (a
+            single larger request still runs as its own batch).
         max_wait: longest a request may sit queued waiting for
             coalescing (simulated seconds) before a forced flush.
         max_queue: bounded-queue admission limit, in requests; arrivals
             beyond it are rejected with ``queue_full`` (backpressure).
-        target_batch: explicit flush point; ``None`` lets the engine's
-            cost model pick it (the knee of its predicted per-sample
-            time: the §6 models on the simulated backends, the fitted
-            wall-clock model on the native one).
         request_tracing: record a per-stage
             :class:`~repro.serving.tracing.RequestTrace` on every
             response.
@@ -138,7 +125,6 @@ class SchedulerConfig:
     max_batch: int = 1024
     max_wait: float = 2e-3
     max_queue: int = 4096
-    target_batch: int | None = None
     request_tracing: bool = True
     backend: str = "tahoe"
 
@@ -274,16 +260,9 @@ class TahoeServer:
         version = self._new_version(forest, packed)
         self._active_version = version
         self.engines = self._build_engines(version)
-        #: The per-sample cost curve the flush point was planned from
-        #: (``None`` when ``target_batch`` was given).
-        self.flush_plan: dict | None = None
-        self.target_batch = (
-            self.config.target_batch
-            if self.config.target_batch is not None
-            else self.plan_flush_point()
-        )
+        self.target_batch = self.plan_flush_point()
         self.recorder.metrics.gauge(
-            "serving.target_batch", help="model-chosen micro-batch flush point"
+            "serving.target_batch", help="micro-batch flush point (max_batch)"
         ).set(self.target_batch)
         if isinstance(slo, SLOMonitor):
             self.slo = slo
@@ -397,9 +376,6 @@ class TahoeServer:
         previous = self._active_version
         self._active_version, self.engines = staged  # queued work now lands here
         self._row_shape = self._model_row_shape()
-        if self.config.target_batch is None:
-            self.target_batch = self.plan_flush_point()
-            self.recorder.metrics.gauge("serving.target_batch").set(self.target_batch)
         self.recorder.metrics.counter(
             "serving.model_swaps", help="hot swaps applied"
         ).inc()
@@ -427,35 +403,14 @@ class TahoeServer:
         return self._active_version
 
     # ------------------------------------------------------------------
-    # Flush-point planning (the engine's cost model)
+    # Flush point
     # ------------------------------------------------------------------
     def plan_flush_point(self) -> int:
-        """Smallest batch within :data:`KNEE_TOLERANCE` of the best
-        per-sample time.
-
-        Scans power-of-two candidates up to ``max_batch`` and returns
-        the knee of the per-sample cost curve that the pool's first
-        replica predicts (:meth:`~repro.core.base.LayoutEngine.predicted_batch_time`):
-        the §6 models Algorithm 1 ranks per batch on the simulated
-        backends, the fitted wall-clock
-        :class:`~repro.perfmodel.native.NativeCostModel` on the native
-        one.  Records the curve, and the native fit's coefficients, in
-        :attr:`flush_plan`.
+        """The queued sample count that flushes a micro-batch:
+        ``max_batch``.  Measured serving loads close every batch at
+        ``max_wait`` long before a size plan binds (docs/architecture.md).
         """
-        engine = self.engines[0]
-        candidates = []
-        b = 1
-        while b < self.config.max_batch:
-            candidates.append(b)
-            b *= 2
-        candidates.append(self.config.max_batch)
-        per_sample = {b: engine.predicted_batch_time(b) / b for b in candidates}
-        self.flush_plan = {
-            "curve": {str(b): t for b, t in per_sample.items()},
-            **engine.cost_model_record(),
-        }
-        floor = min(per_sample.values())
-        return next(b for b in candidates if per_sample[b] <= (1.0 + KNEE_TOLERANCE) * floor)
+        return self.config.max_batch
 
     # ------------------------------------------------------------------
     # Event-driven scheduling (simulated clock)
@@ -505,7 +460,7 @@ class TahoeServer:
             )
         queue.append(request)
         self._queued_samples += request.n_samples
-        while self._queued_samples >= self.target_batch:
+        while self._queued_samples >= self.config.max_batch:
             self._dispatch(self._clock)
         return None
 
@@ -641,8 +596,6 @@ class TahoeServer:
             batch.append(self._queue.popleft())
             total += nxt.n_samples
             self._queued_samples -= nxt.n_samples
-            if total >= self.target_batch:
-                break
         # Deadline admission: anything already expired is rejected with a
         # structured error instead of wasting batch capacity (and instead
         # of raising mid-batch).  No deadline reads as NaN: never expired,
@@ -879,7 +832,6 @@ class TahoeServer:
                 "deadline_misses": int(metrics.counter("serving.deadline_misses").value),
                 "batches": metrics.histogram("serving.batch_size").count,
                 "target_batch": self.target_batch,
-                "flush_plan": self.flush_plan,
                 "n_engines": len(self.engines),
                 "backend": self.config.backend,
                 "time_domain": self.engines[0].time_domain,
@@ -973,9 +925,9 @@ def _summarize(frozen: dict, responses: list[InferenceResponse] | None = None) -
         "requests": n_requests,
         "completed": n_completed,
         **frozen["head"],
-        "offered_qps": (n_requests / offered_span)
-        if offered_span > 0
-        else float("inf"),
+        # Arrivals that share one instant span no time and set no rate:
+        # 0, not inf, so the summary stays valid JSON.
+        "offered_qps": (n_requests / offered_span) if offered_span > 0 else 0.0,
         # With nothing completed the makespan is 0, and nothing was achieved.
         "achieved_qps": (n_completed / makespan) if makespan > 0 else 0.0,
         "achieved_samples_per_s": (n_samples / makespan) if makespan > 0 else 0.0,

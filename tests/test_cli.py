@@ -265,6 +265,7 @@ class TestServeCommand:
         assert main(["serve", "--quick", flag, value, "--out", str(out_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro serve: error: ") and err.count("\n") == 1
+        assert flag in err
         assert not out_path.exists()
 
     def test_predict_native_backend_bit_identical(self, forest_file, capsys):

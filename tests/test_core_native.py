@@ -239,8 +239,8 @@ class TestCostModelFit:
         assert model.t_fixed == pytest.approx(200e-6)
         assert model.t_per_row == pytest.approx(15e-6)
         assert model.predict_time(256) == pytest.approx(200e-6 + 256 * 15e-6)
-        # No dearer than the per-size curve it replaced: 4,094 rows in 22 calls.
-        assert clock.rows <= 4094 and clock.calls <= 22
+        # Three timed calls at each of 1, 32, 128 and 1,024 rows.
+        assert clock.calls == 12 and clock.rows == 3 * (1 + 32 + 128 + 1024)
 
     def test_median_ignores_one_slow_and_one_lucky_call_per_size(self, monkeypatch):
         def cost(rows, call):
@@ -272,7 +272,6 @@ class TestEngineCostModel:
         assert list(engine.recorder.batches) == batches
         assert model.kernel == engine.kernel
         assert engine.cost_model() is model  # fitted once
-        assert engine.predicted_batch_time(64) == model.predict_time(64)
 
     def test_reported_predict_on_fresh_engine_records_one_decision(
         self, small_forest, p100, test_X, monkeypatch

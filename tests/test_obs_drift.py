@@ -161,7 +161,7 @@ class TestEngineIntegration:
         server = TahoeServer(
             small_forest,
             p100,
-            scheduler=SchedulerConfig(n_engines=2, target_batch=4, max_wait=1e-3),
+            scheduler=SchedulerConfig(n_engines=2, max_batch=4, max_wait=1e-3),
         )
         reqs = [
             InferenceRequest(

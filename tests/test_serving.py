@@ -1,6 +1,7 @@
 """Tests for the micro-batching serving layer."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -51,16 +52,17 @@ class TestMicroBatching:
             )
 
     def test_flush_point_from_models(self, small_forest, p100):
+        # No model plans the flush point: the queue flushes at max_batch.
         server = make_server(small_forest, p100)
-        assert 1 <= server.target_batch <= server.config.max_batch
+        assert server.target_batch == server.config.max_batch == 256
 
     def test_flush_point_override(self, small_forest, p100):
-        server = make_server(small_forest, p100, target_batch=7)
+        server = make_server(small_forest, p100, max_batch=7)
         assert server.target_batch == 7
 
     def test_target_batch_triggers_flush(self, small_forest, p100, test_X):
-        server = make_server(small_forest, p100, target_batch=8, max_wait=10.0)
-        # All arrive at ~t=0; only the target, never the (huge) max wait,
+        server = make_server(small_forest, p100, max_batch=8, max_wait=10.0)
+        # All arrive at ~t=0; only max_batch, never the (huge) max wait,
         # can trigger the first 3 flushes.
         reqs = single_sample_requests(test_X, 25, spacing=1e-9)
         result = server.run(reqs)
@@ -69,7 +71,7 @@ class TestMicroBatching:
         assert result.summary["batches"] == 4  # 3 full + 1 drain
 
     def test_max_wait_bounds_latency(self, small_forest, p100, test_X):
-        server = make_server(small_forest, p100, max_wait=5e-4, target_batch=10_000)
+        server = make_server(small_forest, p100, max_wait=5e-4, max_batch=10_000)
         reqs = single_sample_requests(test_X, 30, spacing=1e-5)
         result = server.run(reqs)
         # Every request waits at most max_wait + one batch service time.
@@ -80,7 +82,7 @@ class TestMicroBatching:
         assert result.summary["latency_s"]["p99"] >= result.summary["latency_s"]["p50"]
 
     def test_round_robin_uses_every_engine(self, small_forest, p100, test_X):
-        server = make_server(small_forest, p100, n_engines=3, target_batch=5)
+        server = make_server(small_forest, p100, n_engines=3, max_batch=5)
         reqs = single_sample_requests(test_X, 30, spacing=1e-9)
         server.run(reqs)
         assert all(t > 0 for t in server._engine_free)
@@ -89,7 +91,7 @@ class TestMicroBatching:
 class TestAdmissionControl:
     def test_backpressure_rejects_structured(self, small_forest, p100, test_X):
         server = make_server(
-            small_forest, p100, max_queue=5, target_batch=10_000, max_wait=10.0
+            small_forest, p100, max_queue=5, max_batch=10_000, max_wait=10.0
         )
         reqs = single_sample_requests(test_X, 12, spacing=1e-9)
         result = server.run(reqs)
@@ -105,7 +107,7 @@ class TestAdmissionControl:
     def test_expired_deadline_rejected_at_dispatch(self, small_forest, p100, test_X):
         # Deadline shorter than the coalescing wait: expired by flush time.
         server = make_server(
-            small_forest, p100, max_wait=1e-2, target_batch=10_000
+            small_forest, p100, max_wait=1e-2, max_batch=10_000
         )
         reqs = single_sample_requests(test_X, 8, spacing=1e-6, deadline=1e-4)
         result = server.run(reqs)
@@ -124,9 +126,18 @@ class TestAdmissionControl:
         assert s["achieved_qps"] == 0.0
         assert s["achieved_samples_per_s"] == 0.0
 
+    @pytest.mark.parametrize("backend", ["tahoe", "native"])
+    def test_one_request_summary_is_valid_json(self, small_forest, p100, test_X, backend):
+        # One arrival spans no time: the offered rate reads 0, not inf.
+        server = make_server(small_forest, p100, backend=backend)
+        result = server.run(single_sample_requests(test_X, 1))
+        for summary in (result.summary, server.summary()):
+            assert summary["offered_qps"] == 0.0
+            json.dumps(summary, allow_nan=False)
+
     def test_mixed_batch_survives_expired_neighbours(self, small_forest, p100, test_X):
         server = make_server(
-            small_forest, p100, max_wait=1e-2, target_batch=10_000
+            small_forest, p100, max_wait=1e-2, max_batch=10_000
         )
         live = single_sample_requests(test_X, 4, spacing=1e-6)
         doomed = [

@@ -48,7 +48,7 @@ class _Spy:
 class TestWorkPerBatch:
     def count_updates(self, forest, spec, X, monkeypatch, n, n_batches):
         server = native_server(
-            forest, spec, target_batch=n // n_batches, max_wait=10.0
+            forest, spec, max_batch=n // n_batches, max_wait=10.0
         )
         with monkeypatch.context() as patch:
             spy = _Spy(
@@ -134,7 +134,7 @@ class TestWallLayers:
     def test_layers_account_for_a_replay_burst(self, small_forest, p100, test_X):
         """2,000 one-row requests through one ``run()``: the measured
         layers add up to the outer wall time within 10 %."""
-        server = native_server(small_forest, p100, target_batch=1024, max_wait=2e-3)
+        server = native_server(small_forest, p100, max_batch=1024, max_wait=2e-3)
         result = server.run(one_row_requests(test_X, 2000, spacing=2e-5))
         assert all(r.ok for r in result.responses)
         layers = server.wall_layers()
@@ -174,7 +174,7 @@ class TestBoundedState:
         self, small_forest, p100, test_X
     ):
         # Four rows per batch: the first stage alone fills the record window.
-        server = native_server(small_forest, p100, target_batch=4)
+        server = native_server(small_forest, p100, max_batch=4)
         self.serve(server, test_X, 0, 5_000)
         # Trace only the second stage: what it allocated and still holds.
         gc.collect()
@@ -190,7 +190,7 @@ class TestBoundedState:
 
     def test_report_window_says_what_it_dropped(self, small_forest, p100, test_X):
         n = MAX_REPORT_RECORDS + 150
-        server = native_server(small_forest, p100, target_batch=1)
+        server = native_server(small_forest, p100, max_batch=1)
         result = server.run(one_row_requests(test_X, n, spacing=1e-4), report=True)
         report = result.report
         counters = report.metrics["counters"]

@@ -34,7 +34,7 @@ def reference(small_forest, test_X):
 
 def make_server(forest, spec, **overrides):
     defaults = dict(
-        n_engines=2, max_wait=1e-3, max_batch=64, target_batch=64, backend="native"
+        n_engines=2, max_wait=1e-3, max_batch=64, backend="native"
     )
     defaults.update(overrides)
     return TahoeServer(forest, spec, scheduler=SchedulerConfig(**defaults))
@@ -110,7 +110,7 @@ class TestResponseOwnership:
     def test_responses_dispatched_inside_submit_reach_the_next_run(
         self, small_forest, p100, test_X
     ):
-        server = make_server(small_forest, p100, target_batch=2)
+        server = make_server(small_forest, p100, max_batch=2)
         # Request 1 fills a batch of two: submit() dispatches it.
         queued = [server.submit(InferenceRequest(i, test_X[i], i * 1e-6)) for i in range(3)]
         assert queued == [None, None, None]
@@ -178,7 +178,7 @@ def test_every_request_gets_exactly_one_response(
     width = small_forest.n_attributes
     mix = data.draw(request_mix(width, test_X.shape[0]))
     server = make_server(
-        small_forest, p100, target_batch=data.draw(st.sampled_from([2, 8, 64]))
+        small_forest, p100, max_batch=data.draw(st.sampled_from([2, 8, 64]))
     )
     poison_engines(server)
     # Each request goes in through a direct submit() or a run() call;

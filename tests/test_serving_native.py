@@ -7,7 +7,7 @@ import pytest
 from repro.core import TIME_DOMAIN_SIMULATED, TIME_DOMAIN_WALL
 from repro.core.native import NativeEngine
 from repro.modelstore import load_packed, pack_layout
-from repro.perfmodel import NativeCostModel
+from repro.perfmodel import calibrate_native_model
 from repro.serving import InferenceRequest, SchedulerConfig, TahoeServer
 
 
@@ -62,47 +62,31 @@ class TestNativePool:
             SchedulerConfig(backend="fpga")
 
 
-class TestFittedFlushPoint:
-    def test_flush_point_is_knee_of_fitted_curve(self, small_forest, p100):
-        server = make_server(small_forest, p100, max_batch=128)
-        target = server.plan_flush_point()
-        plan = server.flush_plan
-        curve = {int(b): t for b, t in plan["curve"].items()}
-        # Power-of-two candidate ladder, like the simulated planner's.
-        assert sorted(curve) == [1, 2, 4, 8, 16, 32, 64, 128]
-        floor = min(curve.values())
-        assert target == min(b for b, t in curve.items() if t <= 1.05 * floor)
-        model = server.engines[0].cost_model()
-        assert plan["t_fixed"] == model.t_fixed
-        assert plan["t_per_row"] == model.t_per_row
-        assert plan["kernel"] == model.kernel
+class TestFlushAtMaxBatch:
+    def test_building_a_server_fits_no_cost_model(self, small_forest, p100, monkeypatch):
+        fits = []
 
-    def test_plan_from_fixed_model_is_analytic_knee(self, small_forest, p100):
-        # An explicit target skips planning at construction (and the fit).
-        server = make_server(small_forest, p100, max_batch=1024, target_batch=1)
-        server.engines[0]._cost_model = NativeCostModel(
-            t_fixed=200e-6, t_per_row=15e-6, kernel="numpy"
-        )
-        # 200 us / b + 15 us per row is within 5 % of its value at 1,024
-        # rows from b = 210 on: the knee is the next power of two.
-        assert [server.plan_flush_point() for _ in range(7)] == [256] * 7
-        assert server.flush_plan["t_fixed"] == 200e-6
-        assert server.flush_plan["t_per_row"] == 15e-6
+        def fit(*args, **kwargs):
+            fits.append(kwargs)
+            return calibrate_native_model(*args, **kwargs)
 
-    def test_summary_records_the_plan(self, small_forest, p100, test_X):
-        server = make_server(small_forest, p100, max_batch=64)
-        summary = server.run(requests_from(test_X, 10)).summary
-        assert summary["flush_plan"] is server.flush_plan
-        assert set(summary["flush_plan"]) == {"curve", "t_fixed", "t_per_row", "kernel"}
+        monkeypatch.setattr("repro.core.native.calibrate_native_model", fit)
+        server = make_server(small_forest, p100, n_engines=2)
+        assert fits == []
+        assert all(engine._cost_model is None for engine in server.engines)
 
-    def test_simulated_plan_records_the_curve_only(self, small_forest, p100):
-        server = make_server(small_forest, p100, max_batch=64, backend="tahoe")
-        assert set(server.flush_plan) == {"curve"}
-
-    def test_explicit_target_batch_is_not_planned(self, small_forest, p100):
-        server = make_server(small_forest, p100, target_batch=8)
-        assert server.flush_plan is None
-        assert server.engines[0]._cost_model is None
+    @pytest.mark.parametrize("backend", ["tahoe", "native"])
+    def test_flush_point_is_max_batch_across_a_swap(
+        self, small_forest, small_gbdt, p100, backend
+    ):
+        # Far past any knee of the per-sample cost: a planner would stop short.
+        max_batch = 1 << 16
+        server = make_server(small_forest, p100, max_batch=max_batch, backend=backend)
+        assert server.target_batch == max_batch
+        server.swap(server.stage(forest=small_gbdt).version)
+        assert server.target_batch == max_batch
+        assert server.summary()["target_batch"] == max_batch
+        assert "flush_plan" not in server.summary()
 
 
 class TestPackedNativePool:

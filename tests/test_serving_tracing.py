@@ -94,7 +94,7 @@ class TestRejectionTraces:
     def test_deadline_rejection_gets_degenerate_trace(
         self, small_forest, p100, test_X
     ):
-        server = make_server(small_forest, p100, max_wait=1e-2, target_batch=10_000)
+        server = make_server(small_forest, p100, max_wait=1e-2, max_batch=10_000)
         reqs = single_sample_requests(test_X, 6, spacing=1e-6, deadline=1e-4)
         result = server.run(reqs)
         for resp in result.responses:
@@ -109,7 +109,7 @@ class TestRejectionTraces:
         self, small_forest, p100, test_X
     ):
         server = make_server(
-            small_forest, p100, max_queue=3, target_batch=10_000, max_wait=10.0
+            small_forest, p100, max_queue=3, max_batch=10_000, max_wait=10.0
         )
         result = server.run(single_sample_requests(test_X, 8, spacing=1e-9))
         rejected = [r for r in result.responses if not r.ok]
